@@ -12,12 +12,15 @@ seed.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from etk import (
     PlayerMeta,
     Cohort,
     Scenario,
     default_profiles,
     generate_session,
+    key_names,
     mean_bpm,
     beats_to_bpm,
     missing_stats,
@@ -25,6 +28,11 @@ from etk import (
     validate_session,
     write_session_dir,
 )
+
+def most_common_keys(inputs) -> str:
+    masks, counts = np.unique(inputs.keys, return_counts=True)
+    return "+".join(key_names(int(masks[counts.argmax()]))) or "(none)"
+
 
 # --- 1. Generate one session per cohort -----------------------------------
 # The default profiles describe a steadier, cross-hair-anchored
@@ -37,6 +45,9 @@ pro = generate_session(pro_profile, scenario, seed=101,
 am = generate_session(am_profile, scenario, seed=202,
                       meta=PlayerMeta(player_id="am01", cohort=Cohort.AMATEUR, n=2))
 
+# Gaze and input are columnar: one read-only numpy array per field,
+# one entry per sample. Lost gaze samples have valid=False and NaN
+# coordinates; input keys are a bitmask over KEY_ALPHABET.
 for session in (pro, am):
     gaze = session.gaze
     report = missing_stats(gaze)
@@ -44,10 +55,12 @@ for session in (pro, am):
     print(f"{session.meta.player_id} ({session.meta.cohort.value})")
     print(f"  rounds          : {len(session.timeline.rounds)}"
           f" x {scenario.round_s:.0f}s")
-    print(f"  gaze samples    : {len(gaze.samples)} @ {gaze.nominal_rate_hz:.0f} Hz")
+    print(f"  gaze samples    : {len(gaze)} @ {gaze.nominal_rate_hz:.0f} Hz,"
+          f" first at t={gaze.t[0]:.3f}s ({gaze.x[0]:.0f}, {gaze.y[0]:.0f})")
     print(f"  missing fraction: {report.missing_fraction:.4f}"
-          f" (target {pro_profile.missing_rate})")
-    print(f"  input samples   : {len(session.input)}")
+          f" (target {pro_profile.missing_rate}; {int((~gaze.valid).sum())} samples)")
+    print(f"  input samples   : {len(session.input)},"
+          f" most common key set {most_common_keys(session.input)}")
     print(f"  mean heart rate : {bpm:.1f} bpm")
 
 # --- 2. Validate the structural invariants --------------------------------

@@ -72,8 +72,10 @@ print("averaged distribution:", " ".join(f"{p:.3f}" for p in avg.probs))
 print(f"sum = {sum(avg.probs):.12f}, cross-hair share = {avg.probs[0]:.3f}")
 
 # --- 3. Pixel heatmap ---------------------------------------------------------
-# Raw (not zone-quantised) gaze positions binned into 40 px cells.
-points = [(s.x, s.y) for s in session.gaze.samples if s.valid]
+# Raw (not zone-quantised) gaze positions binned into 40 px cells:
+# the valid entries of the x and y columns, as an (n, 2) array.
+gaze = session.gaze
+points = np.column_stack((gaze.x[gaze.valid], gaze.y[gaze.valid]))
 hm = heatmap_grid(points, screen=session.gaze.screen, cell_px=40)
 peak_row, peak_col = np.unravel_index(int(hm.grid.argmax()), hm.grid.shape)
 print(f"\nheatmap {hm.grid.shape[0]}x{hm.grid.shape[1]} cells, "

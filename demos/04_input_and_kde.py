@@ -24,6 +24,8 @@ from etk import (
     generate_session,
     kde_curve,
     kde_evaluate,
+    key_mask,
+    key_names,
     mouse_kinematics,
     silverman_bandwidth,
 )
@@ -41,6 +43,16 @@ for i in range(16):
     sessions.append(generate_session(profile, scenario, seed=9000 + i, meta=meta))
 
 # --- 2. Per-player hold fractions ---------------------------------------------
+# The input stream holds the keys down at each 10 ms sample as a bitmask
+# over KEY_ALPHABET, so a key condition is one array expression.
+inputs = sessions[0].input
+wm1_mask = key_mask(["W", "MOUSE1"])
+both = (inputs.keys & wm1_mask) == wm1_mask
+print(f"{sessions[0].meta.player_id}: {len(inputs)} input samples, "
+      f"{int(both.sum())} with W and MOUSE1 down "
+      f"(first at t={inputs.t[both][0]:.2f}s, keys {key_names(int(inputs.keys[both][0]))})")
+
+# fraction_held works on the same masks, confined to alive time.
 # "any" mode: a sample counts when at least one of the keys is down
 # (strafing).  "all" mode: every key must be down at once (moving
 # forward while firing).

@@ -44,9 +44,8 @@ from .model import (
     Cohort,
     EventKind,
     GameEvent,
-    GazeSample,
     GazeSeries,
-    InputSample,
+    InputSeries,
     Interval,
     KEY_ALPHABET,
     MatchTimeline,
@@ -54,6 +53,8 @@ from .model import (
     Round,
     Session,
     Violation,
+    key_mask,
+    key_names,
     validate_session,
 )
 from .numerics import (

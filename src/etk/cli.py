@@ -20,6 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import (
     AssemblyError,
     DegenerateData,
@@ -80,10 +82,14 @@ def _configure_logging() -> None:
 
 
 def _atomic_write(path: Path, writer) -> None:
-    """Run `writer(tmp_path)` then rename over the target."""
+    """Run `writer(tmp_path)` then rename over the target; no temp file outlives a failure."""
     tmp = Path(str(path) + ".tmp")
-    writer(tmp)
-    os.replace(tmp, path)
+    try:
+        writer(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
@@ -170,11 +176,12 @@ def cmd_ingest(args) -> int:
 class _SessionDerived:
     """Everything one session contributes to the pooled artifacts."""
     meta: PlayerMeta
+    screen: tuple[int, int]
     missing: dict
     window_rows: list[tuple]      # (round, window_index, window_start, probs)
     averaged: tuple[float, ...] | None
     feature_rows: list[FeatureRow]
-    heat_points: list[tuple[float, float]]
+    heat_points: np.ndarray       # (n, 2): valid gaze x, y after gap repair
 
 
 def _derive_session(directory: Path, model: ZoneModel,
@@ -190,7 +197,8 @@ def _derive_session(directory: Path, model: ZoneModel,
     interpolated = 0
     window_rows: list[tuple] = []
     all_windows = []
-    heat_points: list[tuple[float, float]] = []
+    heat_x: list[np.ndarray] = []
+    heat_y: list[np.ndarray] = []
     feature_rows: list[FeatureRow] = []
 
     for interval, gaze_seg, input_seg in zip(alive, gaze_segments, input_segments):
@@ -205,9 +213,8 @@ def _derive_session(directory: Path, model: ZoneModel,
         for wd in windows:
             window_rows.append((round_index, wd.window_index, wd.window_start, wd.probs))
 
-        for s in repaired.samples:
-            if s.valid:
-                heat_points.append((s.x, s.y))
+        heat_x.append(repaired.x[repaired.valid])
+        heat_y.append(repaired.y[repaired.valid])
 
         cohort = meta.cohort.value
         segment_alive = [interval]
@@ -249,9 +256,11 @@ def _derive_session(directory: Path, model: ZoneModel,
                     meta.player_id, window_s)
 
     missing = dict(audit.to_dict(), interpolated_samples=interpolated)
-    return _SessionDerived(meta=meta, missing=missing, window_rows=window_rows,
-                           averaged=averaged, feature_rows=feature_rows,
-                           heat_points=heat_points)
+    heat_points = np.column_stack((np.concatenate(heat_x), np.concatenate(heat_y))) \
+        if heat_x else np.empty((0, 2))
+    return _SessionDerived(meta=meta, screen=session.gaze.screen, missing=missing,
+                           window_rows=window_rows, averaged=averaged,
+                           feature_rows=feature_rows, heat_points=heat_points)
 
 
 def _write_windows_csv(path: Path, derived: list[_SessionDerived], k: int) -> None:
@@ -316,8 +325,9 @@ def _write_missing_json(path: Path, derived: list[_SessionDerived]) -> None:
 def _write_heatmaps(out_dir: Path, derived: list[_SessionDerived],
                     screen: tuple[int, int]) -> None:
     for cohort in Cohort:
-        points = [p for d in derived if d.meta.cohort is cohort for p in d.heat_points]
-        if not points:
+        points = np.concatenate([np.empty((0, 2))] + [d.heat_points for d in derived
+                                                      if d.meta.cohort is cohort])
+        if not len(points):
             continue
         hm = heatmap_grid(points, screen=screen)
         _atomic_write(out_dir / f"heatmap_{cohort.value}.csv",
@@ -363,9 +373,15 @@ def cmd_analyze(args) -> int:
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         derived = list(pool.map(
             lambda d: _derive_session(d, model, args.window_s, args.hop_s), dirs))
+    first_dir: dict[str, Path] = {}
+    for d, session in zip(dirs, derived):
+        other = first_dir.setdefault(session.meta.player_id, d)
+        if other != d:
+            raise AssemblyError([], f"player_id {session.meta.player_id!r} appears in "
+                                    f"both {other} and {d}")
     derived.sort(key=lambda d: (d.meta.cohort.value, d.meta.player_id))
 
-    screens = {read_session_dir_screen(d) for d in dirs}
+    screens = {d.screen for d in derived}
     screen = sorted(screens)[0]
     if len(screens) > 1:
         log.warning("sessions use differing screens %s; heatmaps use %s", screens, screen)
@@ -392,12 +408,6 @@ def cmd_analyze(args) -> int:
                     {str(d): _dir_digests(d) for d in dirs})
     log.info("analyze wrote %s", out_dir)
     return EXIT_OK
-
-
-def read_session_dir_screen(directory: Path) -> tuple[int, int]:
-    from .ingest import read_meta_json
-    _, screen, _ = read_meta_json(Path(directory) / META_FILE)
-    return screen
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,17 @@ Formats (all UTF-8, `#`-prefixed comment lines ignored):
   ``spawn <t> <player>``, ``death <t> <player>``,
   ``kill <t> <killer> <victim>``, ``weapon_fire <t> <player>``.
 
-Each parser streams its input a line at a time and reports failures as
-`ParseError` with the 1-based line number and byte offset. Writers emit
-a canonical form (shortest round-tripping numbers, keys in alphabet
-order, events sorted by time) so that write -> parse -> write is
-byte-identical.
+`gaze.csv` and `input.csv` hold nearly all the bytes of a session, so
+their parsers read the whole file and convert it a chunk of a few
+thousand rows at a time into columns (`GazeSeries`, `InputSeries`).
+Cells are converted with Python's `float`, so the accepted tokens are
+exactly those of the line-at-a-time parser that backs each of them.
+When the bulk path meets anything it does not accept, that line parser
+reruns over the file to report the failure as `ParseError` with the
+1-based line number and byte offset. `hrm.txt` and `demo.events` are
+small and parsed a line at a time. Writers emit a canonical form
+(shortest round-tripping numbers, keys in alphabet order, events
+sorted by time) so that write -> parse -> write is byte-identical.
 """
 from __future__ import annotations
 
@@ -24,7 +30,11 @@ import io
 import json
 import math
 import os
+import sys
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 from .errors import AssemblyError, ParseError
 from .model import (
@@ -34,16 +44,15 @@ from .model import (
     DEFAULT_SCREEN,
     EventKind,
     GameEvent,
-    GazeSample,
     GazeSeries,
-    InputSample,
-    KEY_ALPHABET,
+    InputSeries,
+    KEY_BIT,
     MatchTimeline,
     MIN_BEAT_INTERVAL_S,
     PlayerMeta,
     Round,
     Session,
-    canonical_key_order,
+    key_names,
     validate_session,
     with_player,
 )
@@ -57,7 +66,11 @@ META_FILE = "meta.json"
 GAZE_HEADER = "t,x,y"
 INPUT_HEADER = "t,mouse_x,mouse_y,keys"
 
-_KEY_SET = set(KEY_ALPHABET)
+# The bulk parsers convert a chunk of about this many bytes (a few
+# thousand rows) at a time, so the per-cell strings of a whole file
+# never exist at once.
+_CHUNK_BYTES = 1 << 16
+_EMPTY_AS_NAN = {"": "nan"}
 
 # Canonical ordering of demo lines sharing a timestamp.
 _EVENT_RANK = {
@@ -84,35 +97,30 @@ def fmt_num(v: float) -> str:
     return repr(v)
 
 
+def _read_bytes(source) -> bytes:
+    """The whole content of a path, a bytes object or a binary stream."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb") as f:
+            return f.read()
+    if isinstance(source, (bytes, bytearray)):
+        return bytes(source)
+    return source.read()
+
+
 def _iter_lines(source, kind: str):
     """Yield (lineno, byte_offset, stripped_text) skipping blanks and comments."""
-    if isinstance(source, (str, os.PathLike)):
-        stream = open(source, "rb")
-        close = True
-    elif isinstance(source, (bytes, bytearray)):
-        stream = io.BytesIO(source)
-        close = True
-    else:
-        stream = source
-        close = False
-    try:
-        offset = 0
-        lineno = 0
-        for raw in stream:
-            lineno += 1
-            line_offset = offset
-            offset += len(raw)
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ParseError(kind, lineno, line_offset, f"invalid UTF-8: {e}") from None
-            text = text.rstrip("\r\n")
-            if not text or text.lstrip().startswith("#"):
-                continue
-            yield lineno, line_offset, text
-    finally:
-        if close:
-            stream.close()
+    offset = 0
+    for lineno, raw in enumerate(io.BytesIO(_read_bytes(source)), start=1):
+        line_offset = offset
+        offset += len(raw)
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(kind, lineno, line_offset, f"invalid UTF-8: {e}") from None
+        text = text.rstrip("\r\n")
+        if not text or text.lstrip().startswith("#"):
+            continue
+        yield lineno, line_offset, text
 
 
 def _parse_float(tok: str, kind: str, lineno: int, offset: int, what: str) -> float:
@@ -132,18 +140,96 @@ def _parse_int(tok: str, kind: str, lineno: int, offset: int, what: str) -> int:
         raise ParseError(kind, lineno, offset, f"malformed {what} {tok!r}") from None
 
 
-def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
-                   rate_hz: float = DEFAULT_GAZE_RATE_HZ) -> GazeSeries:
-    """Parse a gaze CSV into a `GazeSeries`.
+class _Fallback(Exception):
+    """The bulk path met input it leaves to the line parser to judge."""
 
-    Rows with an empty coordinate pair become valid=False samples that
-    keep their timestamp, so missingness stays measurable from the file.
+
+def _bulk_rows(data: bytes, header: str, ncols: int):
+    """Yield (cells, rows) for each chunk of data rows, cells flattened row-major.
+
+    Skips comment and blank lines and strips CR like `_iter_lines`.
+    Raises `_Fallback` on bad UTF-8, a wrong or missing header, or a
+    row without exactly `ncols` cells.
     """
+    saw_header = False
+    pos = 0
+    while pos < len(data):
+        end = data.find(b"\n", pos + _CHUNK_BYTES)
+        end = len(data) if end < 0 else end + 1
+        try:
+            text = data[pos:end].decode("utf-8")
+        except UnicodeDecodeError:
+            raise _Fallback from None
+        pos = end
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if "\r" in text:
+            lines = [line.rstrip("\r") for line in lines]
+        if "#" in text:
+            lines = [line for line in lines if line and not line.lstrip().startswith("#")]
+        elif "" in lines:
+            lines = [line for line in lines if line]
+        if not saw_header and lines:
+            if lines[0] != header:
+                raise _Fallback
+            saw_header = True
+            del lines[0]
+        if not lines:
+            continue
+        if set(map(str.count, lines, repeat(","))) != {ncols - 1}:
+            raise _Fallback
+        yield ",".join(lines).split(","), len(lines)
+    if not saw_header:
+        raise _Fallback
+
+
+def _floats(cells, n: int) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, cells), np.float64, n)
+    except ValueError:
+        raise _Fallback from None
+
+
+def _bulk_columns(data: bytes, header: str, ncols: int, convert) -> tuple:
+    """Columns of a CSV whose first cell is a finite, strictly increasing time.
+
+    `convert(cells, n)` turns the other cells of a chunk of `n` rows
+    into its arrays. An empty file gives `()`.
+    """
+    parts = []
+    prev = -math.inf
+    for cells, n in _bulk_rows(data, header, ncols):
+        t = _floats(cells[0::ncols], n)
+        if not (np.isfinite(t).all() and t[0] > prev and (t[1:] > t[:-1]).all()):
+            raise _Fallback
+        prev = t[-1]
+        parts.append((t, *convert(cells, n)))
+    return tuple(map(np.concatenate, zip(*parts)))
+
+
+def _gaze_cells(cells: list[str], n: int):
+    x_cells, y_cells = cells[1::3], cells[2::3]
+    valid = np.fromiter(map(bool, x_cells), bool, n) & np.fromiter(map(bool, y_cells), bool, n)
+    # Like the line parser, a row with either cell empty is a lost
+    # sample whose other cell is never judged: convert empties to
+    # NaN and overwrite the other cell with NaN too.
+    x = _floats(map(_EMPTY_AS_NAN.get, x_cells, x_cells), n)
+    y = _floats(map(_EMPTY_AS_NAN.get, y_cells, y_cells), n)
+    x[~valid] = math.nan
+    y[~valid] = math.nan
+    if not (np.isfinite(x[valid]).all() and np.isfinite(y[valid]).all()):
+        raise _Fallback
+    return x, y, valid
+
+
+def _gaze_columns_lines(data: bytes):
+    """Reference gaze parser, one line at a time; locates every `ParseError`."""
     kind = "gaze"
-    samples: list[GazeSample] = []
+    ts, xs, ys, valids = [], [], [], []
     prev_t = -math.inf
     saw_header = False
-    for lineno, offset, text in _iter_lines(source, kind):
+    for lineno, offset, text in _iter_lines(data, kind):
         if not saw_header:
             if text != GAZE_HEADER:
                 raise ParseError(kind, lineno, offset,
@@ -158,24 +244,61 @@ def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
             raise ParseError(kind, lineno, offset,
                              f"timestamp {t} is not strictly increasing (previous {prev_t})")
         prev_t = t
+        ts.append(t)
         if parts[1] == "" or parts[2] == "":
-            samples.append(GazeSample.missing(t))
+            xs.append(math.nan)
+            ys.append(math.nan)
+            valids.append(False)
         else:
-            x = _parse_float(parts[1], kind, lineno, offset, "x coordinate")
-            y = _parse_float(parts[2], kind, lineno, offset, "y coordinate")
-            samples.append(GazeSample(t, x, y, True))
+            xs.append(_parse_float(parts[1], kind, lineno, offset, "x coordinate"))
+            ys.append(_parse_float(parts[2], kind, lineno, offset, "y coordinate"))
+            valids.append(True)
     if not saw_header:
         raise ParseError(kind, 1, 0, "empty file: missing header")
-    return GazeSeries(samples=samples, nominal_rate_hz=rate_hz, screen=screen)
+    return ts, xs, ys, valids
 
 
-def parse_input_log(source) -> list[InputSample]:
-    """Parse an input CSV into sampled key/mouse state snapshots."""
+def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
+                   rate_hz: float = DEFAULT_GAZE_RATE_HZ) -> GazeSeries:
+    """Parse a gaze CSV into a `GazeSeries`.
+
+    Rows with an empty coordinate pair become valid=False samples that
+    keep their timestamp, so missingness stays measurable from the file.
+    """
+    data = _read_bytes(source)
+    try:
+        columns = _bulk_columns(data, GAZE_HEADER, 3, _gaze_cells)
+    except _Fallback:
+        columns = _gaze_columns_lines(data)
+    return GazeSeries(*columns, nominal_rate_hz=rate_hz, screen=screen)
+
+
+def _key_cell_mask(cell: str) -> int:
+    mask = 0
+    for tok in cell.split("+") if cell else ():
+        if tok not in KEY_BIT:
+            raise _Fallback
+        mask |= KEY_BIT[tok]
+    return mask
+
+
+def _input_cells(cells: list[str], n: int):
+    mx = _floats(cells[1::4], n)
+    my = _floats(cells[2::4], n)
+    if not (np.isfinite(mx).all() and np.isfinite(my).all()):
+        raise _Fallback
+    key_cells = cells[3::4]
+    masks = {cell: _key_cell_mask(cell) for cell in set(key_cells)}
+    return mx, my, np.fromiter(map(masks.__getitem__, key_cells), np.uint32, n)
+
+
+def _input_columns_lines(data: bytes):
+    """Reference input parser, one line at a time; locates every `ParseError`."""
     kind = "input"
-    samples: list[InputSample] = []
+    ts, mxs, mys, keys = [], [], [], []
     prev_t = -math.inf
     saw_header = False
-    for lineno, offset, text in _iter_lines(source, kind):
+    for lineno, offset, text in _iter_lines(data, kind):
         if not saw_header:
             if text != INPUT_HEADER:
                 raise ParseError(kind, lineno, offset,
@@ -190,19 +313,29 @@ def parse_input_log(source) -> list[InputSample]:
             raise ParseError(kind, lineno, offset,
                              f"timestamp {t} is not strictly increasing (previous {prev_t})")
         prev_t = t
-        mx = _parse_float(parts[1], kind, lineno, offset, "mouse_x")
-        my = _parse_float(parts[2], kind, lineno, offset, "mouse_y")
-        keys: frozenset[str] = frozenset()
+        ts.append(t)
+        mxs.append(_parse_float(parts[1], kind, lineno, offset, "mouse_x"))
+        mys.append(_parse_float(parts[2], kind, lineno, offset, "mouse_y"))
+        mask = 0
         if parts[3]:
-            toks = parts[3].split("+")
-            for tok in toks:
-                if tok not in _KEY_SET:
+            for tok in parts[3].split("+"):
+                if tok not in KEY_BIT:
                     raise ParseError(kind, lineno, offset, f"unknown key token {tok!r}")
-            keys = frozenset(toks)
-        samples.append(InputSample(t, mx, my, keys))
+                mask |= KEY_BIT[tok]
+        keys.append(mask)
     if not saw_header:
         raise ParseError(kind, 1, 0, "empty file: missing header")
-    return samples
+    return ts, mxs, mys, keys
+
+
+def parse_input_log(source) -> InputSeries:
+    """Parse an input CSV into sampled key/mouse state columns."""
+    data = _read_bytes(source)
+    try:
+        columns = _bulk_columns(data, INPUT_HEADER, 4, _input_cells)
+    except _Fallback:
+        columns = _input_columns_lines(data)
+    return InputSeries(*columns)
 
 
 def parse_hrm_log(source) -> BeatSeries:
@@ -296,13 +429,13 @@ def parse_demo_events(source) -> MatchTimeline:
     return MatchTimeline(rounds=sorted(rounds, key=lambda r: r.start_t), events=ordered)
 
 
-def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: list[InputSample],
+def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: InputSeries,
                      timeline: MatchTimeline, hrm: BeatSeries | None = None) -> Session:
     """Bind parsed streams into a `Session`, refusing invalid combinations."""
     session = Session(
         meta=meta,
         gaze=with_player(gaze, meta),
-        input=list(input_samples),
+        input=input_samples,
         timeline=timeline,
         hrm=with_player(hrm, meta) if hrm is not None else None,
     )
@@ -315,22 +448,29 @@ def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: list[Inp
 # ---------------------------------------------------------------------------
 # Writers (canonical form)
 
+def _fmt_column(column: np.ndarray) -> list[str]:
+    """`fmt_num` of every entry of a float column."""
+    out = list(map(repr, column.tolist()))
+    integral = (column == np.trunc(column)) & (np.abs(column) < 1e15)
+    for i in np.flatnonzero(integral).tolist():
+        out[i] = fmt_num(column[i])
+    return out
+
+
 def write_gaze_csv(series: GazeSeries, path) -> None:
-    lines = [GAZE_HEADER]
-    for s in series.samples:
-        if s.valid:
-            lines.append(f"{fmt_num(s.t)},{fmt_num(s.x)},{fmt_num(s.y)}")
-        else:
-            lines.append(f"{fmt_num(s.t)},,")
-    _write_text(path, "\n".join(lines) + "\n")
+    xs, ys = _fmt_column(series.x), _fmt_column(series.y)
+    for i in np.flatnonzero(~series.valid).tolist():
+        xs[i] = ys[i] = ""
+    rows = map(",".join, zip(_fmt_column(series.t), xs, ys))
+    _write_text(path, "\n".join([GAZE_HEADER, *rows]) + "\n")
 
 
-def write_input_csv(samples: list[InputSample], path) -> None:
-    lines = [INPUT_HEADER]
-    for s in samples:
-        keys = "+".join(canonical_key_order(s.keys_down))
-        lines.append(f"{fmt_num(s.t)},{fmt_num(s.mouse_x)},{fmt_num(s.mouse_y)},{keys}")
-    _write_text(path, "\n".join(lines) + "\n")
+def write_input_csv(samples: InputSeries, path) -> None:
+    masks = samples.keys.tolist()
+    names = {mask: "+".join(key_names(mask)) for mask in set(masks)}
+    rows = map(",".join, zip(_fmt_column(samples.t), _fmt_column(samples.mouse_x),
+                             _fmt_column(samples.mouse_y), map(names.__getitem__, masks)))
+    _write_text(path, "\n".join([INPUT_HEADER, *rows]) + "\n")
 
 
 def write_hrm_txt(beats: BeatSeries, path) -> None:
@@ -384,18 +524,46 @@ def write_meta_json(session: Session, path) -> None:
     _write_text(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def read_meta_json(path) -> tuple[PlayerMeta, tuple[int, int], float]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    """Player identity, screen and gaze rate; a malformed file is a `ParseError`."""
+    kind = "meta"
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(kind, data.count(b"\n", 0, e.start) + 1, e.start,
+                         f"{path}: invalid UTF-8: {e}") from None
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(kind, e.lineno, len(text[:e.pos].encode("utf-8")),
+                         f"{path}: invalid JSON: {e.msg}") from None
+    if not isinstance(raw, dict):
+        raise ParseError(kind, 1, 0, f"{path}: expected a JSON object")
+
+    def mistyped(name: str, want: str) -> ParseError:
+        return ParseError(kind, 1, 0, f"{path}: {name!r} must be {want}, got {raw[name]!r}")
+
+    screen = raw.get("screen", DEFAULT_SCREEN)
+    if not (isinstance(screen, (list, tuple)) and len(screen) == 2
+            and all(_is_int(v) for v in screen)):
+        raise mistyped("screen", "a [width, height] pair of integers")
+    rate = raw.get("gaze_rate_hz", DEFAULT_GAZE_RATE_HZ)
+    if not ((_is_int(rate) or isinstance(rate, float)) and abs(rate) <= sys.float_info.max):
+        raise mistyped("gaze_rate_hz", "a finite number")
+    if "n" in raw and not _is_int(raw["n"]):
+        raise mistyped("n", "an integer")
     try:
         meta = PlayerMeta(player_id=str(raw["player_id"]),
                           cohort=Cohort(raw["cohort"]),
-                          n=int(raw["n"]))
+                          n=raw["n"])
     except (KeyError, ValueError) as e:
-        raise AssemblyError([], f"bad {META_FILE}: {e}") from None
-    screen = tuple(raw.get("screen", DEFAULT_SCREEN))
-    rate = float(raw.get("gaze_rate_hz", DEFAULT_GAZE_RATE_HZ))
-    return meta, (int(screen[0]), int(screen[1])), rate
+        raise AssemblyError([], f"bad {path}: {e}") from None
+    return meta, (screen[0], screen[1]), float(rate)
 
 
 def write_session_dir(session: Session, directory) -> Path:

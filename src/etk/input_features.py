@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptySupport, InsufficientData
-from .model import DEFAULT_INPUT_PERIOD_S, InputSample, Interval
+from .model import DEFAULT_INPUT_PERIOD_S, InputSeries, Interval, key_mask, true_runs
 from .zones import ZoneModel, assign_zone
 
 MOUSE1 = "MOUSE1"
@@ -43,29 +43,19 @@ class MouseKinematics:
     vel_std_px_s: float
 
 
-def nominal_period(samples: list[InputSample]) -> float:
+def nominal_period(samples: InputSeries) -> float:
     """Median inter-sample spacing, or the 10 ms default when undecidable."""
     if len(samples) < 2:
         return DEFAULT_INPUT_PERIOD_S
-    ts = np.asarray([s.t for s in samples])
-    return float(np.median(np.diff(ts)))
+    return float(np.median(np.diff(samples.t)))
 
 
-def _key_runs(samples: list[InputSample], key: str):
-    """Yield (first_index, last_index) of maximal runs holding `key`."""
-    start = None
-    for i, s in enumerate(samples):
-        down = key in s.keys_down
-        if down and start is None:
-            start = i
-        elif not down and start is not None:
-            yield start, i - 1
-            start = None
-    if start is not None:
-        yield start, len(samples) - 1
+def _key_runs(samples: InputSeries, key: str) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of samples holding `key`."""
+    return true_runs((samples.keys & key_mask([key])) != 0)
 
 
-def key_hold_intervals(samples: list[InputSample], key: str,
+def key_hold_intervals(samples: InputSeries, key: str,
                        period_s: float | None = None) -> list[HoldInterval]:
     """Maximal held stretches of `key` as half-open intervals.
 
@@ -74,23 +64,25 @@ def key_hold_intervals(samples: list[InputSample], key: str,
     """
     if period_s is None:
         period_s = nominal_period(samples)
-    out: list[HoldInterval] = []
-    for first, last in _key_runs(samples, key):
-        start_t = samples[first].t
-        end_t = samples[last + 1].t if last + 1 < len(samples) else samples[last].t + period_s
-        out.append(HoldInterval(key=key, interval=Interval(start_t, end_t)))
-    return out
+    first, last = _key_runs(samples, key)
+    t = samples.t.tolist()
+    return [HoldInterval(key=key, interval=Interval(
+                t[lo], t[hi + 1] if hi + 1 < len(t) else t[hi] + period_s))
+            for lo, hi in zip(first.tolist(), last.tolist())]
 
 
-def _overlap(lo: float, hi: float, intervals: list[Interval]) -> float:
-    """Total length of [lo, hi) covered by the ordered disjoint intervals."""
-    total = 0.0
+def _overlap(lo: np.ndarray, hi: np.ndarray, intervals: list[Interval]) -> np.ndarray:
+    """Length of each [lo[i], hi[i]) covered by the ordered disjoint intervals.
+
+    `lo` and `hi` must be non-decreasing. Each span's pieces are summed
+    interval by interval, in order.
+    """
+    total = np.zeros(len(lo))
     for iv in intervals:
-        if iv.end_t <= lo:
-            continue
-        if iv.start_t >= hi:
-            break
-        total += min(hi, iv.end_t) - max(lo, iv.start_t)
+        a = int(np.searchsorted(hi, iv.start_t, side="right"))
+        b = int(np.searchsorted(lo, iv.end_t, side="left"))
+        if b > a:
+            total[a:b] += np.minimum(hi[a:b], iv.end_t) - np.maximum(lo[a:b], iv.start_t)
     return total
 
 
@@ -98,11 +90,11 @@ def _alive_duration(alive: list[Interval]) -> float:
     return math.fsum(iv.end_t - iv.start_t for iv in alive)
 
 
-def fraction_held(samples: list[InputSample], keys, alive: list[Interval],
+def fraction_held(samples: InputSeries, keys, alive: list[Interval],
                   mode: str = "any", period_s: float | None = None) -> float:
     """Fraction of alive time with the key condition satisfied.
 
-    mode "any" matches samples whose held set intersects `keys`;
+    mode "any" matches samples holding at least one of `keys`;
     mode "all" requires every key in `keys` to be held. Each matching
     sample contributes one nominal period, clipped to the alive spans.
     """
@@ -113,19 +105,18 @@ def fraction_held(samples: list[InputSample], keys, alive: list[Interval],
         raise EmptySupport("alive intervals have zero total duration")
     if period_s is None:
         period_s = nominal_period(samples)
-    keyset = frozenset(keys)
-    held = 0.0
-    for s in samples:
-        if mode == "any":
-            match = bool(keyset & s.keys_down)
-        else:
-            match = keyset <= s.keys_down
-        if match:
-            held += _overlap(s.t, s.t + period_s, alive)
+    mask = np.uint32(key_mask(keys))
+    held_keys = samples.keys & mask
+    match = held_keys != 0 if mode == "any" else held_keys == mask
+    t = samples.t[match]
+    # Accumulate in sample order, as a running sum does (np.sum would
+    # add pairwise and round differently).
+    credited = np.cumsum(_overlap(t, t + period_s, alive))
+    held = float(credited[-1]) if len(credited) else 0.0
     return held / total
 
 
-def click_stats(samples: list[InputSample], button: str = MOUSE1,
+def click_stats(samples: InputSeries, button: str = MOUSE1,
                 alive: list[Interval] | None = None,
                 period_s: float | None = None) -> ClickStats:
     """Click count, mean held duration, and rate within alive time.
@@ -138,18 +129,24 @@ def click_stats(samples: list[InputSample], button: str = MOUSE1,
     total = _alive_duration(alive)
     if total <= 0.0:
         raise EmptySupport("alive intervals have zero total duration")
-    durations: list[float] = []
-    for hold in key_hold_intervals(samples, button, period_s):
-        clipped = _overlap(hold.interval.start_t, hold.interval.end_t, alive)
-        if clipped > 0.0:
-            durations.append(clipped)
+    holds = key_hold_intervals(samples, button, period_s)
+    clipped = _overlap(np.array([h.interval.start_t for h in holds]),
+                       np.array([h.interval.end_t for h in holds]), alive)
+    durations = clipped[clipped > 0.0].tolist()
     count = len(durations)
     mean = math.fsum(durations) / count if count else 0.0
     return ClickStats(click_count=count, mean_duration_s=mean,
                       clicks_per_minute=count / (total / 60.0))
 
 
-def mouse_kinematics(samples: list[InputSample], alive: list[Interval],
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    if not len(values):
+        return 0.0, 0.0
+    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
+    return float(values.mean()), std
+
+
+def mouse_kinematics(samples: InputSeries, alive: list[Interval],
                      window_s: float = KINEMATICS_WINDOW_S) -> MouseKinematics:
     """Path-per-window and speed-per-step statistics inside alive time.
 
@@ -158,40 +155,31 @@ def mouse_kinematics(samples: list[InputSample], alive: list[Interval],
     credited to the bin holding its first sample. Stds use n-1 and are
     0.0 when fewer than two observations exist.
     """
-    segments: list[list[InputSample]] = []
-    for iv in alive:
-        segments.append([s for s in samples if iv.start_t <= s.t < iv.end_t])
+    segments = [samples.between(iv.start_t, iv.end_t) for iv in alive]
     if sum(len(seg) for seg in segments) < 2:
         raise InsufficientData("need at least 2 input samples inside alive time")
 
-    paths: list[float] = []
-    speeds: list[float] = []
+    paths: list[np.ndarray] = []
+    speeds: list[np.ndarray] = []
     for iv, seg in zip(alive, segments):
+        if len(seg) < 2:
+            continue
         n_bins = max(1, math.ceil((iv.end_t - iv.start_t) / window_s))
-        bin_path = [0.0] * n_bins
-        for a, b in zip(seg, seg[1:]):
-            step = math.hypot(b.mouse_x - a.mouse_x, b.mouse_y - a.mouse_y)
-            dt = b.t - a.t
-            speeds.append(step / dt)
-            idx = min(int((a.t - iv.start_t) / window_s), n_bins - 1)
-            bin_path[idx] += step
-        if len(seg) >= 2:
-            paths.extend(bin_path)
+        # math.hypot, not np.hypot: they differ in the last bit on some inputs.
+        step = np.array(list(map(math.hypot, np.diff(seg.mouse_x).tolist(),
+                                 np.diff(seg.mouse_y).tolist())))
+        speeds.append(step / np.diff(seg.t))
+        bins = np.minimum(((seg.t[:-1] - iv.start_t) / window_s).astype(np.int64), n_bins - 1)
+        # bincount adds each bin's steps in sample order.
+        paths.append(np.bincount(bins, weights=step, minlength=n_bins))
 
-    def _mean_std(values: list[float]) -> tuple[float, float]:
-        if not values:
-            return 0.0, 0.0
-        arr = np.asarray(values)
-        std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
-        return float(arr.mean()), std
-
-    path_mean, path_std = _mean_std(paths)
-    vel_mean, vel_std = _mean_std(speeds)
+    path_mean, path_std = _mean_std(np.concatenate(paths) if paths else np.empty(0))
+    vel_mean, vel_std = _mean_std(np.concatenate(speeds) if speeds else np.empty(0))
     return MouseKinematics(path_mean_px=path_mean, path_std_px=path_std,
                            vel_mean_px_s=vel_mean, vel_std_px_s=vel_std)
 
 
-def click_zone_distribution(samples: list[InputSample], button: str,
+def click_zone_distribution(samples: InputSeries, button: str,
                             model: ZoneModel) -> tuple[float, ...]:
     """Normalized zone counts of click onsets (all-zero when no clicks).
 
@@ -199,14 +187,12 @@ def click_zone_distribution(samples: list[InputSample], button: str,
     not the release.
     """
     counts = [0] * model.k
-    clicks = 0
-    for first, _ in _key_runs(samples, button):
-        s = samples[first]
-        counts[assign_zone((s.mouse_x, s.mouse_y), model) - 1] += 1
-        clicks += 1
-    if clicks == 0:
+    onsets = _key_runs(samples, button)[0].tolist()
+    for i in onsets:
+        counts[assign_zone((samples.mouse_x[i], samples.mouse_y[i]), model) - 1] += 1
+    if not onsets:
         return tuple(0.0 for _ in counts)
-    return tuple(c / clicks for c in counts)
+    return tuple(c / len(onsets) for c in counts)
 
 
 @dataclass(frozen=True)

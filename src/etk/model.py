@@ -2,8 +2,11 @@
 
 Every stream (gaze, input, heart beats, game events) shares a single
 session-relative clock measured in seconds, so downstream code never
-juggles device-native units. All types are plain immutable values:
-construct them, share them across workers, never mutate them.
+juggles device-native units. The sampled streams are columnar: a
+`GazeSeries` or `InputSeries` holds one read-only numpy array per
+field, with one entry per sample, rather than an object per sample.
+All types are immutable values: construct them, share them across
+workers, never mutate them.
 Validation reports problems as `Violation` records instead of raising,
 so a session can be inspected wholesale.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,6 +37,9 @@ KEY_ALPHABET = (
     "1", "2", "3", "4", "5",
 )
 _KEY_RANK = {k: i for i, k in enumerate(KEY_ALPHABET)}
+# Bit of each key in an input keys mask, and the mask of every key.
+KEY_BIT = {k: 1 << i for i, k in enumerate(KEY_ALPHABET)}
+_ALL_KEYS = (1 << len(KEY_ALPHABET)) - 1
 
 
 def canonical_key_order(keys) -> list[str]:
@@ -61,55 +68,111 @@ class PlayerMeta:
     n: int
 
 
-@dataclass(frozen=True)
-class GazeSample:
-    """One gaze observation; invalid samples carry NaN coordinates."""
-
-    t: float
-    x: float
-    y: float
-    valid: bool = True
-
-    @staticmethod
-    def missing(t: float) -> "GazeSample":
-        return GazeSample(t, math.nan, math.nan, False)
+def key_mask(keys) -> int:
+    """Bitmask of the given key names: bit i stands for KEY_ALPHABET[i]."""
+    mask = 0
+    for k in keys:
+        if k not in KEY_BIT:
+            raise ValueError(f"unknown key token {k!r}")
+        mask |= KEY_BIT[k]
+    return mask
 
 
-@dataclass(frozen=True)
-class GazeSeries:
-    """Ordered gaze samples plus the capture geometry they live in."""
+def key_names(mask: int) -> tuple[str, ...]:
+    """Key names held in `mask`, in alphabet order."""
+    if mask & ~_ALL_KEYS:
+        raise ValueError(f"key mask {mask:#x} has bits outside the key alphabet")
+    return tuple(k for i, k in enumerate(KEY_ALPHABET) if mask >> i & 1)
 
-    samples: list[GazeSample]
+
+def true_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each maximal run of True in a 1-D bool mask."""
+    edges = np.diff(mask.astype(np.int8), prepend=0, append=0)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+
+
+def _frozen_column(values, dtype) -> np.ndarray:
+    """`values` as a read-only 1-D array, copied only if a caller could still write it."""
+    a = np.asarray(values, dtype=dtype)
+    if a.ndim != 1:
+        raise ValueError(f"stream columns must be 1-D, got shape {a.shape}")
+    if a.flags.writeable:
+        if isinstance(values, np.ndarray) and np.may_share_memory(a, values):
+            a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
+class _Columns:
+    """Equal-length read-only columns, one entry per sample in time order.
+
+    Subclasses are frozen dataclasses that name their columns and
+    dtypes in `_COLUMNS`. Indexing with a slice, mask or index array
+    returns the same kind of series holding the selected samples.
+    """
+
+    _COLUMNS: ClassVar[dict[str, type]]
+
+    def __post_init__(self):
+        lengths = set()
+        for name, dtype in self._COLUMNS.items():
+            column = _frozen_column(getattr(self, name), dtype)
+            object.__setattr__(self, name, column)
+            lengths.add(len(column))
+        if len(lengths) > 1:
+            raise ValueError(f"columns of unequal length {sorted(lengths)}")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        return replace(self, **{name: getattr(self, name)[index] for name in self._COLUMNS})
+
+    def between(self, start_t: float, end_t: float):
+        """The samples with start_t <= t < end_t, as views; times must increase."""
+        lo, hi = np.searchsorted(self.t, (start_t, end_t), side="left").tolist()
+        return self[lo:max(lo, hi)]
+
+
+def _empty_column():
+    return field(default_factory=lambda: np.empty(0))
+
+
+@dataclass(frozen=True, eq=False)
+class GazeSeries(_Columns):
+    """Gaze samples as columns, plus the capture geometry they live in.
+
+    `valid` is False where the tracker lost the eye; such samples keep
+    their timestamp and carry NaN coordinates.
+    """
+
+    _COLUMNS: ClassVar[dict[str, type]] = {
+        "t": np.float64, "x": np.float64, "y": np.float64, "valid": np.bool_}
+
+    t: np.ndarray = _empty_column()
+    x: np.ndarray = _empty_column()
+    y: np.ndarray = _empty_column()
+    valid: np.ndarray = _empty_column()
     nominal_rate_hz: float = DEFAULT_GAZE_RATE_HZ
     screen: tuple[int, int] = DEFAULT_SCREEN
     player: PlayerMeta | None = None
 
-    def __len__(self) -> int:
-        return len(self.samples)
 
-    def to_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar view: (t, x, y, valid) as numpy arrays."""
-        n = len(self.samples)
-        t = np.empty(n)
-        x = np.empty(n)
-        y = np.empty(n)
-        valid = np.empty(n, dtype=bool)
-        for i, s in enumerate(self.samples):
-            t[i] = s.t
-            x[i] = s.x
-            y[i] = s.y
-            valid[i] = s.valid
-        return t, x, y, valid
+@dataclass(frozen=True, eq=False)
+class InputSeries(_Columns):
+    """Sampled keyboard/mouse state at a fixed cadence (not an event stream).
 
+    `keys` holds the keys down at each sample as a bitmask over
+    `KEY_ALPHABET` (see `key_mask` and `key_names`).
+    """
 
-@dataclass(frozen=True)
-class InputSample:
-    """Sampled keyboard/mouse state at a fixed cadence (not an event stream)."""
+    _COLUMNS: ClassVar[dict[str, type]] = {
+        "t": np.float64, "mouse_x": np.float64, "mouse_y": np.float64, "keys": np.uint32}
 
-    t: float
-    mouse_x: float
-    mouse_y: float
-    keys_down: frozenset[str] = frozenset()
+    t: np.ndarray = _empty_column()
+    mouse_x: np.ndarray = _empty_column()
+    mouse_y: np.ndarray = _empty_column()
+    keys: np.ndarray = _empty_column()
 
 
 @dataclass(frozen=True)
@@ -185,7 +248,7 @@ class Session:
 
     meta: PlayerMeta
     gaze: GazeSeries
-    input: list[InputSample]
+    input: InputSeries
     timeline: MatchTimeline
     hrm: BeatSeries | None = None
 
@@ -208,6 +271,12 @@ def _validate_meta(meta: PlayerMeta, out: list[Violation]) -> None:
         out.append(Violation("meta.n", f"player index must be >= 1, got {meta.n}"))
 
 
+def _not_increasing(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of samples whose time is not above the previous one, and those previous times."""
+    prev = np.concatenate(([-math.inf], t[:-1]))
+    return t <= prev, prev
+
+
 def _validate_gaze(gaze: GazeSeries, out: list[Violation]) -> None:
     if gaze.nominal_rate_hz <= 0:
         out.append(Violation("gaze.nominal_rate_hz",
@@ -215,32 +284,37 @@ def _validate_gaze(gaze: GazeSeries, out: list[Violation]) -> None:
     w, h = gaze.screen
     if w <= 0 or h <= 0:
         out.append(Violation("gaze.screen", f"screen dims must be positive, got {gaze.screen}"))
-    prev_t = -math.inf
-    for i, s in enumerate(gaze.samples):
+    t, x, y, valid = gaze.t, gaze.x, gaze.y, gaze.valid
+    negative = t < 0
+    not_increasing, prev = _not_increasing(t)
+    nonfinite = valid & ~(np.isfinite(x) & np.isfinite(y))
+    outside = valid & ~nonfinite & ~((0 <= x) & (x <= w) & (0 <= y) & (y <= h))
+    # Violations are rare: build messages only for the flagged samples,
+    # in sample order, exactly as a per-sample scan reports them.
+    for i in np.flatnonzero(negative | not_increasing | nonfinite | outside).tolist():
         loc = f"gaze.samples[{i}]"
-        if s.t < 0:
-            out.append(Violation(loc, f"negative timestamp {s.t}"))
-        if s.t <= prev_t:
-            out.append(Violation(loc, f"timestamp {s.t} not increasing (previous {prev_t})"))
-        prev_t = s.t
-        if s.valid:
-            if not (math.isfinite(s.x) and math.isfinite(s.y)):
-                out.append(Violation(loc, "valid sample with non-finite coordinates"))
-            elif not (0 <= s.x <= w and 0 <= s.y <= h):
-                out.append(Violation(loc, f"gaze point ({s.x}, {s.y}) outside {w}x{h} screen"))
+        ti = float(t[i])
+        if negative[i]:
+            out.append(Violation(loc, f"negative timestamp {ti}"))
+        if not_increasing[i]:
+            out.append(Violation(loc, f"timestamp {ti} not increasing (previous {float(prev[i])})"))
+        if nonfinite[i]:
+            out.append(Violation(loc, "valid sample with non-finite coordinates"))
+        elif outside[i]:
+            out.append(Violation(loc, f"gaze point ({float(x[i])}, {float(y[i])}) "
+                                      f"outside {w}x{h} screen"))
 
 
-def _validate_input(samples: list[InputSample], out: list[Violation]) -> None:
-    alphabet = set(KEY_ALPHABET)
-    prev_t = -math.inf
-    for i, s in enumerate(samples):
+def _validate_input(samples: InputSeries, out: list[Violation]) -> None:
+    not_increasing, prev = _not_increasing(samples.t)
+    unknown = samples.keys & ~np.uint32(_ALL_KEYS)
+    for i in np.flatnonzero(not_increasing | (unknown != 0)).tolist():
         loc = f"input[{i}]"
-        if s.t <= prev_t:
-            out.append(Violation(loc, f"timestamp {s.t} not increasing (previous {prev_t})"))
-        prev_t = s.t
-        unknown = s.keys_down - alphabet
-        if unknown:
-            out.append(Violation(loc, f"unknown key tokens {sorted(unknown)}"))
+        if not_increasing[i]:
+            out.append(Violation(loc, f"timestamp {float(samples.t[i])} not increasing "
+                                      f"(previous {float(prev[i])})"))
+        if unknown[i]:
+            out.append(Violation(loc, f"unknown key bits {int(unknown[i]):#x}"))
 
 
 def _validate_hrm(hrm: BeatSeries, out: list[Violation]) -> None:
@@ -309,8 +383,8 @@ def validate_session(session: Session) -> list[Violation]:
     if session.timeline.rounds:
         horizon = max(r.end_t for r in session.timeline.rounds) + TIME_SLACK_S
         for name, last_t in (
-            ("gaze", session.gaze.samples[-1].t if session.gaze.samples else None),
-            ("input", session.input[-1].t if session.input else None),
+            ("gaze", float(session.gaze.t[-1]) if len(session.gaze) else None),
+            ("input", float(session.input.t[-1]) if len(session.input) else None),
             ("hrm", session.hrm.beat_times[-1] if session.hrm and session.hrm.beat_times else None),
         ):
             if last_t is not None and last_t > horizon:

@@ -7,17 +7,19 @@ spectating) is cut before any statistics are computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .errors import InsufficientData, UnknownPlayer
 from .model import (
     BeatSeries,
     EventKind,
-    GazeSample,
     GazeSeries,
-    InputSample,
+    InputSeries,
     Interval,
     MatchTimeline,
+    true_runs,
 )
 
 MAX_GAP_S = 0.1
@@ -88,39 +90,21 @@ def extract_alive_segments(timeline: MatchTimeline, player_id: str) -> list[Inte
     return segments
 
 
-def slice_by_intervals(stream, intervals: list[Interval]):
+def slice_by_intervals(stream: GazeSeries | InputSeries,
+                       intervals: list[Interval]) -> list:
     """Cut a stream into one segment per half-open interval.
 
-    Accepts a `GazeSeries` (returns a list of `GazeSeries`) or a list
-    of `InputSample` (returns a list of lists). A segment holds exactly
-    the samples with start_t <= t < end_t, in source order.
+    Accepts a `GazeSeries` or an `InputSeries` with increasing times
+    (as every parsed or validated stream has) and returns a list of the
+    same type. A segment holds exactly the samples with
+    start_t <= t < end_t, in source order, as views of the stream.
     """
-    if isinstance(stream, GazeSeries):
-        items = stream.samples
-        wrap = lambda kept: GazeSeries(samples=kept, nominal_rate_hz=stream.nominal_rate_hz,
-                                       screen=stream.screen, player=stream.player)
-    else:
-        items = list(stream)
-        wrap = lambda kept: kept
-    segments = []
-    for iv in intervals:
-        segments.append(wrap([s for s in items if iv.start_t <= s.t < iv.end_t]))
-    return segments
+    return [stream.between(iv.start_t, iv.end_t) for iv in intervals]
 
 
-def _invalid_runs(samples: list[GazeSample]):
-    """Yield (first_index, last_index) for each maximal run of invalid samples."""
-    i = 0
-    n = len(samples)
-    while i < n:
-        if samples[i].valid:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and not samples[j + 1].valid:
-            j += 1
-        yield i, j
-        i = j + 1
+def _gap_histogram(first: np.ndarray, last: np.ndarray) -> dict[int, int]:
+    lengths, counts = np.unique(last - first + 1, return_counts=True)
+    return dict(zip(lengths.tolist(), counts.tolist()))
 
 
 def interpolate_gaps(segment: GazeSeries,
@@ -134,44 +118,38 @@ def interpolate_gaps(segment: GazeSeries,
     Longer or boundary-touching runs stay invalid. Valid input samples
     are never changed.
     """
-    samples = list(segment.samples)
-    histogram: dict[int, int] = {}
-    missing = 0
-    interpolated = 0
-    for first, last in _invalid_runs(segment.samples):
-        length = last - first + 1
-        missing += length
-        histogram[length] = histogram.get(length, 0) + 1
-        if first == 0 or last == len(samples) - 1:
-            continue
-        if samples[last].t - samples[first].t >= max_gap_s:
-            continue
-        left = samples[first - 1]
-        right = samples[last + 1]
-        span = right.t - left.t
-        for k in range(first, last + 1):
-            t = samples[k].t
-            w = (t - left.t) / span
-            samples[k] = GazeSample(t, left.x + w * (right.x - left.x),
-                                    left.y + w * (right.y - left.y), True)
-        interpolated += length
-    repaired = GazeSeries(samples=samples, nominal_rate_hz=segment.nominal_rate_hz,
-                          screen=segment.screen, player=segment.player)
-    report = MissingReport(total_samples=len(samples), missing_samples=missing,
-                           gap_histogram=histogram, interpolated_samples=interpolated)
-    return repaired, report
+    t = segment.t
+    n = len(t)
+    first, last = true_runs(~segment.valid)
+    fill = (first > 0) & (last < n - 1) & (t[last] - t[first] < max_gap_s)
+    first, last = first[fill], last[fill]
+    lengths = last - first + 1
+    repaired = segment
+    if len(first):
+        # Each filled sample (runs laid end to end: the k-th filled sample
+        # is k minus its run's start in that list, past the run's first
+        # index) and the valid samples bracketing its run.
+        run_start = np.cumsum(lengths) - lengths
+        idx = np.arange(lengths.sum()) + np.repeat(first - run_start, lengths)
+        left = np.repeat(first - 1, lengths)
+        right = np.repeat(last + 1, lengths)
+        w = (t[idx] - t[left]) / (t[right] - t[left])
+        x, y, valid = segment.x.copy(), segment.y.copy(), segment.valid.copy()
+        x[idx] = segment.x[left] + w * (segment.x[right] - segment.x[left])
+        y[idx] = segment.y[left] + w * (segment.y[right] - segment.y[left])
+        valid[idx] = True
+        repaired = replace(segment, x=x, y=y, valid=valid)
+    report = missing_stats(segment)
+    return repaired, replace(report, interpolated_samples=int(lengths.sum()))
 
 
 def missing_stats(series: GazeSeries) -> MissingReport:
     """Audit invalid samples and their run structure without repairing."""
-    histogram: dict[int, int] = {}
-    missing = 0
-    for first, last in _invalid_runs(series.samples):
-        length = last - first + 1
-        missing += length
-        histogram[length] = histogram.get(length, 0) + 1
-    return MissingReport(total_samples=len(series.samples), missing_samples=missing,
-                         gap_histogram=histogram, interpolated_samples=0)
+    first, last = true_runs(~series.valid)
+    return MissingReport(total_samples=len(series),
+                         missing_samples=int((last - first + 1).sum()),
+                         gap_histogram=_gap_histogram(first, last),
+                         interpolated_samples=0)
 
 
 def beats_to_bpm(beats: BeatSeries, window_beats: int = BPM_WINDOW_BEATS) -> list[BpmSample]:

@@ -26,13 +26,13 @@ from .model import (
     DEFAULT_SCREEN,
     EventKind,
     GameEvent,
-    GazeSample,
     GazeSeries,
-    InputSample,
+    InputSeries,
     MatchTimeline,
     PlayerMeta,
     Round,
     Session,
+    key_mask,
 )
 from .rng import Rng
 from .zones import default_zone_model
@@ -284,17 +284,14 @@ def _generate_gaze(rng_zone: Rng, rng_noise: Rng, rng_missing: Rng,
     y = np.round(np.clip(y, 0.0, h), 2)
 
     invalid = _missing_mask(rng_missing, n, profile.missing_rate)
-    samples = [
-        GazeSample.missing(float(times[i])) if invalid[i]
-        else GazeSample(float(times[i]), float(x[i]), float(y[i]), True)
-        for i in range(n)
-    ]
-    return GazeSeries(samples=samples, nominal_rate_hz=rate_hz, screen=screen)
+    x[invalid] = np.nan
+    y[invalid] = np.nan
+    return GazeSeries(times, x, y, ~invalid, nominal_rate_hz=rate_hz, screen=screen)
 
 
 def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
                     total_s: float, rate_hz: float,
-                    screen: tuple[int, int]) -> list[InputSample]:
+                    screen: tuple[int, int]) -> InputSeries:
     n = int(round(total_s * rate_hz))
     times = np.arange(n) / rate_hz
 
@@ -319,20 +316,8 @@ def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
     # exactly the overlay process and tracks w_m1_rate.
     m1 = overlay | (clicks & ~w)
 
-    combo = (a.astype(np.int8) + 2 * d.astype(np.int8)
-             + 4 * w.astype(np.int8) + 8 * m1.astype(np.int8))
-    combo_sets = {}
-    for code in np.unique(combo):
-        keys = []
-        if code & 1:
-            keys.append("A")
-        if code & 2:
-            keys.append("D")
-        if code & 4:
-            keys.append("W")
-        if code & 8:
-            keys.append("MOUSE1")
-        combo_sets[int(code)] = frozenset(keys)
+    keys = (a * key_mask(["A"]) | d * key_mask(["D"]) | w * key_mask(["W"])
+            | m1 * key_mask(["MOUSE1"])).astype(np.uint32)
 
     width, height = screen
     mx = np.clip(960.0 + np.cumsum(rng_mouse.normal_block(n) * 6.0), 0.0, width)
@@ -340,10 +325,7 @@ def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
     mx = np.round(mx, 2)
     my = np.round(my, 2)
 
-    return [
-        InputSample(float(times[i]), float(mx[i]), float(my[i]), combo_sets[int(combo[i])])
-        for i in range(n)
-    ]
+    return InputSeries(times, mx, my, keys)
 
 
 def _generate_beats(rng: Rng, profile: CohortProfile, total_s: float) -> BeatSeries:

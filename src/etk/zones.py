@@ -143,8 +143,8 @@ def assign_zone(point: tuple[float, float], model: ZoneModel) -> int:
 def assign_zones(segment: GazeSeries, model: ZoneModel,
                  span: tuple[float, float] | None = None) -> ZoneSequence:
     """Categorize every valid sample of a gaze segment."""
-    t, x, y, valid = segment.to_arrays()
-    t, x, y = t[valid], x[valid], y[valid]
+    valid = segment.valid
+    t, x, y = segment.t[valid], segment.x[valid], segment.y[valid]
     if len(t) == 0:
         return ZoneSequence(times=t, zones=np.zeros(0, dtype=np.int64), k=model.k, span=span)
     centers = model.centers_array()
@@ -306,7 +306,9 @@ def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX
     width, height = screen
     cols = max(1, math.ceil(width / cell_px))
     rows = max(1, math.ceil(height / cell_px))
-    pts = np.asarray(list(points), dtype=float).reshape(-1, 2)
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     grid = np.zeros((rows, cols), dtype=np.int64)
     if len(pts):
         cx = np.clip((pts[:, 0] // cell_px).astype(int), 0, cols - 1)

@@ -5,20 +5,22 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from etk.model import (
     Cohort,
     EventKind,
     GameEvent,
-    GazeSample,
     GazeSeries,
-    InputSample,
+    InputSeries,
     BeatSeries,
     MatchTimeline,
     PlayerMeta,
     Round,
     Session,
+    key_mask,
+    key_names,
 )
 from etk.rng import Rng
 from etk.synth import Scenario, default_profiles, generate_session
@@ -26,11 +28,29 @@ from etk.synth import Scenario, default_profiles, generate_session
 
 def make_gaze(points, rate_hz: float = 60.0, screen=(1920, 1080)) -> GazeSeries:
     """Build a series from (t, x, y) tuples; x=None marks a dropout."""
-    samples = [
-        GazeSample.missing(t) if x is None else GazeSample(t, x, y, True)
-        for t, x, y in points
-    ]
-    return GazeSeries(samples=samples, nominal_rate_hz=rate_hz, screen=screen)
+    rows = [(t, np.nan, np.nan, False) if x is None else (t, x, y, True)
+            for t, x, y in points]
+    t, x, y, valid = zip(*rows) if rows else ((), (), (), ())
+    return GazeSeries(t, x, y, valid, nominal_rate_hz=rate_hz, screen=screen)
+
+
+def make_input(rows) -> InputSeries:
+    """Build a series from (t, mouse_x, mouse_y, keys) tuples; keys are key names."""
+    t, mx, my, keys = zip(*rows) if rows else ((), (), (), ())
+    return InputSeries(t, mx, my, [key_mask(k) for k in keys])
+
+
+def gaze_rows(series: GazeSeries) -> list[tuple]:
+    """(t, x, y, valid) per sample, with NaN coordinates of lost samples as None."""
+    return [(t, x, y, v) if v else (t, None, None, v) for t, x, y, v in
+            zip(series.t.tolist(), series.x.tolist(), series.y.tolist(), series.valid.tolist())]
+
+
+def input_rows(series: InputSeries) -> list[tuple]:
+    """(t, mouse_x, mouse_y, keys) per sample, keys as a set of key names."""
+    return [(t, x, y, frozenset(key_names(k))) for t, x, y, k in
+            zip(series.t.tolist(), series.mouse_x.tolist(), series.mouse_y.tolist(),
+                series.keys.tolist())]
 
 
 def make_timeline(round_specs, events) -> MatchTimeline:
@@ -56,8 +76,8 @@ def tiny_session() -> Session:
         ],
     )
     gaze = make_gaze([(i / 60.0, 960.0, 540.0) for i in range(60 * 80)])
-    inputs = [InputSample(i / 100.0, 900.0, 500.0, frozenset({"W"} if i % 2 else set()))
-              for i in range(100 * 80)]
+    inputs = make_input([(i / 100.0, 900.0, 500.0, ("W",) if i % 2 else ())
+                         for i in range(100 * 80)])
     hrm = BeatSeries(beat_times=[0.5 * (i + 1) for i in range(159)])
     return Session(meta=meta, gaze=gaze, input=inputs, timeline=timeline, hrm=hrm)
 

@@ -127,12 +127,12 @@ def test_criterion_02_interpolation_rule():
 
         worst = 0.0
         for i in sorted(set(range(10, 12)) | set(range(22, 27))):
-            s = repaired.samples[i]
-            assert s.valid  # 2- and 5-sample gaps are filled
-            worst = max(worst, abs(s.x - line_x(s.t)), abs(s.y - line_y(s.t)))
+            t, x, y = repaired.t[i], repaired.x[i], repaired.y[i]
+            assert repaired.valid[i]  # 2- and 5-sample gaps are filled
+            worst = max(worst, abs(x - line_x(t)), abs(y - line_y(t)))
         assert worst < 1e-9
         for i in range(37, 45):
-            assert not repaired.samples[i].valid  # 8-sample gap stays open
+            assert not repaired.valid[i]  # 8-sample gap stays open
         assert report.interpolated_samples == 7
         note.text = f"max fill error {worst:.2e}, 8-gap untouched"
 

@@ -220,3 +220,66 @@ class TestAnalyzeCommand:
         out = tmp_path / "run"
         assert main(["analyze", str(corpus / "pro01"), "--out", str(out)]) == 0
         capsys.readouterr()
+
+
+class TestInputErrors:
+    """Malformed inputs land on the documented exit codes and name the file."""
+
+    def test_bad_meta_json_exits_2_naming_file(self, corpus, tmp_path, capsys):
+        broken = tmp_path / "badjson"
+        shutil.copytree(corpus / "pro01", broken)
+        (broken / "meta.json").write_text('{"player_id": "pro01",\n  "cohort": \n')
+        assert main(["ingest", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "meta" in err
+        assert str(broken / "meta.json") in err
+        assert "line 3" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("screen", 5), ("screen", [1920]), ("screen", ["w", "h"]), ("screen", [1920.5, 1080]),
+        ("gaze_rate_hz", "fast"), ("gaze_rate_hz", [60]), ("gaze_rate_hz", True),
+        ("n", "one"), ("n", 1.5),
+    ])
+    def test_mistyped_meta_field_exits_2(self, corpus, tmp_path, capsys, field, value):
+        broken = tmp_path / "badtype"
+        shutil.copytree(corpus / "pro01", broken)
+        meta = json.loads((broken / "meta.json").read_text())
+        meta[field] = value
+        (broken / "meta.json").write_text(json.dumps(meta))
+        assert main(["ingest", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert str(broken / "meta.json") in err
+
+    def test_meta_json_not_an_object_exits_2(self, corpus, tmp_path, capsys):
+        broken = tmp_path / "notobj"
+        shutil.copytree(corpus / "pro01", broken)
+        (broken / "meta.json").write_text("[1, 2]\n")
+        assert main(["ingest", str(broken)]) == 2
+        assert str(broken / "meta.json") in capsys.readouterr().err
+
+    def test_duplicate_player_id_exits_3_naming_both(self, corpus, tmp_path, capsys):
+        root = tmp_path / "dup"
+        for name in ("pro01", "am02", "am03"):
+            shutil.copytree(corpus / name, root / name)
+        shutil.copytree(corpus / "am02", root / "am02_copy")
+        out = tmp_path / "run"
+        assert main(["analyze", str(root), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "am02" in err
+        assert str(root / "am02") in err
+        assert str(root / "am02_copy") in err
+        assert not (out / "manifest.json").exists()
+
+
+def test_atomic_write_removes_tmp_when_writer_fails(tmp_path):
+    from etk.cli import _atomic_write
+    target = tmp_path / "artifact.csv"
+
+    def failing(tmp):
+        Path(tmp).write_bytes(b"partial")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        _atomic_write(target, failing)
+    assert list(tmp_path.iterdir()) == []

@@ -1,0 +1,62 @@
+"""Byte identity of the CLI artifact trees on a small pinned corpus.
+
+The digests in `golden_digests.json` pin every file that `synth`,
+`ingest --out` and `analyze` write for the corpus below. A refactor
+that changes a single output byte fails here. To re-record after an
+intended output change, run from the repository root:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from etk.cli import main
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+SYNTH_ARGS = ["--count", "3", "--rounds", "2", "--round-s", "20", "--seed", "7"]
+
+
+def _tree_digests(root: Path) -> dict[str, str]:
+    return {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def golden_trees() -> dict[str, dict[str, str]]:
+    """Run the three commands with relative paths in the current directory."""
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        assert main(["synth", "--out", "corpus", *SYNTH_ARGS]) == 0
+        assert main(["ingest", "corpus", "--out", "ingested"]) == 0
+        assert main(["analyze", "corpus", "--out", "analysis"]) == 0
+    return {name: _tree_digests(Path(path)) for name, path in
+            (("synth", "corpus"), ("ingest", "ingested"), ("analyze", "analysis"))}
+
+
+def test_artifact_trees_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    want = json.loads(DIGESTS.read_text())
+    got = golden_trees()
+    for name in ("synth", "ingest", "analyze"):
+        changed = sorted(k for k in set(got[name]) | set(want[name])
+                         if got[name].get(k) != want[name].get(k))
+        assert not changed, f"{name}: files differ from the recorded digests: {changed}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            trees = golden_trees()
+        finally:
+            os.chdir(cwd)
+    DIGESTS.write_text(json.dumps(trees, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {sum(len(t) for t in trees.values())} digests in {DIGESTS}")

@@ -1,6 +1,7 @@
 """Parser and writer behavior for the four capture formats."""
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,21 +20,22 @@ from etk.ingest import (
     write_input_csv,
     write_session_dir,
 )
-from etk.model import Cohort, EventKind, PlayerMeta
+from etk.model import Cohort, EventKind, InputSeries, PlayerMeta
+from conftest import gaze_rows, input_rows
 
 
 def test_parse_gaze_happy_path():
     text = b"t,x,y\n0.000,960,540\n0.016,970,545\n"
     series = parse_gaze_log(text)
     assert len(series) == 2
-    assert series.samples[0].x == 960.0
-    assert series.samples[1].t == 0.016
+    assert series.x[0] == 960.0
+    assert series.t[1] == 0.016
 
 
 def test_parse_gaze_empty_pair_is_invalid_sample():
     series = parse_gaze_log(b"t,x,y\n0.000,960,540\n0.033,,\n")
-    assert not series.samples[1].valid
-    assert series.samples[1].t == 0.033
+    assert not series.valid[1]
+    assert series.t[1] == 0.033
 
 
 def test_parse_gaze_malformed_number_names_line():
@@ -72,9 +74,10 @@ def test_parse_gaze_byte_offset_points_at_row():
 
 
 def test_parse_input_happy_path():
-    samples = parse_input_log(b"t,mouse_x,mouse_y,keys\n0.010,500,300,W+MOUSE1\n0.020,500,300,\n")
-    assert samples[0].keys_down == frozenset({"W", "MOUSE1"})
-    assert samples[1].keys_down == frozenset()
+    samples = input_rows(parse_input_log(
+        b"t,mouse_x,mouse_y,keys\n0.010,500,300,W+MOUSE1\n0.020,500,300,\n"))
+    assert samples[0][3] == frozenset({"W", "MOUSE1"})
+    assert samples[1][3] == frozenset()
 
 
 def test_parse_input_unknown_key_rejected():
@@ -150,7 +153,8 @@ def test_parse_demo_unclosed_round_rejected():
 def test_assemble_session_rejects_clock_offset(tiny_session):
     bad_gaze = parse_gaze_log(b"t,x,y\n0.0,1,1\n500.0,2,2\n")
     with pytest.raises(AssemblyError) as exc:
-        assemble_session(tiny_session.meta, bad_gaze, [], tiny_session.timeline, None)
+        assemble_session(tiny_session.meta, bad_gaze, InputSeries(), tiny_session.timeline,
+                         None)
     assert exc.value.violations
 
 
@@ -164,11 +168,11 @@ def test_write_parse_round_trip_structural(tiny_session):
     buf = io.BytesIO()
     write_gaze_csv(tiny_session.gaze, buf)
     reparsed = parse_gaze_log(buf.getvalue())
-    assert reparsed.samples == tiny_session.gaze.samples
+    assert gaze_rows(reparsed) == gaze_rows(tiny_session.gaze)
 
     buf = io.BytesIO()
     write_input_csv(tiny_session.input, buf)
-    assert parse_input_log(buf.getvalue()) == tiny_session.input
+    assert input_rows(parse_input_log(buf.getvalue())) == input_rows(tiny_session.input)
 
     buf = io.BytesIO()
     write_hrm_txt(tiny_session.hrm, buf)
@@ -188,8 +192,8 @@ def test_session_dir_round_trip(tmp_path, tiny_session):
     d = write_session_dir(tiny_session, tmp_path / "s1")
     session = read_session_dir(d)
     assert session.meta == tiny_session.meta
-    assert session.gaze.samples == tiny_session.gaze.samples
-    assert session.input == tiny_session.input
+    assert gaze_rows(session.gaze) == gaze_rows(tiny_session.gaze)
+    assert input_rows(session.input) == input_rows(tiny_session.input)
     assert session.hrm.beat_times == tiny_session.hrm.beat_times
 
 
@@ -226,3 +230,12 @@ def test_gaze_write_parse_write_is_byte_identical(rows):
     second = io.BytesIO()
     write_gaze_csv(parse_gaze_log(first.getvalue()), second)
     assert first.getvalue() == second.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.integers(-2**60, 2**60).map(float),
+                          st.sampled_from([0.0, -0.0, 1e15, -1e15, 1e15 - 1, 0.5])),
+                max_size=20))
+def test_column_formatting_matches_fmt_num(values):
+    from etk.ingest import _fmt_column
+    assert _fmt_column(np.array(values, dtype=float)) == [fmt_num(v) for v in values]

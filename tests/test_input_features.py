@@ -14,22 +14,22 @@ from etk.input_features import (
     nominal_period,
     write_feature_table,
 )
-from etk.model import InputSample, Interval
+from etk.model import Interval
 from etk.zones import default_zone_model
+from conftest import make_input
 
 
 def mk(t, keys=(), pos=(0.0, 0.0)):
-    return InputSample(t=t, mouse_x=pos[0], mouse_y=pos[1],
-                       keys_down=frozenset(keys))
+    return (t, pos[0], pos[1], frozenset(keys))
 
 
 def cadence(n, period=0.1, key_on=lambda i: frozenset()):
-    return [mk(i * period, key_on(i)) for i in range(n)]
+    return make_input([mk(i * period, key_on(i)) for i in range(n)])
 
 
 class TestKeyHoldIntervals:
     def test_run_to_end_of_data_closes_one_period_late(self):
-        samples = [mk(i * 0.01, ("W",)) for i in range(10)]
+        samples = make_input([mk(i * 0.01, ("W",)) for i in range(10)])
         intervals = key_hold_intervals(samples, "W")
         assert len(intervals) == 1
         assert intervals[0].interval.start_t == 0.0
@@ -53,8 +53,10 @@ class TestKeyHoldIntervals:
 
     def test_key_and_complement_partition_the_timeline(self):
         pattern = [bool(i % 3) for i in range(30)]
-        samples = [mk(i * 0.1, ("W",) if held else ()) for i, held in enumerate(pattern)]
-        flipped = [mk(i * 0.1, () if held else ("W",)) for i, held in enumerate(pattern)]
+        samples = make_input([mk(i * 0.1, ("W",) if held else ())
+                              for i, held in enumerate(pattern)])
+        flipped = make_input([mk(i * 0.1, () if held else ("W",))
+                              for i, held in enumerate(pattern)])
         both = key_hold_intervals(samples, "W") + key_hold_intervals(flipped, "W")
         tiles = sorted((h.interval for h in both), key=lambda iv: iv.start_t)
         assert tiles[0].start_t == 0.0
@@ -101,8 +103,8 @@ class TestFractionHeld:
         import random
         rng = random.Random(13)
         keys = ("W", "MOUSE1")
-        samples = [mk(i * 0.1, frozenset(k for k in keys if rng.random() < 0.4))
-                   for i in range(400)]
+        samples = make_input([mk(i * 0.1, frozenset(k for k in keys if rng.random() < 0.4))
+                              for i in range(400)])
         alive = [Interval(0.0, 40.0)]
         any_frac = fraction_held(samples, keys, alive, mode="any")
         all_frac = fraction_held(samples, keys, alive, mode="all")
@@ -174,7 +176,7 @@ class TestClickStats:
 
 class TestMouseKinematics:
     def test_three_four_five(self):
-        samples = [mk(0.0, pos=(0.0, 0.0)), mk(0.01, pos=(3.0, 4.0))]
+        samples = make_input([mk(0.0, pos=(0.0, 0.0)), mk(0.01, pos=(3.0, 4.0))])
         kin = mouse_kinematics(samples, [Interval(0.0, 0.02)])
         assert kin.path_mean_px == pytest.approx(5.0, abs=1e-12)
         assert kin.vel_mean_px_s == pytest.approx(500.0, abs=1e-9)
@@ -182,18 +184,18 @@ class TestMouseKinematics:
         assert kin.vel_std_px_s == 0.0
 
     def test_stationary_mouse_is_all_zero(self):
-        samples = [mk(i * 0.01, pos=(7.0, 7.0)) for i in range(100)]
+        samples = make_input([mk(i * 0.01, pos=(7.0, 7.0)) for i in range(100)])
         kin = mouse_kinematics(samples, [Interval(0.0, 1.0)])
         assert kin.path_mean_px == 0.0
         assert kin.vel_mean_px_s == 0.0
 
     def test_single_sample_rejected(self):
         with pytest.raises(InsufficientData):
-            mouse_kinematics([mk(0.0)], [Interval(0.0, 1.0)])
+            mouse_kinematics(make_input([mk(0.0)]), [Interval(0.0, 1.0)])
 
     def test_window_tiling_and_stats(self):
-        samples = [mk(0.0, pos=(0.0, 0.0)), mk(0.5, pos=(10.0, 0.0)),
-                   mk(1.0, pos=(10.0, 0.0)), mk(1.5, pos=(10.0, 5.0))]
+        samples = make_input([mk(0.0, pos=(0.0, 0.0)), mk(0.5, pos=(10.0, 0.0)),
+                              mk(1.0, pos=(10.0, 0.0)), mk(1.5, pos=(10.0, 5.0))])
         kin = mouse_kinematics(samples, [Interval(0.0, 2.0)], window_s=1.0)
         # Window [0,1): steps 10 + 0; window [1,2): step 5.
         assert kin.path_mean_px == pytest.approx(7.5, abs=1e-12)
@@ -204,8 +206,8 @@ class TestMouseKinematics:
 
     def test_steps_never_cross_alive_intervals(self):
         # A big jump between two alive intervals must not count as a step.
-        samples = [mk(0.0, pos=(0.0, 0.0)), mk(0.1, pos=(1.0, 0.0)),
-                   mk(5.0, pos=(500.0, 0.0)), mk(5.1, pos=(501.0, 0.0))]
+        samples = make_input([mk(0.0, pos=(0.0, 0.0)), mk(0.1, pos=(1.0, 0.0)),
+                              mk(5.0, pos=(500.0, 0.0)), mk(5.1, pos=(501.0, 0.0))])
         kin = mouse_kinematics(samples, [Interval(0.0, 0.2), Interval(4.9, 5.2)])
         assert kin.path_mean_px == pytest.approx(1.0, abs=1e-12)
         assert kin.vel_mean_px_s == pytest.approx(10.0, abs=1e-9)
@@ -214,17 +216,17 @@ class TestMouseKinematics:
 class TestClickZoneDistribution:
     def test_all_clicks_at_center(self):
         on = lambda i: frozenset(("MOUSE1",)) if i in (3, 7) else frozenset()
-        samples = [mk(i * 0.1, on(i), pos=(960.0, 540.0)) for i in range(10)]
+        samples = make_input([mk(i * 0.1, on(i), pos=(960.0, 540.0)) for i in range(10)])
         dist = click_zone_distribution(samples, "MOUSE1", default_zone_model())
         assert dist[0] == 1.0
         assert sum(dist) == 1.0
 
     def test_split_between_two_zones(self):
         positions = {3: (960.0, 540.0), 7: (345.0, 815.0)}
-        samples = [mk(i * 0.1,
-                      frozenset(("MOUSE1",)) if i in positions else frozenset(),
-                      pos=positions.get(i, (0.0, 0.0)))
-                   for i in range(10)]
+        samples = make_input([mk(i * 0.1,
+                                 frozenset(("MOUSE1",)) if i in positions else frozenset(),
+                                 pos=positions.get(i, (0.0, 0.0)))
+                              for i in range(10)])
         dist = click_zone_distribution(samples, "MOUSE1", default_zone_model())
         assert dist[0] == 0.5
         assert dist[1] == 0.5
@@ -232,10 +234,10 @@ class TestClickZoneDistribution:
     def test_onset_position_decides(self):
         # Click starts on zone 1's center, then drags to zone 2: the
         # onset wins.
-        samples = [mk(0.0, (), pos=(0.0, 0.0)),
-                   mk(0.1, ("MOUSE1",), pos=(960.0, 540.0)),
-                   mk(0.2, ("MOUSE1",), pos=(345.0, 815.0)),
-                   mk(0.3, (), pos=(345.0, 815.0))]
+        samples = make_input([mk(0.0, (), pos=(0.0, 0.0)),
+                              mk(0.1, ("MOUSE1",), pos=(960.0, 540.0)),
+                              mk(0.2, ("MOUSE1",), pos=(345.0, 815.0)),
+                              mk(0.3, (), pos=(345.0, 815.0))])
         dist = click_zone_distribution(samples, "MOUSE1", default_zone_model())
         assert dist[0] == 1.0
 
@@ -247,11 +249,11 @@ class TestClickZoneDistribution:
 
 class TestNominalPeriod:
     def test_median_spacing(self):
-        samples = [mk(t) for t in (0.0, 0.01, 0.02, 0.05)]
+        samples = make_input([mk(t) for t in (0.0, 0.01, 0.02, 0.05)])
         assert nominal_period(samples) == pytest.approx(0.01, abs=1e-12)
 
     def test_default_when_undecidable(self):
-        assert nominal_period([mk(0.0)]) == 0.01
+        assert nominal_period(make_input([mk(0.0)])) == 0.01
 
 
 class TestFeatureTable:

@@ -5,9 +5,8 @@ from etk.model import (
     Cohort,
     EventKind,
     GameEvent,
-    GazeSample,
     GazeSeries,
-    InputSample,
+    InputSeries,
     Interval,
     PlayerMeta,
     Round,
@@ -30,7 +29,7 @@ def test_validate_is_pure_and_idempotent(tiny_session):
 
 def test_decreasing_gaze_timestamp_is_flagged(tiny_session):
     bad_gaze = make_gaze([(0.0, 1.0, 1.0), (0.5, 2.0, 2.0), (0.4, 3.0, 3.0)])
-    session = Session(meta=tiny_session.meta, gaze=bad_gaze, input=[],
+    session = Session(meta=tiny_session.meta, gaze=bad_gaze, input=InputSeries(),
                       timeline=tiny_session.timeline, hrm=None)
     violations = validate_session(session)
     assert any("gaze.samples[2]" in v.location for v in violations)
@@ -42,7 +41,7 @@ def test_event_outside_rounds_is_flagged(tiny_session):
         [GameEvent(0.0, EventKind.SPAWN, "p1"),
          GameEvent(50.0, EventKind.WEAPON_FIRE, "p1")],
     )
-    session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=[],
+    session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=InputSeries(),
                       timeline=timeline, hrm=None)
     violations = validate_session(session)
     assert any("outside every round" in v.message for v in violations)
@@ -50,23 +49,25 @@ def test_event_outside_rounds_is_flagged(tiny_session):
 
 def test_out_of_bounds_valid_gaze_is_flagged(tiny_session):
     gaze = make_gaze([(0.0, 5000.0, 540.0)])
-    session = Session(meta=tiny_session.meta, gaze=gaze, input=[],
+    session = Session(meta=tiny_session.meta, gaze=gaze, input=InputSeries(),
                       timeline=tiny_session.timeline, hrm=None)
     assert any("outside" in v.message for v in validate_session(session))
 
 
 def test_invalid_sample_skips_bounds_check(tiny_session):
     gaze = make_gaze([(0.0, None, None)])
-    session = Session(meta=tiny_session.meta, gaze=gaze, input=[],
+    session = Session(meta=tiny_session.meta, gaze=gaze, input=InputSeries(),
                       timeline=tiny_session.timeline, hrm=None)
     assert validate_session(session) == []
 
 
 def test_unknown_key_token_is_flagged(tiny_session):
-    inputs = [InputSample(0.0, 0.0, 0.0, frozenset({"XYZZY"}))]
+    # Bit 17 lies past the 17-key alphabet: no key name maps to it.
+    inputs = InputSeries([0.0], [0.0], [0.0], [1 << 17])
     session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=inputs,
                       timeline=tiny_session.timeline, hrm=None)
-    assert any("XYZZY" in v.message for v in validate_session(session))
+    assert [(v.location, v.message) for v in validate_session(session)] == [
+        ("input[0]", "unknown key bits 0x20000")]
 
 
 def test_kill_of_unspawned_victim_is_flagged(tiny_session):
@@ -75,14 +76,14 @@ def test_kill_of_unspawned_victim_is_flagged(tiny_session):
         [GameEvent(0.0, EventKind.SPAWN, "p1"),
          GameEvent(5.0, EventKind.KILL, "p1", "ghost")],
     )
-    session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=[],
+    session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=InputSeries(),
                       timeline=timeline, hrm=None)
     assert any("ghost" in v.message for v in validate_session(session))
 
 
 def test_stream_running_past_match_end_is_flagged(tiny_session):
     gaze = make_gaze([(0.0, 1.0, 1.0), (90.0, 2.0, 2.0)])
-    session = Session(meta=tiny_session.meta, gaze=gaze, input=[],
+    session = Session(meta=tiny_session.meta, gaze=gaze, input=InputSeries(),
                       timeline=tiny_session.timeline, hrm=None)
     assert any("time origin" in v.message for v in validate_session(session))
 
@@ -92,14 +93,14 @@ def test_overlapping_rounds_are_flagged(tiny_session):
         [(0.0, 40.0), (30.0, 70.0)],
         [GameEvent(0.0, EventKind.SPAWN, "p1")],
     )
-    session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=[],
+    session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=InputSeries(),
                       timeline=timeline, hrm=None)
     assert any("overlaps" in v.message for v in validate_session(session))
 
 
 def test_too_fast_heartbeat_is_flagged(tiny_session):
     from etk.model import BeatSeries
-    session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=[],
+    session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=InputSeries(),
                       timeline=tiny_session.timeline,
                       hrm=BeatSeries(beat_times=[1.0, 1.1]))
     assert any("240" in v.message for v in validate_session(session))

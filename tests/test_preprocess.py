@@ -12,7 +12,7 @@ from etk.preprocess import (
     missing_stats,
     slice_by_intervals,
 )
-from conftest import make_gaze, make_timeline
+from conftest import gaze_rows, make_gaze, make_input, make_timeline
 
 
 def timeline_one_round(events):
@@ -66,32 +66,31 @@ class TestSliceByIntervals:
     def test_half_open_membership(self):
         series = make_gaze([(float(i), 1.0, 1.0) for i in range(10)])
         segments = slice_by_intervals(series, [Interval(2.0, 5.0)])
-        assert [s.t for s in segments[0].samples] == [2.0, 3.0, 4.0]
+        assert segments[0].t.tolist() == [2.0, 3.0, 4.0]
 
     def test_one_segment_per_interval(self):
         series = make_gaze([(float(i), 1.0, 1.0) for i in range(10)])
         segments = slice_by_intervals(series, [Interval(0.0, 3.0), Interval(7.0, 9.0)])
         assert len(segments) == 2
-        assert len(segments[0].samples) == 3
-        assert len(segments[1].samples) == 2
+        assert len(segments[0]) == 3
+        assert len(segments[1]) == 2
 
     def test_empty_interval_yields_empty_segment(self):
         series = make_gaze([(0.0, 1.0, 1.0)])
         segments = slice_by_intervals(series, [Interval(5.0, 6.0)])
-        assert segments[0].samples == []
+        assert len(segments[0]) == 0
 
     def test_partition_loses_and_duplicates_nothing(self):
         series = make_gaze([(i * 0.5, 1.0, 1.0) for i in range(20)])
         cuts = [Interval(0.0, 2.5), Interval(2.5, 6.0), Interval(6.0, 10.0)]
         segments = slice_by_intervals(series, cuts)
-        rejoined = [s.t for seg in segments for s in seg.samples]
-        assert rejoined == [s.t for s in series.samples]
+        rejoined = [t for seg in segments for t in seg.t.tolist()]
+        assert rejoined == series.t.tolist()
 
     def test_input_samples_supported(self):
-        from etk.model import InputSample
-        samples = [InputSample(float(i), 0.0, 0.0, frozenset()) for i in range(5)]
+        samples = make_input([(float(i), 0.0, 0.0, ()) for i in range(5)])
         segments = slice_by_intervals(samples, [Interval(1.0, 3.0)])
-        assert [s.t for s in segments[0]] == [1.0, 2.0]
+        assert segments[0].t.tolist() == [1.0, 2.0]
 
 
 class TestInterpolateGaps:
@@ -99,10 +98,9 @@ class TestInterpolateGaps:
         points = [(0.0, 0.0, 0.0), (0.01, None, None), (0.02, None, None),
                   (0.05, 10.0, 20.0)]
         repaired, report = interpolate_gaps(make_gaze(points))
-        for s in repaired.samples:
-            assert s.valid
-        assert repaired.samples[1].x == pytest.approx(10.0 * 0.01 / 0.05, abs=1e-12)
-        assert repaired.samples[2].y == pytest.approx(20.0 * 0.02 / 0.05, abs=1e-12)
+        assert repaired.valid.all()
+        assert repaired.x[1] == pytest.approx(10.0 * 0.01 / 0.05, abs=1e-12)
+        assert repaired.y[2] == pytest.approx(20.0 * 0.02 / 0.05, abs=1e-12)
         assert report.interpolated_samples == 2
         assert report.missing_samples == 2
 
@@ -111,15 +109,15 @@ class TestInterpolateGaps:
         points += [(0.05 + i * 0.05, None, None) for i in range(4)]  # 0.15 s span
         points += [(0.30, 10.0, 10.0)]
         repaired, report = interpolate_gaps(make_gaze(points))
-        assert sum(not s.valid for s in repaired.samples) == 4
+        assert int((~repaired.valid).sum()) == 4
         assert report.interpolated_samples == 0
         assert report.gap_histogram == {4: 1}
 
     def test_boundary_gaps_never_extrapolated(self):
         points = [(0.0, None, None), (0.01, 1.0, 1.0), (0.02, None, None)]
         repaired, report = interpolate_gaps(make_gaze(points))
-        assert not repaired.samples[0].valid
-        assert not repaired.samples[2].valid
+        assert not repaired.valid[0]
+        assert not repaired.valid[2]
         assert report.interpolated_samples == 0
 
     def test_six_consecutive_misses_fill_at_60hz_but_seven_do_not(self):
@@ -130,26 +128,25 @@ class TestInterpolateGaps:
             return make_gaze(points)
 
         repaired6, report6 = interpolate_gaps(gap_series(6))
-        assert all(s.valid for s in repaired6.samples)
+        assert repaired6.valid.all()
         assert report6.interpolated_samples == 6
 
         repaired7, report7 = interpolate_gaps(gap_series(7))
-        assert sum(not s.valid for s in repaired7.samples) == 7
+        assert int((~repaired7.valid).sum()) == 7
         assert report7.interpolated_samples == 0
 
     def test_valid_samples_never_change(self):
         points = [(0.0, 3.0, 4.0), (0.01, None, None), (0.02, 5.0, 6.0)]
         source = make_gaze(points)
         repaired, _ = interpolate_gaps(source)
-        assert repaired.samples[0] == source.samples[0]
-        assert repaired.samples[2] == source.samples[2]
+        assert gaze_rows(repaired)[0] == gaze_rows(source)[0]
+        assert gaze_rows(repaired)[2] == gaze_rows(source)[2]
 
     def test_interpolated_values_inside_bracketing_box(self):
         points = [(0.0, 10.0, 100.0), (0.02, None, None), (0.04, 20.0, 50.0)]
         repaired, _ = interpolate_gaps(make_gaze(points))
-        mid = repaired.samples[1]
-        assert 10.0 <= mid.x <= 20.0
-        assert 50.0 <= mid.y <= 100.0
+        assert 10.0 <= repaired.x[1] <= 20.0
+        assert 50.0 <= repaired.y[1] <= 100.0
 
     def test_missing_accounting_balances(self):
         points = [(0.0, 1.0, 1.0), (0.01, None, None), (0.02, 1.0, 1.0),

@@ -19,6 +19,7 @@ from etk.synth import (
     load_profiles,
 )
 from etk.zones import assign_zones, default_zone_model, zone_shares
+from conftest import gaze_rows, input_rows
 
 
 def small_session(seed=123, rounds=2, round_s=30.0, profile=None):
@@ -32,15 +33,15 @@ class TestDeterminism:
     def test_same_seed_same_session(self):
         a = small_session(seed=7)
         b = small_session(seed=7)
-        assert a.gaze.samples == b.gaze.samples
-        assert a.input == b.input
+        assert gaze_rows(a.gaze) == gaze_rows(b.gaze)
+        assert input_rows(a.input) == input_rows(b.input)
         assert a.hrm.beat_times == b.hrm.beat_times
         assert a.timeline.events == b.timeline.events
 
     def test_different_seed_different_session(self):
         a = small_session(seed=7)
         b = small_session(seed=8)
-        assert a.gaze.samples != b.gaze.samples
+        assert gaze_rows(a.gaze) != gaze_rows(b.gaze)
 
 
 class TestStructure:
@@ -64,19 +65,19 @@ class TestStructure:
 
     def test_gaze_cadence_and_rounding(self):
         session = small_session()
-        assert len(session.gaze.samples) == 60 * 60  # 60 s at 60 Hz
-        ts = [s.t for s in session.gaze.samples]
+        assert len(session.gaze) == 60 * 60  # 60 s at 60 Hz
+        ts = session.gaze.t.tolist()
         assert all(b > a for a, b in zip(ts, ts[1:]))
-        for s in session.gaze.samples:
-            if s.valid:
-                assert 0.0 <= s.x <= 1920.0 and 0.0 <= s.y <= 1080.0
-                assert abs(s.x * 100 - round(s.x * 100)) < 1e-9
-                assert abs(s.y * 100 - round(s.y * 100)) < 1e-9
+        for _, x, y, valid in gaze_rows(session.gaze):
+            if valid:
+                assert 0.0 <= x <= 1920.0 and 0.0 <= y <= 1080.0
+                assert abs(x * 100 - round(x * 100)) < 1e-9
+                assert abs(y * 100 - round(y * 100)) < 1e-9
 
     def test_input_cadence_and_alphabet(self):
         session = small_session()
         assert len(session.input) == 100 * 60
-        used = frozenset().union(*(s.keys_down for s in session.input))
+        used = frozenset().union(*(keys for *_, keys in input_rows(session.input)))
         assert used <= frozenset(KEY_ALPHABET)
         assert "W" in used and "MOUSE1" in used
 
