@@ -1,8 +1,10 @@
 """Byte identity of the CLI artifact trees on a small pinned corpus.
 
 The digests in `golden_digests.json` pin every file that `synth`,
-`ingest --out` and `analyze` write for the corpus below. A refactor
-that changes a single output byte fails here. To re-record after an
+`ingest --out` and `analyze` write for the corpus below, and those of
+a second `analyze` with short, densely hopped windows (`DENSE_ARGS`,
+thousands of windows where the default gives a few). A refactor that
+changes a single output byte fails here. To re-record after an
 intended output change, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py --record
@@ -20,6 +22,9 @@ from etk.cli import main
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 SYNTH_ARGS = ["--count", "3", "--rounds", "2", "--round-s", "20", "--seed", "7"]
+DENSE_ARGS = ["--window-s", "5", "--hop-s", "0.05"]
+TREES = (("synth", "corpus"), ("ingest", "ingested"), ("analyze", "analysis"),
+         ("analyze_dense", "analysis-dense"))
 
 
 def _tree_digests(root: Path) -> dict[str, str]:
@@ -28,20 +33,20 @@ def _tree_digests(root: Path) -> dict[str, str]:
 
 
 def golden_trees() -> dict[str, dict[str, str]]:
-    """Run the three commands with relative paths in the current directory."""
+    """Run the commands with relative paths in the current directory."""
     with open(os.devnull, "w") as sink, redirect_stdout(sink):
         assert main(["synth", "--out", "corpus", *SYNTH_ARGS]) == 0
         assert main(["ingest", "corpus", "--out", "ingested"]) == 0
         assert main(["analyze", "corpus", "--out", "analysis"]) == 0
-    return {name: _tree_digests(Path(path)) for name, path in
-            (("synth", "corpus"), ("ingest", "ingested"), ("analyze", "analysis"))}
+        assert main(["analyze", "corpus", "--out", "analysis-dense", *DENSE_ARGS]) == 0
+    return {name: _tree_digests(Path(path)) for name, path in TREES}
 
 
 def test_artifact_trees_match_recorded_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     want = json.loads(DIGESTS.read_text())
     got = golden_trees()
-    for name in ("synth", "ingest", "analyze"):
+    for name, _ in TREES:
         changed = sorted(k for k in set(got[name]) | set(want[name])
                          if got[name].get(k) != want[name].get(k))
         assert not changed, f"{name}: files differ from the recorded digests: {changed}"
