@@ -29,6 +29,7 @@ from etk import (
     interpolate_gaps,
     slice_by_intervals,
     window_distributions,
+    WindowSeries,
 )
 from etk.zones import write_heatmap_pgm
 
@@ -55,19 +56,21 @@ session = generate_session(pro_profile, scenario, seed=7,
 alive = extract_alive_segments(session.timeline, session.meta.player_id)
 print(f"\nalive intervals: {[(iv.start_t, iv.end_t) for iv in alive[:3]]} ...")
 
-windows = []
+# Each segment yields a WindowSeries: columns index, start and an
+# (n, 9) probs matrix, one row per window. concat pools the segments.
+parts = []
 for interval, segment in zip(alive, slice_by_intervals(session.gaze, alive)):
     repaired, _ = interpolate_gaps(segment)
     seq = assign_zones(repaired, model, span=(interval.start_t, interval.end_t))
-    windows.extend(window_distributions(seq))  # 15 s windows, 1 s hop
+    parts.append(window_distributions(seq))  # 15 s windows, 1 s hop
+windows = WindowSeries.concat(parts, model.k)
 
 print(f"rolling windows: {len(windows)}")
-w0 = windows[0]
-print(f"window {w0.window_index} at t={w0.window_start:.0f}s:",
-      " ".join(f"{p:.2f}" for p in w0.probs))
+print(f"window {windows.index[0]} at t={windows.start[0]:.0f}s:",
+      " ".join(f"{p:.2f}" for p in windows.probs[0]))
 
 # Each window distribution sums to one; so does their average.
-avg = average_distribution(windows)
+avg = average_distribution(windows.probs)
 print("averaged distribution:", " ".join(f"{p:.3f}" for p in avg.probs))
 print(f"sum = {sum(avg.probs):.12f}, cross-hair share = {avg.probs[0]:.3f}")
 

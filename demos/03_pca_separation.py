@@ -43,18 +43,19 @@ for i in range(12):
 
 
 def session_windows(session):
+    """The (n, 9) window probs matrix of one session, all segments stacked."""
     alive = extract_alive_segments(session.timeline, session.meta.player_id)
     out = []
     for interval, segment in zip(alive, slice_by_intervals(session.gaze, alive)):
         repaired, _ = interpolate_gaps(segment)
         seq = assign_zones(repaired, model,
                            span=(interval.start_t, interval.end_t))
-        out.extend(window_distributions(seq))
-    return out
+        out.append(window_distributions(seq).probs)
+    return np.concatenate(out)
 
 
 per_session = {s.meta.player_id: session_windows(s) for s in sessions}
-pooled = [w.probs for ws in per_session.values() for w in ws]
+pooled = np.concatenate(list(per_session.values()))
 print(f"{len(sessions)} sessions, {len(pooled)} pooled window distributions")
 
 # --- 2. Fit the principal axes ----------------------------------------------

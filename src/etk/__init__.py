@@ -17,6 +17,7 @@ from .errors import (
     InsufficientData,
     InvalidProfile,
     ParseError,
+    TooManyWindows,
     UnknownPlayer,
 )
 from .ingest import (
@@ -90,7 +91,7 @@ from .synth import (
 from .zones import (
     AveragedDistribution,
     Heatmap,
-    WindowDistribution,
+    WindowSeries,
     ZoneModel,
     ZoneSequence,
     assign_zone,

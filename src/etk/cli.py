@@ -14,10 +14,13 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +32,9 @@ from .errors import (
     InsufficientData,
     InvalidProfile,
     ParseError,
+    TooManyWindows,
 )
-from .ingest import META_FILE, read_session_dir, write_session_dir, fmt_num
+from .ingest import META_FILE, _fmt_column, fmt_num, read_session_dir, write_session_dir
 from .input_features import (
     MOUSE1,
     FeatureRow,
@@ -52,6 +56,8 @@ from .preprocess import (
 from .rng import Rng
 from .synth import CohortProfile, Scenario, default_profiles, generate_session, load_profiles
 from .zones import (
+    MAX_WINDOWS,
+    WindowSeries,
     ZoneModel,
     assign_zones,
     average_distribution,
@@ -72,6 +78,7 @@ EXIT_ASSEMBLY = 3
 EXIT_DEGENERATE = 4
 
 KDE_FEATURES = ("ad_hold_fraction", "w_m1_fraction")
+_CHUNK_ROWS = 4096    # window rows formatted at a time when writing CSVs
 
 
 def _configure_logging() -> None:
@@ -172,20 +179,35 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
+class _WindowBudget:
+    """Windows one `analyze` run may still pool, shared by its session workers."""
+
+    def __init__(self):
+        self._left = MAX_WINDOWS
+        self._lock = threading.Lock()
+
+    def spend(self, n: int) -> None:
+        with self._lock:
+            self._left -= n
+            if self._left < 0:
+                raise TooManyWindows(f"the sessions pool more than {MAX_WINDOWS} windows")
+
+
 @dataclass
 class _SessionDerived:
     """Everything one session contributes to the pooled artifacts."""
     meta: PlayerMeta
     screen: tuple[int, int]
     missing: dict
-    window_rows: list[tuple]      # (round, window_index, window_start, probs)
+    windows: WindowSeries         # every segment's windows, in segment order
+    window_round: np.ndarray      # int64 round index of each window
     averaged: tuple[float, ...] | None
     feature_rows: list[FeatureRow]
     heat_points: np.ndarray       # (n, 2): valid gaze x, y after gap repair
 
 
-def _derive_session(directory: Path, model: ZoneModel,
-                    window_s: float, hop_s: float) -> _SessionDerived:
+def _derive_session(directory: Path, model: ZoneModel, window_s: float, hop_s: float,
+                    budget: _WindowBudget) -> _SessionDerived:
     session = read_session_dir(directory)
     meta = session.meta
     alive = extract_alive_segments(session.timeline, meta.player_id)
@@ -195,8 +217,8 @@ def _derive_session(directory: Path, model: ZoneModel,
     input_segments = slice_by_intervals(session.input, alive)
 
     interpolated = 0
-    window_rows: list[tuple] = []
-    all_windows = []
+    segment_windows: list[WindowSeries] = []
+    segment_rounds: list[int] = []
     heat_x: list[np.ndarray] = []
     heat_y: list[np.ndarray] = []
     feature_rows: list[FeatureRow] = []
@@ -209,9 +231,9 @@ def _derive_session(directory: Path, model: ZoneModel,
 
         seq = assign_zones(repaired, model, span=(interval.start_t, interval.end_t))
         windows = window_distributions(seq, window_s=window_s, hop_s=hop_s)
-        all_windows.extend(windows)
-        for wd in windows:
-            window_rows.append((round_index, wd.window_index, wd.window_start, wd.probs))
+        budget.spend(len(windows))
+        segment_windows.append(windows)
+        segment_rounds.append(round_index)
 
         heat_x.append(repaired.x[repaired.valid])
         heat_y.append(repaired.y[repaired.valid])
@@ -248,9 +270,12 @@ def _derive_session(directory: Path, model: ZoneModel,
         except InsufficientData as e:
             log.warning("%s: skipping bpm (%s)", meta.player_id, e)
 
+    windows = WindowSeries.concat(segment_windows, model.k)
+    window_round = np.repeat(np.asarray(segment_rounds, dtype=np.int64),
+                             [len(w) for w in segment_windows])
     averaged = None
-    if all_windows:
-        averaged = average_distribution(all_windows).probs
+    if len(windows):
+        averaged = average_distribution(windows.probs).probs
     else:
         log.warning("%s: no rolling windows (segments shorter than %gs)",
                     meta.player_id, window_s)
@@ -259,20 +284,41 @@ def _derive_session(directory: Path, model: ZoneModel,
     heat_points = np.column_stack((np.concatenate(heat_x), np.concatenate(heat_y))) \
         if heat_x else np.empty((0, 2))
     return _SessionDerived(meta=meta, screen=session.gaze.screen, missing=missing,
-                           window_rows=window_rows, averaged=averaged,
+                           windows=windows, window_round=window_round, averaged=averaged,
                            feature_rows=feature_rows, heat_points=heat_points)
+
+
+def _atomic_write_blocks(path: Path, blocks) -> None:
+    """Write an iterable of text blocks, each written as soon as it is produced."""
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8", newline="") as f:
+            f.writelines(blocks)
+    _atomic_write(path, write)
+
+
+def _window_blocks(derived: list[_SessionDerived], kind: str, columns):
+    """Lines `<kind>player_id,cohort,round,window_index,<columns>`, one per window.
+
+    `columns(d, rows)` returns the formatted columns for a slice of a
+    session's windows. Each block holds _CHUNK_ROWS lines, so only one
+    block's strings are alive at once, not the whole file's.
+    """
+    for d in derived:
+        for lo in range(0, len(d.windows), _CHUNK_ROWS):
+            rows = slice(lo, lo + _CHUNK_ROWS)
+            yield "\n".join(map(",".join, zip(
+                repeat(f"{kind}{d.meta.player_id},{d.meta.cohort.value}"),
+                map(str, d.window_round[rows].tolist()),
+                map(str, d.windows.index[rows].tolist()), *columns(d, rows)))) + "\n"
 
 
 def _write_windows_csv(path: Path, derived: list[_SessionDerived], k: int) -> None:
     header = "player_id,cohort,round,window_index,window_start," + \
         ",".join(f"p{i}" for i in range(1, k + 1))
-    lines = [header]
-    for d in derived:
-        for round_index, idx, start, probs in d.window_rows:
-            probs_text = ",".join(fmt_num(p) for p in probs)
-            lines.append(f"{d.meta.player_id},{d.meta.cohort.value},{round_index},"
-                         f"{idx},{fmt_num(start)},{probs_text}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    blocks = _window_blocks(derived, "", lambda d, rows: (
+        _fmt_column(d.windows.start[rows]),
+        *(_fmt_column(d.windows.probs[rows, j]) for j in range(k))))
+    _atomic_write_blocks(path, chain([header + "\n"], blocks))
 
 
 def _write_averages_csv(path: Path, derived: list[_SessionDerived], k: int) -> None:
@@ -287,10 +333,7 @@ def _write_averages_csv(path: Path, derived: list[_SessionDerived], k: int) -> N
 
 
 def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> None:
-    vectors = []
-    for d in derived:
-        for _, _, _, probs in d.window_rows:
-            vectors.append(probs)
+    vectors = np.concatenate([d.windows.probs for d in derived])
     model = fit_pca(vectors)
 
     cols = ",".join(f"v{i}" for i in range(1, k + 1))
@@ -302,19 +345,17 @@ def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> No
     lines.append("explained_ratio," + ",".join(fmt_num(v) for v in model.explained_ratio))
     _atomic_write_text(out_dir / "pca_model.csv", "\n".join(lines) + "\n")
 
-    proj_lines = ["kind,player_id,cohort,round,window_index,pc1,pc2"]
-    for d in derived:
-        for round_index, idx, _, probs in d.window_rows:
-            x, y = project(model, probs, dims=2)
-            proj_lines.append(f"window,{d.meta.player_id},{d.meta.cohort.value},"
-                              f"{round_index},{idx},{fmt_num(x)},{fmt_num(y)}")
-    for d in derived:
-        if d.averaged is None:
-            continue
-        x, y = project(model, d.averaged, dims=2)
-        proj_lines.append(f"average,{d.meta.player_id},{d.meta.cohort.value},,,"
-                          f"{fmt_num(x)},{fmt_num(y)}")
-    _atomic_write_text(out_dir / "pca_projections.csv", "\n".join(proj_lines) + "\n")
+    def pcs(d, rows):
+        xy = project(model, d.windows.probs[rows], dims=2)
+        return _fmt_column(xy[:, 0]), _fmt_column(xy[:, 1])
+
+    averaged = [d for d in derived if d.averaged is not None]
+    xy = project(model, [d.averaged for d in averaged], dims=2)
+    averages = (f"average,{d.meta.player_id},{d.meta.cohort.value},,,{x},{y}\n" for d, x, y in
+                zip(averaged, _fmt_column(xy[:, 0]), _fmt_column(xy[:, 1])))
+    _atomic_write_blocks(out_dir / "pca_projections.csv", chain(
+        ["kind,player_id,cohort,round,window_index,pc1,pc2\n"],
+        _window_blocks(derived, "window,", pcs), averages))
 
 
 def _write_missing_json(path: Path, derived: list[_SessionDerived]) -> None:
@@ -361,8 +402,8 @@ def cmd_analyze(args) -> int:
         model = default_zone_model()
     else:
         model = read_zone_model_csv(args.zones)
-    if args.window_s <= 0 or args.hop_s <= 0:
-        raise ValueError("--window-s and --hop-s must be positive")
+    if not (0 < args.window_s < math.inf and 0 < args.hop_s < math.inf):
+        raise ValueError("--window-s and --hop-s must be positive and finite")
     if args.bandwidth != "auto":
         if float(args.bandwidth) <= 0:
             raise ValueError("--bandwidth must be positive or 'auto'")
@@ -370,9 +411,10 @@ def cmd_analyze(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    budget = _WindowBudget()
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         derived = list(pool.map(
-            lambda d: _derive_session(d, model, args.window_s, args.hop_s), dirs))
+            lambda d: _derive_session(d, model, args.window_s, args.hop_s, budget), dirs))
     first_dir: dict[str, Path] = {}
     for d, session in zip(dirs, derived):
         other = first_dir.setdefault(session.meta.player_id, d)
@@ -397,8 +439,11 @@ def cmd_analyze(args) -> int:
     _write_kde_csv(out_dir / "kde.csv", derived, args.bandwidth)
     _write_heatmaps(out_dir, derived, screen)
 
+    pooled = sum(len(d.windows) for d in derived)
     if len(derived) < 2:
         log.warning("only %d session(s): PCA skipped", len(derived))
+    elif pooled < 2:
+        log.warning("only %d rolling window(s) pooled: PCA skipped", pooled)
     else:
         _write_pca_csvs(out_dir, derived, k)
 
@@ -511,6 +556,9 @@ def main(argv=None) -> int:
     except DegenerateData as e:
         print(f"error: degenerate analysis input: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except TooManyWindows as e:
+        print(f"error: {e}; use a larger --hop-s or a smaller --window-s", file=sys.stderr)
+        return 1
     except (EtkError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

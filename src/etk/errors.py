@@ -62,3 +62,7 @@ class DimensionMismatch(EtkError):
 
 class InvalidProfile(EtkError):
     """A synthetic cohort profile violates its constraints."""
+
+
+class TooManyWindows(EtkError):
+    """A rolling-window setting would place more than `zones.MAX_WINDOWS` windows."""

@@ -91,11 +91,11 @@ def true_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
 
-def _frozen_column(values, dtype) -> np.ndarray:
-    """`values` as a read-only 1-D array, copied only if a caller could still write it."""
+def _frozen_column(values, dtype, ndim: int = 1) -> np.ndarray:
+    """`values` as a read-only array, copied only if a caller could still write it."""
     a = np.asarray(values, dtype=dtype)
-    if a.ndim != 1:
-        raise ValueError(f"stream columns must be 1-D, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise ValueError(f"column must be {ndim}-D, got shape {a.shape}")
     if a.flags.writeable:
         if isinstance(values, np.ndarray) and np.may_share_memory(a, values):
             a = a.copy()
@@ -107,23 +107,27 @@ class _Columns:
     """Equal-length read-only columns, one entry per sample in time order.
 
     Subclasses are frozen dataclasses that name their columns and
-    dtypes in `_COLUMNS`. Indexing with a slice, mask or index array
-    returns the same kind of series holding the selected samples.
+    dtypes in `_COLUMNS`, the first column setting the length. A column
+    named in `_MATRICES` is 2-D, one row per entry. Indexing with a
+    slice, mask or index array returns the same kind of series holding
+    the selected entries.
     """
 
     _COLUMNS: ClassVar[dict[str, type]]
+    _MATRICES: ClassVar[frozenset[str]] = frozenset()
 
     def __post_init__(self):
         lengths = set()
         for name, dtype in self._COLUMNS.items():
-            column = _frozen_column(getattr(self, name), dtype)
+            column = _frozen_column(getattr(self, name), dtype,
+                                    2 if name in self._MATRICES else 1)
             object.__setattr__(self, name, column)
             lengths.add(len(column))
         if len(lengths) > 1:
             raise ValueError(f"columns of unequal length {sorted(lengths)}")
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(getattr(self, next(iter(self._COLUMNS))))
 
     def __getitem__(self, index):
         return replace(self, **{name: getattr(self, name)[index] for name in self._COLUMNS})

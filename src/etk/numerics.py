@@ -121,13 +121,25 @@ def fit_pca(vectors) -> PcaModel:
 
 
 def project(model: PcaModel, vector, dims: int = 2) -> np.ndarray:
-    """Coordinates of `vector` on the first `dims` principal axes."""
+    """Coordinates on the first `dims` principal axes.
+
+    `vector` is one vector of shape (k,), giving shape (dims,), or an
+    (n, k) batch of row vectors, giving (n, dims). A batch is projected
+    as n stacked matrix-vector products: with numpy 2.4 on OpenBLAS they
+    give each row the same bits as projecting it alone (see
+    tests/test_numerics.py), where `D @ C.T` and `einsum` differed in
+    the last bit.
+    """
     v = np.asarray(vector, dtype=float)
-    if v.shape != (model.k,):
-        raise DimensionMismatch(f"vector has shape {v.shape}, model expects ({model.k},)")
+    if v.ndim not in (1, 2) or v.shape[-1] != model.k:
+        raise DimensionMismatch(f"vector has shape {v.shape}, model expects "
+                                f"({model.k},) or (n, {model.k})")
     if dims > len(model.components):
         raise DimensionMismatch(f"model has {len(model.components)} components, asked for {dims}")
-    return model.components[:dims] @ (v - model.mean)
+    components = model.components[:dims]
+    if v.ndim == 1:
+        return components @ (v - model.mean)
+    return np.matmul(components, (v - model.mean)[:, :, None])[:, :, 0]
 
 
 def dominant_coordinate(component, dominance_ratio: float = DOMINANCE_RATIO):

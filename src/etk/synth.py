@@ -14,6 +14,7 @@ streams; the same seed always yields byte-identical capture files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,11 @@ class CohortProfile:
         dwell = self.zone_dwell
         if not dwell:
             raise InvalidProfile("zone_dwell is empty")
+        if not all(map(math.isfinite, dwell)):
+            raise InvalidProfile(f"zone_dwell has non-finite entries: {dwell}")
+        for name in _PROFILE_FIELDS[1:]:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidProfile(f"{name} {getattr(self, name)} is not finite")
         if any(p < 0.0 for p in dwell):
             raise InvalidProfile(f"zone_dwell has negative entries: {dwell}")
         if abs(sum(dwell) - 1.0) > 1e-9:

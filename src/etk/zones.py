@@ -3,24 +3,29 @@
 A zone model is an ordered set of K labeled screen points. Gaze samples
 are matched to the nearest center (Euclidean distance, 1-based index),
 turning the gaze track into a categorical sequence. Rolling windows
-over that sequence yield per-window zone occupancy distributions, and
-their arithmetic mean summarizes a whole segment or session.
+over that sequence yield per-window zone occupancy distributions, held
+as one `WindowSeries` of columns (an (n, K) `probs` matrix), and their
+arithmetic mean summarizes a whole segment or session.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, EmptyInput, ParseError
-from .model import GazeSeries
+from .errors import DegenerateInput, DimensionMismatch, EmptyInput, ParseError, TooManyWindows
+from .model import GazeSeries, _Columns
 from .rng import Rng
 
 DEFAULT_WINDOW_S = 15.0
 DEFAULT_HOP_S = 1.0
 DEFAULT_CELL_PX = 10
 _WINDOW_EDGE_TOL = 1e-9
+# Most window starts one `window_distributions` call may place, and most
+# windows one `analyze` run may pool (the densest benchmark run pools 12,478).
+MAX_WINDOWS = 1_000_000
 _LLOYD_TOL_PX = 1e-6
 _LLOYD_MAX_ITER = 100
 
@@ -105,12 +110,30 @@ class ZoneSequence:
         return len(self.times)
 
 
-@dataclass(frozen=True)
-class WindowDistribution:
-    """Zone occupancy fractions for one rolling window."""
-    window_index: int
-    window_start: float
-    probs: tuple[float, ...]
+@dataclass(frozen=True, eq=False)
+class WindowSeries(_Columns):
+    """Rolling-window zone occupancy distributions, one row per window.
+
+    `index` counts hops from the span start, `start` is
+    span_start + index*hop_s, and row i of `probs` (n, k) holds the
+    zone fractions of window i. The columns are read-only.
+    """
+
+    _COLUMNS: ClassVar[dict[str, type]] = {
+        "index": np.int64, "start": np.float64, "probs": np.float64}
+    _MATRICES: ClassVar[frozenset[str]] = frozenset({"probs"})
+
+    index: np.ndarray
+    start: np.ndarray
+    probs: np.ndarray
+
+    @classmethod
+    def concat(cls, parts, k: int) -> "WindowSeries":
+        """The rows of `parts` in order; `k` shapes the result when there are none."""
+        parts = list(parts)
+        return cls(np.concatenate([np.empty(0, np.int64)] + [w.index for w in parts]),
+                   np.concatenate([np.empty(0)] + [w.start for w in parts]),
+                   np.concatenate([np.empty((0, k))] + [w.probs for w in parts]))
 
 
 @dataclass(frozen=True)
@@ -246,48 +269,77 @@ def fit_zones(points, k: int, mode: str = "fixed", seeds=None, seed: int = 0) ->
                      labels=tuple(f"Zone {i + 1}" for i in range(len(dedup))))
 
 
+def _window_starts(span_start: float, span_end: float, window_s: float,
+                   hop_s: float) -> np.ndarray:
+    """span_start + tau*hop_s for tau = 0, 1, ... while the window ends inside the span.
+
+    The count is estimated in closed form and refused above MAX_WINDOWS
+    before anything is allocated. The per-window edge test then settles
+    it: the first start with start + window_s > span_end + tol ends the
+    run. Starts never decrease, so the starts that pass form a prefix.
+    """
+    limit = span_end + _WINDOW_EDGE_TOL
+    estimate = (limit - window_s - span_start) / hop_s + 1.0
+    if estimate > MAX_WINDOWS:
+        raise TooManyWindows(f"{estimate:.3g} windows of {window_s:g} s every {hop_s:g} s "
+                             f"exceed the limit of {MAX_WINDOWS}")
+    n = max(0, int(estimate)) + 2
+    while True:
+        starts = span_start + np.arange(n) * hop_s
+        over = starts + window_s > limit
+        if over[-1]:
+            return starts[:int(np.argmax(over))]
+        # The estimate fell short: starts are coarser than hop_s (a hop below
+        # the spacing of floats near span_start), so all n windows passed.
+        if n > MAX_WINDOWS:
+            raise TooManyWindows(f"more than {MAX_WINDOWS} windows of {window_s:g} s "
+                                 f"every {hop_s:g} s")
+        n *= 2
+
+
 def window_distributions(seq: ZoneSequence, window_s: float = DEFAULT_WINDOW_S,
-                         hop_s: float = DEFAULT_HOP_S) -> list[WindowDistribution]:
+                         hop_s: float = DEFAULT_HOP_S) -> WindowSeries:
     """Rolling-window zone occupancy distributions over one segment.
 
     Windows are [start, start+window_s) anchored at the segment span
     start and advanced by hop_s; only windows lying fully inside the
     span are emitted, and windows holding no samples are skipped.
-    `window_index` counts hops, so window_start = span_start +
-    index*hop_s even when earlier windows were skipped.
+    `index` counts hops, so start = span_start + index*hop_s even when
+    earlier windows were skipped. Each window's zone counts are the
+    difference of a running per-zone count at its two ends; a span
+    that would place more than MAX_WINDOWS windows raises
+    `TooManyWindows`.
     """
-    if window_s <= 0 or hop_s <= 0:
-        raise ValueError("window_s and hop_s must be positive")
+    if not (0.0 < window_s < math.inf and 0.0 < hop_s < math.inf):
+        raise ValueError("window_s and hop_s must be positive and finite")
+    k = seq.k
     if len(seq) == 0 and seq.span is None:
-        return []
+        return WindowSeries.concat([], k)
     span_start, span_end = seq.span if seq.span is not None else (
         float(seq.times[0]), float(seq.times[-1]))
-    out: list[WindowDistribution] = []
-    tau = 0
-    while True:
-        start = span_start + tau * hop_s
-        if start + window_s > span_end + _WINDOW_EDGE_TOL:
-            break
-        lo = int(np.searchsorted(seq.times, start, side="left"))
-        hi = int(np.searchsorted(seq.times, start + window_s, side="left"))
-        if hi > lo:
-            counts = np.bincount(seq.zones[lo:hi], minlength=seq.k + 1)[1:]
-            probs = counts / float(hi - lo)
-            out.append(WindowDistribution(window_index=tau, window_start=start,
-                                          probs=tuple(float(p) for p in probs)))
-        tau += 1
-    return out
+    starts = _window_starts(span_start, span_end, window_s, hop_s)
+    lo, hi = np.searchsorted(seq.times, np.stack((starts, starts + window_s)), side="left")
+    index = np.flatnonzero(hi > lo)
+    if not len(index):
+        return WindowSeries.concat([], k)
+    lo, hi = lo[index], hi[index]
+    cum = np.zeros((len(seq) + 1, k), dtype=np.int64)
+    cum[np.arange(1, len(seq) + 1), seq.zones - 1] = 1
+    np.cumsum(cum, axis=0, out=cum)
+    probs = (cum[hi] - cum[lo]) / (hi - lo)[:, None]
+    return WindowSeries(index, starts[index], probs)
 
 
-def average_distribution(windows: list[WindowDistribution]) -> AveragedDistribution:
-    """Eq.-style session summary: the arithmetic mean of window probs."""
-    if not windows:
+def average_distribution(probs) -> AveragedDistribution:
+    """Eq.-style session summary: the column mean of an (n, k) window probs matrix."""
+    try:
+        mat = np.asarray(probs, dtype=float)
+    except ValueError:
+        raise DimensionMismatch("window distributions differ in length") from None
+    if len(mat) == 0:
         raise EmptyInput("cannot average zero windows")
-    k = len(windows[0].probs)
-    for w in windows:
-        if len(w.probs) != k:
-            raise DimensionMismatch(f"window has {len(w.probs)} zones, expected {k}")
-    mat = np.asarray([w.probs for w in windows], dtype=float)
+    if mat.ndim != 2:
+        raise DimensionMismatch(f"window probs must form an (n, k) matrix, got {mat.shape}")
     return AveragedDistribution(probs=tuple(float(p) for p in mat.mean(axis=0)))
 
 

@@ -30,6 +30,7 @@ from etk.zones import (
     average_distribution,
     default_zone_model,
     window_distributions,
+    WindowSeries,
     ZoneSequence,
 )
 from etk.numerics import (
@@ -90,8 +91,8 @@ def session_window_distributions(session, model):
         repaired, _ = interpolate_gaps(segment)
         seq = assign_zones(repaired, model,
                            span=(interval.start_t, interval.end_t))
-        windows.extend(window_distributions(seq))
-    return windows
+        windows.append(window_distributions(seq))
+    return WindowSeries.concat(windows, model.k)
 
 
 def test_criterion_01_zone_table_fidelity():
@@ -150,12 +151,12 @@ def test_criterion_03_distribution_invariants():
             seq = ZoneSequence(times=times, zones=zones, k=9, span=(0.0, 120.0))
             windows = window_distributions(seq)
             total_windows += len(windows)
-            mat = np.asarray([w.probs for w in windows])
+            mat = windows.probs
             assert (mat >= 0.0).all()
             sums = np.abs(mat.sum(axis=1) - 1.0)
             worst_sum = max(worst_sum, float(sums.max()))
             assert float(sums.max()) <= 1e-9
-            avg = average_distribution(windows)
+            avg = average_distribution(windows.probs)
             delta = np.abs(np.asarray(avg.probs) - mat.mean(axis=0))
             worst_avg = max(worst_avg, float(delta.max()))
             assert float(delta.max()) <= 1e-12
@@ -195,9 +196,9 @@ def test_criterion_05_cohort_pca_separation(synth_cohorts):
         per_session = []
         for session in synth_cohorts.sessions:
             windows = session_window_distributions(session, model9)
-            all_windows.extend(windows)
+            all_windows.append(windows.probs)
             per_session.append((session.meta.cohort, windows))
-        pca = fit_pca([w.probs for w in all_windows])
+        pca = fit_pca(np.concatenate(all_windows))
 
         first = dominant_coordinate(pca.components[0])
         second = dominant_coordinate(pca.components[1])
@@ -206,7 +207,7 @@ def test_criterion_05_cohort_pca_separation(synth_cohorts):
 
         pro_pc1, am_pc1 = [], []
         for cohort, windows in per_session:
-            avg = average_distribution(windows)
+            avg = average_distribution(windows.probs)
             pc1 = float(project(model=pca, vector=avg.probs)[0])
             (pro_pc1 if cohort is Cohort.PROFESSIONAL else am_pc1).append(pc1)
         lo, hi = sorted([pro_pc1, am_pc1], key=min)

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: exit codes, artifacts, and determinism."""
 import json
 import shutil
+import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,19 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert "invalid profile" in err
         assert "bpm_base" in err
+
+    def test_nan_profile_field_exits_2(self, tmp_path, capsys):
+        from etk.synth import default_profiles
+        raw = default_profiles()[0].to_dict()
+        raw["gaze_noise_px"] = float("nan")
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"professional": raw}))
+        code = main(["synth", "--out", str(tmp_path / "y"),
+                     "--count", "1", "--profile", str(profile)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "invalid profile" in err
+        assert "gaze_noise_px" in err
 
     def test_same_seed_reruns_are_byte_identical(self, corpus, tmp_path):
         again = tmp_path / "again"
@@ -220,6 +236,75 @@ class TestAnalyzeCommand:
         out = tmp_path / "run"
         assert main(["analyze", str(corpus / "pro01"), "--out", str(out)]) == 0
         capsys.readouterr()
+
+
+class TestWindowLimits:
+    """Window settings that place no windows, or far too many."""
+
+    def test_zero_windows_in_several_sessions_skips_pca(self, corpus, tmp_path, caplog):
+        out = tmp_path / "run"
+        assert main(["analyze", str(corpus), "--out", str(out), "--window-s", "500"]) == 0
+        assert {p.name for p in out.iterdir()} == \
+            ANALYZE_ARTIFACTS - {"pca_model.csv", "pca_projections.csv"}
+        assert (out / "windows.csv").read_text().count("\n") == 1
+        assert "PCA skipped" in caplog.text
+
+    def test_window_count_above_cap_is_refused_at_once(self, corpus, tmp_path, capsys):
+        out = tmp_path / "run"
+        t0 = time.perf_counter()
+        code = main(["analyze", str(corpus / "pro01"), "--out", str(out),
+                     "--hop-s", "1e-300"])
+        elapsed = time.perf_counter() - t0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--hop-s" in err and "--window-s" in err
+        assert elapsed < 1.0
+        assert not (out / "manifest.json").exists()
+
+    def test_pooled_window_total_above_cap_is_refused(self, corpus, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr("etk.cli.MAX_WINDOWS", 100)
+        out = tmp_path / "run"
+        assert main(["analyze", str(corpus), "--out", str(out), "--hop-s", "0.5"]) == 1
+        assert "--hop-s" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_window_budget_loses_no_update_across_threads(self, monkeypatch):
+        from etk.cli import _WindowBudget
+        from etk.errors import TooManyWindows
+        threads, spends = 8, 2000
+        monkeypatch.setattr("etk.cli.MAX_WINDOWS", threads * spends)
+        budget = _WindowBudget()
+        errors = []
+
+        def spend_all():
+            try:
+                for _ in range(spends):
+                    budget.spend(1)
+            except TooManyWindows as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=spend_all) for _ in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        with pytest.raises(TooManyWindows):
+            budget.spend(1)
+
+    @pytest.mark.parametrize("flag", ["--window-s", "--hop-s"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_window_flags_exit_1(self, corpus, tmp_path, capsys, flag, value):
+        assert main(["analyze", str(corpus / "pro01"), "--out", str(tmp_path / "x"),
+                     flag, value]) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestInputErrors:

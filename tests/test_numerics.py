@@ -185,6 +185,26 @@ class TestFitPca:
         with pytest.raises(DimensionMismatch):
             project(model, (1.0, 2.0), dims=3)
 
+    def test_batch_projection_shape_checks(self):
+        model = fit_pca(self.axis_data())
+        with pytest.raises(DimensionMismatch):
+            project(model, np.zeros((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            project(model, np.zeros((2, 4, 2)))
+        with pytest.raises(DimensionMismatch):
+            project(model, np.zeros((4, 2)), dims=3)
+        assert project(model, np.empty((0, 2))).shape == (0, 2)
+
+    def test_batch_projection_matches_each_row_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        x = rng.dirichlet(np.ones(9), size=500)
+        model = fit_pca(x)
+        for dims in (1, 2, 9):
+            batch = project(model, x, dims=dims)
+            assert batch.shape == (500, dims)
+            rows = np.array([project(model, row, dims=dims) for row in x])
+            assert np.array_equal(batch, rows)
+
     def test_projection_of_axis_points(self):
         model = fit_pca(self.axis_data())
         assert project(model, (1.0, 0.0))[0] == pytest.approx(1.0, abs=1e-15)

@@ -147,6 +147,15 @@ class TestProfiles:
                           gaze_noise_px=10.0, missing_rate=0.04,
                           ad_hold_rate=0.3, w_m1_rate=0.1, bpm_base=20.0)
 
+    @pytest.mark.parametrize("field", ["dwell_persistence", "gaze_noise_px", "missing_rate",
+                                       "ad_hold_rate", "w_m1_rate", "bpm_base", "zone_dwell"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        raw = default_profiles()[0].to_dict()
+        raw[field] = [value] if field == "zone_dwell" else value
+        with pytest.raises(InvalidProfile, match=field):
+            CohortProfile.from_dict(raw)
+
     def test_from_dict_reports_missing_fields(self):
         with pytest.raises(InvalidProfile, match="bpm_base"):
             CohortProfile.from_dict({"zone_dwell": [1.0]})

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etk.errors import DegenerateInput, DimensionMismatch, EmptyInput
+from etk.errors import DegenerateInput, DimensionMismatch, EmptyInput, TooManyWindows
 from etk.zones import (
+    MAX_WINDOWS,
+    WindowSeries,
     ZoneModel,
     ZoneSequence,
     assign_zone,
@@ -99,34 +101,36 @@ class TestWindowDistributions:
     def test_twenty_second_span_yields_six_windows(self):
         windows = window_distributions(self.make_seq(20.0), window_s=15.0, hop_s=1.0)
         assert len(windows) == 6
-        assert [w.window_index for w in windows] == list(range(6))
-        assert [w.window_start for w in windows] == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert windows.index.tolist() == list(range(6))
+        assert windows.start.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_span_shorter_than_window_yields_nothing(self):
-        assert window_distributions(self.make_seq(14.0)) == []
+        windows = window_distributions(self.make_seq(14.0))
+        assert len(windows) == 0
+        assert windows.probs.shape == (0, 9)
 
     def test_exact_window_length_span_yields_one(self):
         assert len(window_distributions(self.make_seq(15.0))) == 1
 
     def test_single_zone_window_is_one_hot(self):
         windows = window_distributions(self.make_seq(15.0, zone=3))
-        assert windows[0].probs == (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert tuple(windows.probs[0].tolist()) == (0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_half_and_half_window(self):
         times = np.arange(10, dtype=float)
         zones = np.array([1, 2] * 5)
         seq = ZoneSequence(times=times, zones=zones, k=9, span=(0.0, 10.0))
         windows = window_distributions(seq, window_s=10.0, hop_s=1.0)
-        assert windows[0].probs[:2] == (0.5, 0.5)
+        assert tuple(windows.probs[0, :2].tolist()) == (0.5, 0.5)
 
     def test_probabilities_sum_to_one_and_are_nonnegative(self):
         rng = np.random.default_rng(3)
         times = np.sort(rng.uniform(0.0, 30.0, size=400))
         zones = rng.integers(1, 10, size=400)
         seq = ZoneSequence(times=times, zones=zones, k=9, span=(0.0, 30.0))
-        for w in window_distributions(seq):
-            assert min(w.probs) >= 0.0
-            assert math.fsum(w.probs) == pytest.approx(1.0, abs=1e-12)
+        for probs in window_distributions(seq).probs.tolist():
+            assert min(probs) >= 0.0
+            assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_window_membership_is_half_open(self):
         # Samples: one at t=0 in zone 1, one at t=15 in zone 2.  Window
@@ -134,8 +138,8 @@ class TestWindowDistributions:
         seq = ZoneSequence(times=np.array([0.0, 15.0]), zones=np.array([1, 2]),
                            k=9, span=(0.0, 16.0))
         windows = window_distributions(seq)
-        assert windows[0].probs[0] == 1.0
-        assert windows[0].probs[1] == 0.0
+        assert windows.probs[0, 0] == 1.0
+        assert windows.probs[0, 1] == 0.0
 
     def test_empty_windows_are_skipped_but_indices_advance(self):
         # 40 s span with samples only in the first second: windows whose
@@ -145,8 +149,8 @@ class TestWindowDistributions:
         seq = ZoneSequence(times=times, zones=np.ones(60, dtype=int), k=9,
                            span=(0.0, 40.0))
         windows = window_distributions(seq)
-        assert [w.window_index for w in windows] == [0]
-        assert windows[0].window_start == 0.0
+        assert windows.index.tolist() == [0]
+        assert windows.start[0] == 0.0
 
     def test_counts_match_bruteforce(self):
         rng = np.random.default_rng(11)
@@ -154,39 +158,92 @@ class TestWindowDistributions:
         zones = rng.integers(1, 10, size=500)
         seq = ZoneSequence(times=times, zones=zones, k=9, span=(0.0, 25.0))
         windows = window_distributions(seq, window_s=15.0, hop_s=1.0)
-        assert windows
-        for w in windows:
-            inside = (times >= w.window_start) & (times < w.window_start + 15.0)
+        assert len(windows)
+        for start, probs in zip(windows.start, windows.probs):
+            inside = (times >= start) & (times < start + 15.0)
             expected = np.bincount(zones[inside], minlength=10)[1:]
             expected = expected / expected.sum()
-            assert np.allclose(w.probs, expected, atol=1e-15)
+            assert np.allclose(probs, expected, atol=1e-15)
+
+    def test_window_starting_exactly_on_the_edge_is_kept(self):
+        # span_end + tol == start + window_s for the window at t=2:
+        # the edge test is strict, so that window is the last one kept.
+        span_end = 3.0 - 1e-9
+        assert span_end + 1e-9 == 2.0 + 1.0
+        seq = ZoneSequence(times=np.arange(0.0, 3.0, 0.25), zones=np.ones(12, dtype=int),
+                           k=9, span=(0.0, span_end))
+        windows = window_distributions(seq, window_s=1.0, hop_s=0.5)
+        assert windows.start.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+
+    def test_columns_are_read_only(self):
+        windows = window_distributions(self.make_seq(20.0))
+        assert windows.index.dtype == np.int64
+        assert windows.start.dtype == np.float64
+        for column in (windows.index, windows.start, windows.probs):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    def test_concat_keeps_rows_in_order(self):
+        a = window_distributions(self.make_seq(16.0, zone=1))
+        b = window_distributions(self.make_seq(17.0, zone=2))
+        both = WindowSeries.concat([a, b], 9)
+        assert both.index.tolist() == [0, 1, 0, 1, 2]
+        assert both.probs[:, 0].tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+        assert WindowSeries.concat([], 9).probs.shape == (0, 9)
+
+    @pytest.mark.parametrize("window_s,hop_s", [(15.0, 0.0), (-1.0, 1.0), (math.nan, 1.0),
+                                                (15.0, math.inf), (math.inf, 1.0)])
+    def test_bad_window_settings_rejected(self, window_s, hop_s):
+        with pytest.raises(ValueError, match="finite"):
+            window_distributions(self.make_seq(20.0), window_s=window_s, hop_s=hop_s)
+
+    def test_window_count_above_cap_is_refused_before_allocating(self):
+        seq = self.make_seq(20.0)
+        with pytest.raises(TooManyWindows, match=str(MAX_WINDOWS)):
+            window_distributions(seq, window_s=15.0, hop_s=1e-300)
+        # The cap counts window starts, empty windows included.
+        empty = ZoneSequence(times=np.array([]), zones=np.array([], dtype=int), k=9,
+                             span=(0.0, 20.0))
+        hop = 5.0 / (MAX_WINDOWS + 10)
+        with pytest.raises(TooManyWindows):
+            window_distributions(empty, window_s=15.0, hop_s=hop)
+
+    def test_hop_below_float_spacing_on_the_edge_is_refused(self):
+        # The first window ends exactly on the edge, so the closed-form
+        # estimate is one window; but a 1e-300 s hop never moves a start,
+        # so every later window passes the edge test too.
+        seq = ZoneSequence(times=np.arange(0.0, 14.0, 0.5), zones=np.ones(28, dtype=int),
+                           k=9, span=(0.0, 15.0 - 1e-9))
+        with pytest.raises(TooManyWindows):
+            window_distributions(seq, window_s=15.0, hop_s=1e-300)
 
 
 class TestAverageDistribution:
-    def make_windows(self, probs_list):
-        return [
-            type("W", (), {"probs": tuple(p)})() for p in probs_list
-        ]
-
     def test_plain_mean(self):
-        avg = average_distribution(self.make_windows([(1.0, 0.0), (0.0, 1.0)]))
+        avg = average_distribution(np.array([(1.0, 0.0), (0.0, 1.0)]))
         assert avg.probs == (0.5, 0.5)
 
     def test_single_window_identity(self):
-        avg = average_distribution(self.make_windows([(0.25, 0.75)]))
+        avg = average_distribution(np.array([(0.25, 0.75)]))
         assert avg.probs == (0.25, 0.75)
 
     def test_idempotent_on_identical_windows(self):
-        avg = average_distribution(self.make_windows([(0.2, 0.8)] * 3))
+        avg = average_distribution(np.array([(0.2, 0.8)] * 3))
         assert avg.probs == pytest.approx((0.2, 0.8), abs=1e-15)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
             average_distribution([])
+        with pytest.raises(EmptyInput):
+            average_distribution(np.empty((0, 9)))
 
     def test_ragged_raises(self):
         with pytest.raises(DimensionMismatch):
-            average_distribution(self.make_windows([(1.0,), (0.5, 0.5)]))
+            average_distribution([(1.0,), (0.5, 0.5)])
+
+    def test_single_vector_raises(self):
+        with pytest.raises(DimensionMismatch):
+            average_distribution(np.array([0.5, 0.5]))
 
     def test_equals_zone_shares_when_windows_tile_data_once(self):
         # Two back-to-back 15 s windows with equal sample counts cover
@@ -198,7 +255,7 @@ class TestAverageDistribution:
         seq = ZoneSequence(times=times, zones=zones, k=9, span=(0.0, 30.0))
         windows = window_distributions(seq, window_s=15.0, hop_s=15.0)
         assert len(windows) == 2
-        avg = average_distribution(windows)
+        avg = average_distribution(windows.probs)
         assert avg.probs == pytest.approx(zone_shares(seq), abs=1e-12)
 
 
