@@ -17,9 +17,8 @@ import logging
 import math
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -179,20 +178,6 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
-class _WindowBudget:
-    """Windows one `analyze` run may still pool, shared by its session workers."""
-
-    def __init__(self):
-        self._left = MAX_WINDOWS
-        self._lock = threading.Lock()
-
-    def spend(self, n: int) -> None:
-        with self._lock:
-            self._left -= n
-            if self._left < 0:
-                raise TooManyWindows(f"the sessions pool more than {MAX_WINDOWS} windows")
-
-
 @dataclass
 class _SessionDerived:
     """Everything one session contributes to the pooled artifacts."""
@@ -204,10 +189,17 @@ class _SessionDerived:
     averaged: tuple[float, ...] | None
     feature_rows: list[FeatureRow]
     heat_points: np.ndarray       # (n, 2): valid gaze x, y after gap repair
+    warnings: list[str]           # logged by the parent, in input-directory order
 
 
-def _derive_session(directory: Path, model: ZoneModel, window_s: float, hop_s: float,
-                    budget: _WindowBudget) -> _SessionDerived:
+def _derive_session(directory: Path, model: ZoneModel, window_s: float,
+                    hop_s: float) -> _SessionDerived:
+    """One session's contribution; runs in a worker process under `--jobs N`.
+
+    It logs nothing itself, so warnings come out in input order whatever
+    the workers' timing, and it refuses a session that alone places more
+    than MAX_WINDOWS windows before returning them.
+    """
     session = read_session_dir(directory)
     meta = session.meta
     alive = extract_alive_segments(session.timeline, meta.player_id)
@@ -222,6 +214,8 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float, hop_s: f
     heat_x: list[np.ndarray] = []
     heat_y: list[np.ndarray] = []
     feature_rows: list[FeatureRow] = []
+    warnings: list[str] = []
+    n_windows = 0
 
     for interval, gaze_seg, input_seg in zip(alive, gaze_segments, input_segments):
         rnd = session.timeline.round_containing(interval.start_t)
@@ -231,7 +225,9 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float, hop_s: f
 
         seq = assign_zones(repaired, model, span=(interval.start_t, interval.end_t))
         windows = window_distributions(seq, window_s=window_s, hop_s=hop_s)
-        budget.spend(len(windows))
+        n_windows += len(windows)
+        if n_windows > MAX_WINDOWS:
+            raise TooManyWindows(f"{meta.player_id} pools more than {MAX_WINDOWS} windows")
         segment_windows.append(windows)
         segment_rounds.append(round_index)
 
@@ -260,15 +256,15 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float, hop_s: f
             feature_rows.append(FeatureRow(meta.player_id, cohort, round_index,
                                            "mouse_vel_mean_px_s", kin.vel_mean_px_s))
         except (EtkError, ValueError) as e:
-            log.warning("%s round %d: skipping input features (%s)",
-                        meta.player_id, round_index, e)
+            warnings.append(f"{meta.player_id} round {round_index}: "
+                            f"skipping input features ({e})")
 
     if session.hrm is not None:
         try:
             feature_rows.append(FeatureRow(meta.player_id, meta.cohort.value, 0,
                                            "bpm_mean", mean_bpm(beats_to_bpm(session.hrm))))
         except InsufficientData as e:
-            log.warning("%s: skipping bpm (%s)", meta.player_id, e)
+            warnings.append(f"{meta.player_id}: skipping bpm ({e})")
 
     windows = WindowSeries.concat(segment_windows, model.k)
     window_round = np.repeat(np.asarray(segment_rounds, dtype=np.int64),
@@ -277,15 +273,64 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float, hop_s: f
     if len(windows):
         averaged = average_distribution(windows.probs).probs
     else:
-        log.warning("%s: no rolling windows (segments shorter than %gs)",
-                    meta.player_id, window_s)
+        warnings.append(f"{meta.player_id}: no rolling windows "
+                        f"(segments shorter than {window_s:g}s)")
 
     missing = dict(audit.to_dict(), interpolated_samples=interpolated)
     heat_points = np.column_stack((np.concatenate(heat_x), np.concatenate(heat_y))) \
         if heat_x else np.empty((0, 2))
     return _SessionDerived(meta=meta, screen=session.gaze.screen, missing=missing,
                            windows=windows, window_round=window_round, averaged=averaged,
-                           feature_rows=feature_rows, heat_points=heat_points)
+                           feature_rows=feature_rows, heat_points=heat_points,
+                           warnings=warnings)
+
+
+def _pool_sessions(dirs: list[Path], results) -> list[_SessionDerived]:
+    """The derived sessions of `dirs`, taken from `results` in input order.
+
+    Each session's warnings are logged as it is taken. A player_id seen
+    twice, or a pooled window total above MAX_WINDOWS, is refused as
+    soon as the session that causes it is taken.
+    """
+    derived: list[_SessionDerived] = []
+    first_dir: dict[str, Path] = {}
+    pooled = 0
+    for d, session in zip(dirs, results):
+        for warning in session.warnings:
+            log.warning("%s", warning)
+        other = first_dir.setdefault(session.meta.player_id, d)
+        if other != d:
+            raise AssemblyError([], f"player_id {session.meta.player_id!r} appears in "
+                                    f"both {other} and {d}")
+        pooled += len(session.windows)
+        if pooled > MAX_WINDOWS:
+            raise TooManyWindows(f"the sessions pool more than {MAX_WINDOWS} windows")
+        derived.append(session)
+    return derived
+
+
+def _derive_sessions(dirs: list[Path], derive, jobs: int) -> list[_SessionDerived]:
+    """`derive` of each directory, pooled: serially, or in up to `jobs` processes.
+
+    Workers are forked, not spawned: a spawned worker would import numpy
+    and etk again (about 0.2 s each). The executor forks all its workers
+    before it starts its manager thread, and numpy's OpenBLAS stops its
+    thread in its own fork handler, so no other thread runs when this
+    process forks. A failure cancels the sessions not yet started; the
+    pool is shut down before the error propagates.
+    """
+    workers = min(jobs, len(dirs))
+    if workers == 1:
+        return _pool_sessions(dirs, map(derive, dirs))
+    # Imported here: the import costs every other command about 1 MB and 20 ms.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        return _pool_sessions(dirs, pool.map(derive, dirs))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _atomic_write_blocks(path: Path, blocks) -> None:
@@ -407,20 +452,14 @@ def cmd_analyze(args) -> int:
     if args.bandwidth != "auto":
         if float(args.bandwidth) <= 0:
             raise ValueError("--bandwidth must be positive or 'auto'")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    budget = _WindowBudget()
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        derived = list(pool.map(
-            lambda d: _derive_session(d, model, args.window_s, args.hop_s, budget), dirs))
-    first_dir: dict[str, Path] = {}
-    for d, session in zip(dirs, derived):
-        other = first_dir.setdefault(session.meta.player_id, d)
-        if other != d:
-            raise AssemblyError([], f"player_id {session.meta.player_id!r} appears in "
-                                    f"both {other} and {d}")
+    derive = partial(_derive_session, model=model, window_s=args.window_s, hop_s=args.hop_s)
+    derived = _derive_sessions(dirs, derive, args.jobs)
     derived.sort(key=lambda d: (d.meta.cohort.value, d.meta.player_id))
 
     screens = {d.screen for d in derived}

@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+An error raised in an `analyze --jobs N` worker process reaches the
+parent by pickle, so every type rebuilds from its constructor arguments.
+"""
 from __future__ import annotations
 
 
@@ -20,16 +24,23 @@ class ParseError(EtkError):
         self.message = message
         super().__init__(f"{kind}: line {line} (byte {byte_offset}): {message}")
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.line, self.byte_offset, self.message)
+
 
 class AssemblyError(EtkError):
     """A parsed session failed validation; wraps the violation list."""
 
     def __init__(self, violations, message: str = "session failed validation"):
         self.violations = list(violations)
+        self.message = message
         detail = "; ".join(str(v) for v in self.violations[:5])
         if len(self.violations) > 5:
             detail += f"; ... ({len(self.violations)} total)"
         super().__init__(f"{message}: {detail}" if detail else message)
+
+    def __reduce__(self):
+        return type(self), (self.violations, self.message)
 
 
 class UnknownPlayer(EtkError):

@@ -451,9 +451,9 @@ def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: InputSer
 def _fmt_column(column: np.ndarray) -> list[str]:
     """`fmt_num` of every entry of a float column."""
     out = list(map(repr, column.tolist()))
-    integral = (column == np.trunc(column)) & (np.abs(column) < 1e15)
-    for i in np.flatnonzero(integral).tolist():
-        out[i] = fmt_num(column[i])
+    integral = np.flatnonzero((column == np.trunc(column)) & (np.abs(column) < 1e15))
+    for i, text in zip(integral.tolist(), map(str, column[integral].astype(np.int64).tolist())):
+        out[i] = text
     return out
 
 

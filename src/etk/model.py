@@ -13,7 +13,7 @@ so a session can be inspected wholesale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import ClassVar
 
@@ -128,6 +128,12 @@ class _Columns:
 
     def __len__(self) -> int:
         return len(getattr(self, next(iter(self._COLUMNS))))
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so `__post_init__` freezes the
+        # unpickled columns again: a series returned by a worker process
+        # stays read-only.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     def __getitem__(self, index):
         return replace(self, **{name: getattr(self, name)[index] for name in self._COLUMNS})

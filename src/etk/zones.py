@@ -415,12 +415,19 @@ def read_zone_model_csv(path) -> ZoneModel:
 
 def write_heatmap_csv(hm: Heatmap, path) -> None:
     from .ingest import _write_text
-    lines = [",".join(str(int(v)) for v in row) for row in hm.grid]
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = hm.grid.astype(np.int64).tolist()
+    _write_text(path, "".join(",".join(map(str, row)) + "\n" for row in rows))
+
+
+_PGM_LINE = 70    # plain PGM lines should not exceed 70 characters
 
 
 def write_heatmap_pgm(hm: Heatmap, path) -> None:
-    """P2 (plain) PGM, counts max-normalized onto 0..255."""
+    """P2 (plain) PGM, counts max-normalized onto 0..255.
+
+    Each grid row starts a new line and is wrapped greedily: a line takes
+    as many of the row's values as fit in 70 characters.
+    """
     from .ingest import _write_text
     rows, cols = hm.grid.shape
     peak = int(hm.grid.max()) if hm.total else 0
@@ -429,14 +436,13 @@ def write_heatmap_pgm(hm: Heatmap, path) -> None:
     else:
         scaled = np.zeros_like(hm.grid, dtype=int)
     lines = [f"P2", f"{cols} {rows}", "255"]
-    for row in scaled:
-        line = ""
-        for v in row:
-            tok = str(int(v))
-            if line and len(line) + 1 + len(tok) > 70:
-                lines.append(line)
-                line = tok
-            else:
-                line = tok if not line else f"{line} {tok}"
-        lines.append(line)
+    for row in scaled.tolist():
+        text = " ".join(map(str, row))
+        start = 0
+        while len(text) - start > _PGM_LINE:
+            # Values are at most 3 digits, so a space always lies within reach.
+            cut = text.rindex(" ", start, start + _PGM_LINE + 1)
+            lines.append(text[start:cut])
+            start = cut + 1
+        lines.append(text[start:])
     _write_text(path, "\n".join(lines) + "\n")

@@ -1,13 +1,16 @@
 """End-to-end CLI behavior: exit codes, artifacts, and determinism."""
 import json
+import os
 import shutil
+import subprocess
 import sys
-import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
+import etk
 from etk.cli import main
 
 ANALYZE_ARTIFACTS = {
@@ -180,6 +183,43 @@ class TestAnalyzeCommand:
         assert tree_bytes(serial, skip=("manifest.json",)) == \
             tree_bytes(parallel, skip=("manifest.json",))
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, corpus, tmp_path, capsys, jobs):
+        out = tmp_path / "run"
+        assert main(["analyze", str(corpus), "--out", str(out), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs,pools", [("1", []), ("64", [(3, "fork")])])
+    def test_pool_never_outnumbers_sessions(self, corpus, tmp_path, monkeypatch, jobs, pools):
+        started = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                started.append((max_workers, mp_context.get_start_method()))
+                super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
+        assert main(["analyze", str(corpus), "--out", str(tmp_path / "run"),
+                     "--jobs", jobs]) == 0
+        assert started == pools
+
+    def test_warnings_keep_input_order_under_jobs(self, corpus, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(etk.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        env.pop("ETK_LOG", None)
+        errs = []
+        for jobs in ("1", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "etk.cli", "analyze", str(corpus),
+                 "--out", str(tmp_path / jobs), "--window-s", "500", "--jobs", jobs],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            errs.append(proc.stderr)
+        assert errs[0] == errs[1]
+        assert [line.split(":")[1].strip() for line in errs[0].splitlines()
+                if "no rolling windows" in line] == ["am02", "am03", "pro01"]
+
     def test_single_session_skips_pca(self, corpus, tmp_path):
         out = tmp_path / "solo"
         assert main(["analyze", str(corpus / "pro01"), "--out", str(out)]) == 0
@@ -261,43 +301,28 @@ class TestWindowLimits:
         assert elapsed < 1.0
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_pooled_window_total_above_cap_is_refused(self, corpus, tmp_path, capsys,
-                                                     monkeypatch):
+                                                     monkeypatch, jobs):
         monkeypatch.setattr("etk.cli.MAX_WINDOWS", 100)
         out = tmp_path / "run"
-        assert main(["analyze", str(corpus), "--out", str(out), "--hop-s", "0.5"]) == 1
+        assert main(["analyze", str(corpus), "--out", str(out), "--hop-s", "0.5",
+                     "--jobs", jobs]) == 1
         assert "--hop-s" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
-    def test_window_budget_loses_no_update_across_threads(self, monkeypatch):
-        from etk.cli import _WindowBudget
-        from etk.errors import TooManyWindows
-        threads, spends = 8, 2000
-        monkeypatch.setattr("etk.cli.MAX_WINDOWS", threads * spends)
-        budget = _WindowBudget()
-        errors = []
-
-        def spend_all():
-            try:
-                for _ in range(spends):
-                    budget.spend(1)
-            except TooManyWindows as e:
-                errors.append(e)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=spend_all) for _ in range(threads)]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert errors == []
-        with pytest.raises(TooManyWindows):
-            budget.spend(1)
+    def test_session_above_cap_is_refused_alike_under_jobs(self, corpus, tmp_path, capsys,
+                                                           monkeypatch):
+        # hop 0.5 places 62 windows in each session, so the first session
+        # alone passes a cap of 30, in the worker that derives it.
+        monkeypatch.setattr("etk.cli.MAX_WINDOWS", 30)
+        errs = []
+        for jobs in ("1", "2"):
+            assert main(["analyze", str(corpus), "--out", str(tmp_path / jobs),
+                         "--hop-s", "0.5", "--jobs", jobs]) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert "am02 pools more than 30 windows" in errs[0]
 
     @pytest.mark.parametrize("flag", ["--window-s", "--hop-s"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -355,6 +380,41 @@ class TestInputErrors:
         assert str(root / "am02") in err
         assert str(root / "am02_copy") in err
         assert not (out / "manifest.json").exists()
+
+    @staticmethod
+    def _corrupt_gaze(root):
+        gaze = root / "pro01" / "gaze.csv"
+        lines = gaze.read_text().splitlines()
+        lines.insert(50, "not,a,gaze,row")
+        gaze.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("damage,args,code", [
+        pytest.param("corrupt gaze", [], 2, id="parse"),
+        pytest.param("missing input", [], 3, id="assembly"),
+        pytest.param("duplicate player_id", [], 3, id="duplicate"),
+        pytest.param(None, ["--hop-s", "1e-300"], 1, id="too-many-windows"),
+    ])
+    def test_jobs_keep_exit_code_and_message(self, corpus, tmp_path, capsys, damage, args,
+                                             code):
+        root = tmp_path / "corpus"
+        for name in ("pro01", "am02", "am03"):
+            shutil.copytree(corpus / name, root / name)
+        if damage == "corrupt gaze":
+            self._corrupt_gaze(root)
+        elif damage == "missing input":
+            (root / "am03" / "input.csv").unlink()
+        elif damage == "duplicate player_id":
+            shutil.copytree(corpus / "am02", root / "am02_copy")
+        outcomes = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"run{jobs}"
+            got = main(["analyze", str(root), "--out", str(out), "--jobs", jobs, *args])
+            outcomes.append((got, capsys.readouterr().err))
+            assert not (out / "manifest.json").exists()
+        assert outcomes[0] == outcomes[1]
+        exit_code, err = outcomes[0]
+        assert exit_code == code
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_atomic_write_removes_tmp_when_writer_fails(tmp_path):

@@ -1,4 +1,8 @@
 """Domain model construction and validate_session behavior."""
+import pickle
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from etk.model import (
@@ -14,6 +18,7 @@ from etk.model import (
     canonical_key_order,
     validate_session,
 )
+from etk.zones import WindowSeries
 from conftest import make_gaze, make_timeline
 
 
@@ -120,3 +125,21 @@ def test_interval_is_half_open():
 def test_round_contains_is_closed():
     r = Round(index=1, start_t=0.0, end_t=40.0)
     assert r.contains(0.0) and r.contains(40.0) and not r.contains(40.1)
+
+
+@pytest.mark.parametrize("series", [
+    make_gaze([(0.0, 1.0, 2.0), (0.5, None, None)], screen=(640, 480)),
+    InputSeries([0.0, 0.01], [1.0, 2.0], [3.0, 4.0], [0, 5]),
+    WindowSeries(np.arange(2), np.array([0.0, 1.0]), np.eye(2)),
+], ids=lambda series: type(series).__name__)
+def test_columns_stay_read_only_after_pickling(series):
+    copy = pickle.loads(pickle.dumps(series))
+    assert type(copy) is type(series)
+    for f in fields(series):
+        want, got = getattr(series, f.name), getattr(copy, f.name)
+        if f.name in series._COLUMNS:
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert got == want

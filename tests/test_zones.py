@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from etk.errors import DegenerateInput, DimensionMismatch, EmptyInput, TooManyWindows
 from etk.zones import (
     MAX_WINDOWS,
+    Heatmap,
     WindowSeries,
     ZoneModel,
     ZoneSequence,
@@ -22,6 +23,7 @@ from etk.zones import (
     read_zone_model_csv,
     window_distributions,
     write_zone_model_csv,
+    write_heatmap_csv,
     write_heatmap_pgm,
     zone_shares,
 )
@@ -372,6 +374,62 @@ class TestHeatmap:
         assert lines[1] == "2 1"
         assert lines[2] == "255"
         assert lines[3].split() == ["128", "255"]  # 1/2 and 2/2 of peak
+
+
+def cellwise_heatmap_csv(hm: Heatmap) -> str:
+    """The cell-by-cell CSV writer that write_heatmap_csv replaced (the oracle)."""
+    lines = [",".join(str(int(v)) for v in row) for row in hm.grid]
+    return "\n".join(lines) + "\n"
+
+
+def cellwise_heatmap_pgm(hm: Heatmap) -> str:
+    """The cell-by-cell PGM writer that write_heatmap_pgm replaced (the oracle)."""
+    rows, cols = hm.grid.shape
+    peak = int(hm.grid.max()) if hm.total else 0
+    if peak > 0:
+        scaled = np.rint(hm.grid * (255.0 / peak)).astype(int)
+    else:
+        scaled = np.zeros_like(hm.grid, dtype=int)
+    lines = [f"P2", f"{cols} {rows}", "255"]
+    for row in scaled:
+        line = ""
+        for v in row:
+            tok = str(int(v))
+            if line and len(line) + 1 + len(tok) > 70:
+                lines.append(line)
+                line = tok
+            else:
+                line = tok if not line else f"{line} {tok}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 200), peak=st.integers(0, 10**6),
+       seed=st.integers(0, 2**32 - 1))
+def test_heatmap_writers_match_cellwise_oracle(rows, cols, peak, seed):
+    # Counts spread over 0..peak give PGM values of one to three digits, so
+    # rows wrap at every possible position around the 70-character limit.
+    rng = np.random.default_rng(seed)
+    grid = rng.integers(0, peak + 1, size=(rows, cols)) * rng.integers(0, 2, size=(rows, cols))
+    hm = Heatmap(grid=grid, cell_px=10, total=int(grid.sum()))
+    for write, oracle in ((write_heatmap_csv, cellwise_heatmap_csv),
+                          (write_heatmap_pgm, cellwise_heatmap_pgm)):
+        buf = io.StringIO()
+        write(hm, buf)
+        assert buf.getvalue() == oracle(hm)
+
+
+def test_heatmap_writers_match_cellwise_oracle_on_screen_grid():
+    rng = np.random.default_rng(5)
+    points = np.column_stack((rng.normal(960, 300, 20000), rng.normal(540, 200, 20000)))
+    hm = heatmap_grid(points, screen=(1920, 1080))
+    assert hm.grid.shape == (108, 192)
+    for write, oracle in ((write_heatmap_csv, cellwise_heatmap_csv),
+                          (write_heatmap_pgm, cellwise_heatmap_pgm)):
+        buf = io.StringIO()
+        write(hm, buf)
+        assert buf.getvalue() == oracle(hm)
 
 
 class TestScaleCovariance:
