@@ -33,7 +33,7 @@ from .errors import (
     ParseError,
     TooManyWindows,
 )
-from .ingest import META_FILE, _fmt_column, fmt_num, read_session_dir, write_session_dir
+from .ingest import META_FILE, read_session_dir, write_session_dir
 from .input_features import (
     MOUSE1,
     FeatureRow,
@@ -54,6 +54,7 @@ from .preprocess import (
 )
 from .rng import Rng
 from .synth import CohortProfile, Scenario, default_profiles, generate_session, load_profiles
+from .textio import _fmt_column, _fmt_distinct, fmt_num
 from .zones import (
     MAX_WINDOWS,
     WindowSeries,
@@ -77,6 +78,10 @@ EXIT_ASSEMBLY = 3
 EXIT_DEGENERATE = 4
 
 KDE_FEATURES = ("ad_hold_fraction", "w_m1_fraction")
+# Every file `analyze` can write; manifest.json first, as it marks a complete run.
+ANALYZE_FILES = ("manifest.json", "missing.json", "windows.csv", "averages.csv", "zones.csv",
+                 "features.csv", "kde.csv", "pca_model.csv", "pca_projections.csv",
+                 *(f"heatmap_{c.value}.{ext}" for c in Cohort for ext in ("csv", "pgm")))
 _CHUNK_ROWS = 4096    # window rows formatted at a time when writing CSVs
 
 
@@ -361,8 +366,7 @@ def _write_windows_csv(path: Path, derived: list[_SessionDerived], k: int) -> No
     header = "player_id,cohort,round,window_index,window_start," + \
         ",".join(f"p{i}" for i in range(1, k + 1))
     blocks = _window_blocks(derived, "", lambda d, rows: (
-        _fmt_column(d.windows.start[rows]),
-        *(_fmt_column(d.windows.probs[rows, j]) for j in range(k))))
+        _fmt_column(d.windows.start[rows]), *_fmt_distinct(d.windows.probs[rows])))
     _atomic_write_blocks(path, chain([header + "\n"], blocks))
 
 
@@ -391,8 +395,8 @@ def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> No
     _atomic_write_text(out_dir / "pca_model.csv", "\n".join(lines) + "\n")
 
     def pcs(d, rows):
-        xy = project(model, d.windows.probs[rows], dims=2)
-        return _fmt_column(xy[:, 0]), _fmt_column(xy[:, 1])
+        # Windows with equal probabilities project to equal rows.
+        return _fmt_distinct(project(model, d.windows.probs[rows], dims=2))
 
     averaged = [d for d in derived if d.averaged is not None]
     xy = project(model, [d.averaged for d in averaged], dims=2)
@@ -457,6 +461,10 @@ def cmd_analyze(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A reused --out keeps no file of an earlier run, and a run that fails
+    # partway leaves no manifest beside the files it did write.
+    for name in ANALYZE_FILES:
+        (out_dir / name).unlink(missing_ok=True)
 
     derive = partial(_derive_session, model=model, window_s=args.window_s, hop_s=args.hop_s)
     derived = _derive_sessions(dirs, derive, args.jobs)

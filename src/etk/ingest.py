@@ -56,6 +56,7 @@ from .model import (
     validate_session,
     with_player,
 )
+from .textio import _fmt_column, _write_text, fmt_num
 
 GAZE_FILE = "gaze.csv"
 INPUT_FILE = "input.csv"
@@ -87,14 +88,6 @@ _KIND_RANK = {
     EventKind.KILL: 4,
     EventKind.DEATH: 5,
 }
-
-
-def fmt_num(v: float) -> str:
-    """Shortest decimal string that parses back to exactly `v`."""
-    v = float(v)
-    if v.is_integer() and abs(v) < 1e15:
-        return str(int(v))
-    return repr(v)
 
 
 def _read_bytes(source) -> bytes:
@@ -448,15 +441,6 @@ def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: InputSer
 # ---------------------------------------------------------------------------
 # Writers (canonical form)
 
-def _fmt_column(column: np.ndarray) -> list[str]:
-    """`fmt_num` of every entry of a float column."""
-    out = list(map(repr, column.tolist()))
-    integral = np.flatnonzero((column == np.trunc(column)) & (np.abs(column) < 1e15))
-    for i, text in zip(integral.tolist(), map(str, column[integral].astype(np.int64).tolist())):
-        out[i] = text
-    return out
-
-
 def write_gaze_csv(series: GazeSeries, path) -> None:
     xs, ys = _fmt_column(series.x), _fmt_column(series.y)
     for i in np.flatnonzero(~series.valid).tolist():
@@ -498,18 +482,6 @@ def write_demo_events(timeline: MatchTimeline, path) -> None:
     _write_text(path, "\n".join(_demo_lines(timeline)) + "\n")
 
 
-def _write_text(path, text: str) -> None:
-    if hasattr(path, "write"):
-        data = text.encode("utf-8")
-        try:
-            path.write(data)
-        except TypeError:
-            path.write(text)
-        return
-    with open(path, "wb") as f:
-        f.write(text.encode("utf-8"))
-
-
 # ---------------------------------------------------------------------------
 # Session directories
 
@@ -542,6 +514,8 @@ def read_meta_json(path) -> tuple[PlayerMeta, tuple[int, int], float]:
     except json.JSONDecodeError as e:
         raise ParseError(kind, e.lineno, len(text[:e.pos].encode("utf-8")),
                          f"{path}: invalid JSON: {e.msg}") from None
+    except RecursionError:
+        raise ParseError(kind, 1, 0, f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError(kind, 1, 0, f"{path}: expected a JSON object")
 

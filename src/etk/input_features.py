@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import EmptySupport, InsufficientData
 from .model import DEFAULT_INPUT_PERIOD_S, InputSeries, Interval, key_mask, true_runs
+from .textio import _write_text, fmt_num
 from .zones import ZoneModel, assign_zone
 
 MOUSE1 = "MOUSE1"
@@ -205,7 +206,6 @@ class FeatureRow:
 
 
 def write_feature_table(rows: list[FeatureRow], path) -> None:
-    from .ingest import _write_text, fmt_num
     lines = ["player_id,cohort,round,feature,value"]
     for r in rows:
         lines.append(f"{r.player_id},{r.cohort},{r.round_index},{r.feature},{fmt_num(r.value)}")

@@ -16,8 +16,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DegenerateInput, DimensionMismatch, EmptyInput, ParseError, TooManyWindows
+from .ingest import _iter_lines
 from .model import GazeSeries, _Columns
 from .rng import Rng
+from .textio import _write_text, fmt_num
 
 DEFAULT_WINDOW_S = 15.0
 DEFAULT_HOP_S = 1.0
@@ -373,7 +375,6 @@ def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX
 # Exports
 
 def write_zone_model_csv(model: ZoneModel, path) -> None:
-    from .ingest import _write_text, fmt_num
     lines = ["k,label,x,y"]
     for i, ((x, y), label) in enumerate(zip(model.centers, model.labels), start=1):
         lines.append(f"{i},{label},{fmt_num(x)},{fmt_num(y)}")
@@ -381,7 +382,6 @@ def write_zone_model_csv(model: ZoneModel, path) -> None:
 
 
 def read_zone_model_csv(path) -> ZoneModel:
-    from .ingest import _iter_lines
     centers: list[tuple[float, float]] = []
     labels: list[str] = []
     saw_header = False
@@ -414,7 +414,6 @@ def read_zone_model_csv(path) -> ZoneModel:
 
 
 def write_heatmap_csv(hm: Heatmap, path) -> None:
-    from .ingest import _write_text
     rows = hm.grid.astype(np.int64).tolist()
     _write_text(path, "".join(",".join(map(str, row)) + "\n" for row in rows))
 
@@ -428,7 +427,6 @@ def write_heatmap_pgm(hm: Heatmap, path) -> None:
     Each grid row starts a new line and is wrapped greedily: a line takes
     as many of the row's values as fit in 70 characters.
     """
-    from .ingest import _write_text
     rows, cols = hm.grid.shape
     peak = int(hm.grid.max()) if hm.total else 0
     if peak > 0:

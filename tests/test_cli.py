@@ -229,6 +229,43 @@ class TestAnalyzeCommand:
         assert "windows.csv" in names
         assert "heatmap_amateur.csv" not in names
 
+    def test_cleanup_list_names_every_artifact(self):
+        from etk.cli import ANALYZE_FILES
+        assert ANALYZE_FILES[0] == "manifest.json"
+        assert sorted(ANALYZE_FILES) == sorted(ANALYZE_ARTIFACTS)
+
+    def test_reused_out_keeps_no_stale_artifact(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        assert main(["analyze", str(corpus), "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["analyze", str(corpus / "pro01"), "--out", str(out)]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["analyze", str(corpus / "pro01"), "--out", str(fresh)]) == 0
+        assert tree_bytes(out, skip=("notes.txt",)) == tree_bytes(fresh)
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("damage,code", [("one zone", 4), ("corrupt gaze", 2)])
+    def test_failed_run_in_reused_out_leaves_no_manifest(self, corpus, tmp_path, capsys,
+                                                         damage, code):
+        root = tmp_path / "corpus"
+        for name in ("pro01", "am02", "am03"):
+            shutil.copytree(corpus / name, root / name)
+        out = tmp_path / "run"
+        assert main(["analyze", str(root), "--out", str(out)]) == 0
+        args = []
+        if damage == "one zone":
+            # Every window of a one-zone model is (1.0,): PCA is degenerate.
+            zones = tmp_path / "one.csv"
+            zones.write_text("k,label,x,y\n1,Only,960,540\n")
+            args = ["--zones", str(zones)]
+        else:
+            TestInputErrors._corrupt_gaze(root)
+        assert main(["analyze", str(root), "--out", str(out), *args]) == code
+        capsys.readouterr()
+        names = {p.name for p in out.iterdir()}
+        assert "manifest.json" not in names
+        assert not names & {"pca_model.csv", "pca_projections.csv"}
+
     def test_manifest_config_and_digests(self, corpus, tmp_path):
         out = tmp_path / "run"
         assert main(["analyze", str(corpus), "--out", str(out),

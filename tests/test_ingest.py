@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from etk.errors import AssemblyError, ParseError
 from etk.ingest import (
     assemble_session,
-    fmt_num,
     parse_demo_events,
     parse_gaze_log,
     parse_hrm_log,
@@ -21,6 +20,7 @@ from etk.ingest import (
     write_session_dir,
 )
 from etk.model import Cohort, EventKind, InputSeries, PlayerMeta
+from etk.textio import _fmt_column, fmt_num
 from conftest import gaze_rows, input_rows
 
 
@@ -237,5 +237,4 @@ def test_gaze_write_parse_write_is_byte_identical(rows):
                           st.sampled_from([0.0, -0.0, 1e15, -1e15, 1e15 - 1, 0.5])),
                 max_size=20))
 def test_column_formatting_matches_fmt_num(values):
-    from etk.ingest import _fmt_column
     assert _fmt_column(np.array(values, dtype=float)) == [fmt_num(v) for v in values]
