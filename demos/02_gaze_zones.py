@@ -23,7 +23,6 @@ from etk import (
     default_profiles,
     default_zone_model,
     extract_alive_segments,
-    fit_zones,
     generate_session,
     heatmap_grid,
     interpolate_gaps,
@@ -88,17 +87,3 @@ print(f"\nheatmap {hm.grid.shape[0]}x{hm.grid.shape[1]} cells, "
 out = Path(tempfile.mkdtemp(prefix="etk-demo2-")) / "heatmap.pgm"
 write_heatmap_pgm(hm, out)
 print(f"wrote grayscale PGM to {out}")
-
-# --- 4. Recovering centers from data ------------------------------------------
-# The zone table is normally taken as given ("fixed" mode), but
-# fit_zones can also cluster: Lloyd iterations from greedy
-# farthest-first seeds recover blob centers from raw points.
-rng = np.random.default_rng(42)
-true_centers = [(400.0, 300.0), (1500.0, 300.0), (960.0, 800.0)]
-blob = np.vstack([np.add(c, rng.normal(0.0, 25.0, size=(400, 2)))
-                  for c in true_centers])
-fitted = fit_zones(blob, k=3, mode="lloyd", seed=1)
-recovered = sorted(fitted.centers)
-for got, want in zip(recovered, sorted(true_centers)):
-    err = float(np.hypot(got[0] - want[0], got[1] - want[1]))
-    print(f"true {want} -> fitted ({got[0]:7.2f}, {got[1]:7.2f}), off by {err:.2f} px")

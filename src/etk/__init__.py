@@ -9,7 +9,6 @@ end-to-end testing.
 from .errors import (
     AssemblyError,
     DegenerateData,
-    DegenerateInput,
     DimensionMismatch,
     EmptyInput,
     EmptySupport,
@@ -98,7 +97,6 @@ from .zones import (
     assign_zones,
     average_distribution,
     default_zone_model,
-    fit_zones,
     heatmap_grid,
     window_distributions,
     zone_shares,

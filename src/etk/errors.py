@@ -59,10 +59,6 @@ class EmptySupport(EtkError):
     """A time-normalized statistic was requested over zero total duration."""
 
 
-class DegenerateInput(EtkError):
-    """Clustering input has fewer distinct points than requested centers."""
-
-
 class DegenerateData(EtkError):
     """Data has no spread; the requested decomposition is undefined."""
 

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -46,12 +47,12 @@ from .model import (
     GameEvent,
     GazeSeries,
     InputSeries,
-    KEY_BIT,
     MatchTimeline,
     MIN_BEAT_INTERVAL_S,
     PlayerMeta,
     Round,
     Session,
+    key_mask,
     key_names,
     validate_session,
     with_player,
@@ -216,39 +217,44 @@ def _gaze_cells(cells: list[str], n: int):
     return x, y, valid
 
 
-def _gaze_columns_lines(data: bytes):
-    """Reference gaze parser, one line at a time; locates every `ParseError`."""
-    kind = "gaze"
-    ts, xs, ys, valids = [], [], [], []
+def _columns_lines(data: bytes, kind: str, header: str, row) -> tuple:
+    """Line-at-a-time reference parser of what `_bulk_columns` reads; locates every `ParseError`.
+
+    `row(parts, lineno, offset)` gives the three values that follow the
+    time in each row, so the result is four columns.
+    """
+    ncols = header.count(",") + 1
+    rows = []
     prev_t = -math.inf
     saw_header = False
     for lineno, offset, text in _iter_lines(data, kind):
         if not saw_header:
-            if text != GAZE_HEADER:
-                raise ParseError(kind, lineno, offset,
-                                 f"expected header {GAZE_HEADER!r}, got {text!r}")
+            if text != header:
+                raise ParseError(kind, lineno, offset, f"expected header {header!r}, got {text!r}")
             saw_header = True
             continue
         parts = text.split(",")
-        if len(parts) != 3:
-            raise ParseError(kind, lineno, offset, f"expected 3 columns, got {len(parts)}")
+        if len(parts) != ncols:
+            raise ParseError(kind, lineno, offset, f"expected {ncols} columns, got {len(parts)}")
         t = _parse_float(parts[0], kind, lineno, offset, "timestamp")
         if t <= prev_t:
             raise ParseError(kind, lineno, offset,
                              f"timestamp {t} is not strictly increasing (previous {prev_t})")
         prev_t = t
-        ts.append(t)
-        if parts[1] == "" or parts[2] == "":
-            xs.append(math.nan)
-            ys.append(math.nan)
-            valids.append(False)
-        else:
-            xs.append(_parse_float(parts[1], kind, lineno, offset, "x coordinate"))
-            ys.append(_parse_float(parts[2], kind, lineno, offset, "y coordinate"))
-            valids.append(True)
+        rows.append((t, *row(parts, lineno, offset)))
     if not saw_header:
         raise ParseError(kind, 1, 0, "empty file: missing header")
-    return ts, xs, ys, valids
+    return tuple(zip(*rows)) or ((),) * 4
+
+
+def _gaze_row(parts: list[str], lineno: int, offset: int):
+    if parts[1] == "" or parts[2] == "":
+        return math.nan, math.nan, False
+    return (_parse_float(parts[1], "gaze", lineno, offset, "x coordinate"),
+            _parse_float(parts[2], "gaze", lineno, offset, "y coordinate"), True)
+
+
+_gaze_columns_lines = partial(_columns_lines, kind="gaze", header=GAZE_HEADER, row=_gaze_row)
 
 
 def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
@@ -266,59 +272,29 @@ def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
     return GazeSeries(*columns, nominal_rate_hz=rate_hz, screen=screen)
 
 
-def _key_cell_mask(cell: str) -> int:
-    mask = 0
-    for tok in cell.split("+") if cell else ():
-        if tok not in KEY_BIT:
-            raise _Fallback
-        mask |= KEY_BIT[tok]
-    return mask
-
-
 def _input_cells(cells: list[str], n: int):
     mx = _floats(cells[1::4], n)
     my = _floats(cells[2::4], n)
     if not (np.isfinite(mx).all() and np.isfinite(my).all()):
         raise _Fallback
     key_cells = cells[3::4]
-    masks = {cell: _key_cell_mask(cell) for cell in set(key_cells)}
+    try:
+        masks = {cell: key_mask(cell.split("+") if cell else ()) for cell in set(key_cells)}
+    except ValueError:
+        raise _Fallback from None
     return mx, my, np.fromiter(map(masks.__getitem__, key_cells), np.uint32, n)
 
 
-def _input_columns_lines(data: bytes):
-    """Reference input parser, one line at a time; locates every `ParseError`."""
-    kind = "input"
-    ts, mxs, mys, keys = [], [], [], []
-    prev_t = -math.inf
-    saw_header = False
-    for lineno, offset, text in _iter_lines(data, kind):
-        if not saw_header:
-            if text != INPUT_HEADER:
-                raise ParseError(kind, lineno, offset,
-                                 f"expected header {INPUT_HEADER!r}, got {text!r}")
-            saw_header = True
-            continue
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ParseError(kind, lineno, offset, f"expected 4 columns, got {len(parts)}")
-        t = _parse_float(parts[0], kind, lineno, offset, "timestamp")
-        if t <= prev_t:
-            raise ParseError(kind, lineno, offset,
-                             f"timestamp {t} is not strictly increasing (previous {prev_t})")
-        prev_t = t
-        ts.append(t)
-        mxs.append(_parse_float(parts[1], kind, lineno, offset, "mouse_x"))
-        mys.append(_parse_float(parts[2], kind, lineno, offset, "mouse_y"))
-        mask = 0
-        if parts[3]:
-            for tok in parts[3].split("+"):
-                if tok not in KEY_BIT:
-                    raise ParseError(kind, lineno, offset, f"unknown key token {tok!r}")
-                mask |= KEY_BIT[tok]
-        keys.append(mask)
-    if not saw_header:
-        raise ParseError(kind, 1, 0, "empty file: missing header")
-    return ts, mxs, mys, keys
+def _input_row(parts: list[str], lineno: int, offset: int):
+    mx = _parse_float(parts[1], "input", lineno, offset, "mouse_x")
+    my = _parse_float(parts[2], "input", lineno, offset, "mouse_y")
+    try:
+        return mx, my, key_mask(parts[3].split("+") if parts[3] else ())
+    except ValueError as e:
+        raise ParseError("input", lineno, offset, str(e)) from None
+
+
+_input_columns_lines = partial(_columns_lines, kind="input", header=INPUT_HEADER, row=_input_row)
 
 
 def parse_input_log(source) -> InputSeries:

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import EmptySupport, InsufficientData
 from .model import DEFAULT_INPUT_PERIOD_S, InputSeries, Interval, key_mask, true_runs
 from .textio import _write_text, fmt_num
-from .zones import ZoneModel, assign_zone
+from .zones import ZoneModel, _nearest_zones
 
 MOUSE1 = "MOUSE1"
 KINEMATICS_WINDOW_S = 1.0
@@ -187,13 +187,12 @@ def click_zone_distribution(samples: InputSeries, button: str,
     The zone is assigned from the mouse position at the onset sample,
     not the release.
     """
-    counts = [0] * model.k
-    onsets = _key_runs(samples, button)[0].tolist()
-    for i in onsets:
-        counts[assign_zone((samples.mouse_x[i], samples.mouse_y[i]), model) - 1] += 1
-    if not onsets:
-        return tuple(0.0 for _ in counts)
-    return tuple(c / len(onsets) for c in counts)
+    onsets = _key_runs(samples, button)[0]
+    if not len(onsets):
+        return (0.0,) * model.k
+    zones = _nearest_zones(samples.mouse_x[onsets], samples.mouse_y[onsets],
+                           model.centers_array())
+    return tuple(c / len(onsets) for c in np.bincount(zones - 1, minlength=model.k).tolist())
 
 
 @dataclass(frozen=True)

@@ -36,15 +36,9 @@ KEY_ALPHABET = (
     "R", "E", "Q",
     "1", "2", "3", "4", "5",
 )
-_KEY_RANK = {k: i for i, k in enumerate(KEY_ALPHABET)}
 # Bit of each key in an input keys mask, and the mask of every key.
 KEY_BIT = {k: 1 << i for i, k in enumerate(KEY_ALPHABET)}
 _ALL_KEYS = (1 << len(KEY_ALPHABET)) - 1
-
-
-def canonical_key_order(keys) -> list[str]:
-    """Sort key tokens into the declared alphabet order (unknowns last)."""
-    return sorted(keys, key=lambda k: (_KEY_RANK.get(k, len(KEY_ALPHABET)), k))
 
 
 class Cohort(str, Enum):

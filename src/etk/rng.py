@@ -87,10 +87,6 @@ class Rng:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
 
-    def randrange(self, n: int) -> int:
-        """Integer in [0, n); modulo bias is negligible for n << 2^64."""
-        return self.u64() % n
-
     def geometric(self, p: float) -> int:
         """Number of trials to the first success, >= 1."""
         if p >= 1.0:

@@ -15,10 +15,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch, EmptyInput, ParseError, TooManyWindows
-from .ingest import _iter_lines
+from .errors import DimensionMismatch, EmptyInput, ParseError, TooManyWindows
+from .ingest import _iter_lines, _parse_float, _parse_int
 from .model import GazeSeries, _Columns
-from .rng import Rng
 from .textio import _write_text, fmt_num
 
 DEFAULT_WINDOW_S = 15.0
@@ -28,8 +27,6 @@ _WINDOW_EDGE_TOL = 1e-9
 # Most window starts one `window_distributions` call may place, and most
 # windows one `analyze` run may pool (the densest benchmark run pools 12,478).
 MAX_WINDOWS = 1_000_000
-_LLOYD_TOL_PX = 1e-6
-_LLOYD_MAX_ITER = 100
 
 _DEFAULT_CENTERS = (
     (960.0, 540.0),
@@ -157,118 +154,24 @@ class Heatmap:
         return self.grid / float(self.total)
 
 
+def _nearest_zones(x: np.ndarray, y: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """1-based index of each point's Euclidean-nearest center; ties take the lowest index."""
+    d2 = (x[:, None] - centers[None, :, 0]) ** 2 + (y[:, None] - centers[None, :, 1]) ** 2
+    return np.argmin(d2, axis=1) + 1
+
+
 def assign_zone(point: tuple[float, float], model: ZoneModel) -> int:
-    """1-based index of the Euclidean-nearest center; ties take the lowest index."""
-    x, y = point
-    centers = model.centers_array()
-    d2 = (centers[:, 0] - x) ** 2 + (centers[:, 1] - y) ** 2
-    return int(np.argmin(d2)) + 1
+    """Zone index (1..k) of one point."""
+    x, y = np.asarray(point, dtype=float).reshape(2, 1)
+    return int(_nearest_zones(x, y, model.centers_array())[0])
 
 
 def assign_zones(segment: GazeSeries, model: ZoneModel,
                  span: tuple[float, float] | None = None) -> ZoneSequence:
     """Categorize every valid sample of a gaze segment."""
     valid = segment.valid
-    t, x, y = segment.t[valid], segment.x[valid], segment.y[valid]
-    if len(t) == 0:
-        return ZoneSequence(times=t, zones=np.zeros(0, dtype=np.int64), k=model.k, span=span)
-    centers = model.centers_array()
-    d2 = (x[:, None] - centers[None, :, 0]) ** 2 + (y[:, None] - centers[None, :, 1]) ** 2
-    return ZoneSequence(times=t, zones=np.argmin(d2, axis=1) + 1, k=model.k, span=span)
-
-
-def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.argmin(d2, axis=1)
-
-
-def lloyd_step(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
-    """One Lloyd update.
-
-    Returns the re-estimated centers and the within-cluster sum of
-    squared distances of the assignment made against the input centers.
-    Clusters that attract no points keep their current center.
-    """
-    assign = _nearest(points, centers)
-    sse = 0.0
-    new_centers = centers.copy()
-    for j in range(len(centers)):
-        mask = assign == j
-        if mask.any():
-            cluster = points[mask]
-            new_centers[j] = cluster.mean(axis=0)
-            sse += float(((cluster - centers[j]) ** 2).sum())
-    return new_centers, sse
-
-
-def _kmeanspp_seeds(points: np.ndarray, k: int, rng: Rng) -> np.ndarray:
-    """k-means++ seeding: first center uniform, then d^2-weighted picks."""
-    seeds = [points[rng.randrange(len(points))]]
-    while len(seeds) < k:
-        d2 = ((points[:, None, :] - np.asarray(seeds)[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-        total = float(d2.sum())
-        if total <= 0.0:
-            raise DegenerateInput(f"fewer than {k} distinct points")
-        target = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(d2), target, side="right"))
-        seeds.append(points[min(idx, len(points) - 1)])
-    return np.asarray(seeds, dtype=float)
-
-
-def fit_zones(points, k: int, mode: str = "fixed", seeds=None, seed: int = 0) -> ZoneModel:
-    """Build a zone model from gaze points.
-
-    mode "fixed" returns `seeds` verbatim; "lloyd" runs Lloyd
-    iterations from `seeds` (k-means++ seeded by `seed` when absent)
-    until the largest center movement drops below 1e-6 px or 100
-    iterations pass; "farthest_first" runs greedy k-center growth from
-    the point nearest the centroid. Non-fixed modes need at least k
-    distinct points.
-    """
-    if mode == "fixed":
-        if seeds is None:
-            raise ValueError("mode 'fixed' requires seeds")
-        centers = [tuple(float(c) for c in s) for s in seeds]
-        return ZoneModel(centers=tuple(centers),
-                         labels=tuple(f"Zone {i + 1}" for i in range(len(centers))))
-
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
-        raise ValueError("points must be a non-empty list of (x, y) pairs")
-    distinct = len(np.unique(pts, axis=0))
-    if distinct < k:
-        raise DegenerateInput(f"{distinct} distinct points cannot support k={k}")
-
-    if mode == "lloyd":
-        if seeds is not None:
-            centers = np.asarray(seeds, dtype=float)
-        else:
-            centers = _kmeanspp_seeds(pts, k, Rng(seed))
-        for _ in range(_LLOYD_MAX_ITER):
-            new_centers, _ = lloyd_step(pts, centers)
-            movement = float(np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max())
-            centers = new_centers
-            if movement < _LLOYD_TOL_PX:
-                break
-    elif mode == "farthest_first":
-        centroid = pts.mean(axis=0)
-        first = int(np.argmin(((pts - centroid) ** 2).sum(axis=1)))
-        chosen = [pts[first]]
-        for _ in range(1, k):
-            d2 = ((pts[:, None, :] - np.asarray(chosen)[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-            chosen.append(pts[int(np.argmax(d2))])
-        centers = np.asarray(chosen, dtype=float)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    dedup: list[tuple[float, float]] = []
-    for c in centers:
-        pt = (float(c[0]), float(c[1]))
-        if pt in dedup:
-            raise DegenerateInput("clustering collapsed two centers onto one point")
-        dedup.append(pt)
-    return ZoneModel(centers=tuple(dedup),
-                     labels=tuple(f"Zone {i + 1}" for i in range(len(dedup))))
+    zones = _nearest_zones(segment.x[valid], segment.y[valid], model.centers_array())
+    return ZoneSequence(times=segment.t[valid], zones=zones, k=model.k, span=span)
 
 
 def _window_starts(span_start: float, span_end: float, window_s: float,
@@ -395,15 +298,17 @@ def read_zone_model_csv(path) -> ZoneModel:
         parts = text.split(",")
         if len(parts) != 4:
             raise ParseError("zones", lineno, offset, f"expected 4 columns, got {len(parts)}")
-        try:
-            idx = int(parts[0])
-            x = float(parts[2])
-            y = float(parts[3])
-        except ValueError as e:
-            raise ParseError("zones", lineno, offset, str(e)) from None
+        idx = _parse_int(parts[0], "zones", lineno, offset, "zone index")
+        x = _parse_float(parts[2], "zones", lineno, offset, "x")
+        y = _parse_float(parts[3], "zones", lineno, offset, "y")
         if idx != len(centers) + 1:
             raise ParseError("zones", lineno, offset,
                              f"zone index {idx} out of order (expected {len(centers) + 1})")
+        if parts[1] in labels:
+            raise ParseError("zones", lineno, offset, f"duplicate zone label {parts[1]!r}")
+        if (x, y) in centers:
+            raise ParseError("zones", lineno, offset,
+                             f"duplicate zone center ({fmt_num(x)}, {fmt_num(y)})")
         centers.append((x, y))
         labels.append(parts[1])
     if not saw_header:

@@ -297,6 +297,23 @@ class TestAnalyzeCommand:
                      "--zones", str(zones)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("row,message", [
+        ("2,b,nan,0", "non-finite x 'nan'"),
+        ("2,b,0,inf", "non-finite y 'inf'"),
+        ("2,b,1e309,0", "non-finite x '1e309'"),
+        ("2,b,x,0", "malformed x 'x'"),
+        ("two,b,1,0", "malformed zone index 'two'"),
+        ("2,a,1,0", "duplicate zone label 'a'"),
+        ("2,b,960,540", "duplicate zone center (960, 540)"),
+    ])
+    def test_bad_zone_row_exits_2_naming_line(self, corpus, tmp_path, capsys, row, message):
+        zones = tmp_path / "bad.csv"
+        zones.write_text(f"k,label,x,y\n1,a,960,540\n{row}\n3,c,100,100\n")
+        out = tmp_path / "x"
+        assert main(["analyze", str(corpus), "--out", str(out), "--zones", str(zones)]) == 2
+        assert capsys.readouterr().err == f"error: zones: line 3 (byte 24): {message}\n"
+        assert not out.exists()
+
     def test_bad_window_exits_1(self, corpus, tmp_path, capsys):
         assert main(["analyze", str(corpus), "--out", str(tmp_path / "x"),
                      "--window-s", "-1"]) == 1

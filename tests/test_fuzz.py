@@ -1,9 +1,11 @@
 """Fuzzing the readers and the CLI against the exit-code contract.
 
-Every capture parser either parses its input or raises `ParseError`;
-`read_meta_json` may also raise `AssemblyError` (a missing key or an
-unknown cohort). Inputs are arbitrary bytes, and valid files with bytes
-inserted, deleted or replaced, so the fuzz gets past the headers.
+Every capture parser, and the `--zones` reader, either parses its input
+or raises `ParseError`; `read_meta_json` may also raise `AssemblyError`
+(a missing key or an unknown cohort). Inputs are arbitrary bytes, and
+valid files with bytes inserted, deleted or replaced, so the fuzz gets
+past the headers. Zone models are also built from rows that repeat
+labels and centers, which byte mutations seldom reach.
 The CLI fuzz damages one or two files of a small corpus and checks that
 `main` returns one of the documented exit codes instead of raising.
 """
@@ -24,6 +26,7 @@ from etk.ingest import (
     parse_input_log,
     read_meta_json,
 )
+from etk.zones import read_zone_model_csv
 
 VALID = {
     "gaze": b"t,x,y\n0,960,540\n0.0166,961.5,539.25\n# lost\n0.0333,,\n0.05,1919.9,0\n",
@@ -31,11 +34,12 @@ VALID = {
     "hrm": b"0.5\n1.0\n1.62\n2.2\n",
     "demo": (b"round_start 0 1\nspawn 0 p1\nspawn 0 p2\nweapon_fire 1.5 p1\n"
              b"kill 2 p1 p2\ndeath 2 p2\nround_end 10 1\n"),
+    "zones": b"k,label,x,y\n1,Aiming Cross-hair,960,540\n2,b,0,1\n3,c,1e30,0\n",
     "meta": b'{"player_id": "pro01", "cohort": "professional", "n": 1, '
             b'"screen": [1920, 1080], "gaze_rate_hz": 60.0}\n',
 }
 PARSERS = {"gaze": parse_gaze_log, "input": parse_input_log,
-           "hrm": parse_hrm_log, "demo": parse_demo_events}
+           "hrm": parse_hrm_log, "demo": parse_demo_events, "zones": read_zone_model_csv}
 EXIT_CODES = {0, 1, 2, 3, 4}
 
 
@@ -114,6 +118,28 @@ def test_deeply_nested_meta_json_is_a_parse_error(tmp_path):
     with pytest.raises(ParseError, match="nested too deeply") as exc:
         read_meta_json(path)
     assert str(path) in str(exc.value)
+
+
+@st.composite
+def zone_csv(draw):
+    """A zone model CSV whose rows repeat labels and centers and hold bad numbers."""
+    rows = [b"k,label,x,y"]
+    for i in range(draw(st.integers(0, 4))):
+        idx = draw(st.sampled_from([str(i + 1), str(i + 1), "0", "x"]))
+        label = draw(st.sampled_from(["a", "b", ""]))
+        x, y = (draw(st.sampled_from(["0", "1", "-0", "nan", "inf", "1e309", "x", ""]))
+                for _ in range(2))
+        rows.append(f"{idx},{label},{x},{y}".encode())
+    return b"\n".join(rows) + b"\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(zone_csv())
+def test_zone_model_rows_parse_or_raise_parse_error(raw):
+    try:
+        read_zone_model_csv(raw)
+    except ParseError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,52 @@ def test_parse_input_unknown_key_rejected():
     assert "XYZZY" in exc.value.message
 
 
+GAZE = b"t,x,y\n"
+INPUT = b"t,mouse_x,mouse_y,keys\n"
+# (parser, data, kind, line, byte_offset, message): every field of the error.
+PARSE_ERRORS = [
+    (parse_gaze_log, b"", "gaze", 1, 0, "empty file: missing header"),
+    (parse_gaze_log, b"# only a comment\n\n", "gaze", 1, 0, "empty file: missing header"),
+    (parse_gaze_log, b"time,x,y\n0,1,2\n", "gaze", 1, 0,
+     "expected header 't,x,y', got 'time,x,y'"),
+    (parse_gaze_log, GAZE + b"0,1\n", "gaze", 2, 6, "expected 3 columns, got 2"),
+    (parse_gaze_log, GAZE + b"0,1,2,3\n", "gaze", 2, 6, "expected 3 columns, got 4"),
+    (parse_gaze_log, GAZE + b"0,1,2\nabc,1,2\n", "gaze", 3, 12, "malformed timestamp 'abc'"),
+    (parse_gaze_log, GAZE + b"nan,1,2\n", "gaze", 2, 6, "non-finite timestamp 'nan'"),
+    (parse_gaze_log, GAZE + b"1e999,,\n", "gaze", 2, 6, "non-finite timestamp '1e999'"),
+    (parse_gaze_log, GAZE + b"0.5,1,1\n0.5,2,2\n", "gaze", 3, 14,
+     "timestamp 0.5 is not strictly increasing (previous 0.5)"),
+    (parse_gaze_log, b"# c\nt,x,y\r\n1,1,2\r\n0,1,2\r\n", "gaze", 4, 18,
+     "timestamp 0.0 is not strictly increasing (previous 1.0)"),
+    (parse_gaze_log, GAZE + b"0,zz,1\n", "gaze", 2, 6, "malformed x coordinate 'zz'"),
+    (parse_gaze_log, GAZE + b"0,1,inf\n", "gaze", 2, 6, "non-finite y coordinate 'inf'"),
+    (parse_gaze_log, GAZE + b"\xff\n", "gaze", 2, 6, "invalid UTF-8: 'utf-8' codec can't "
+     "decode byte 0xff in position 0: invalid start byte"),
+    (parse_input_log, b"", "input", 1, 0, "empty file: missing header"),
+    (parse_input_log, GAZE, "input", 1, 0,
+     "expected header 't,mouse_x,mouse_y,keys', got 't,x,y'"),
+    (parse_input_log, INPUT + b"0,1,2\n", "input", 2, 23, "expected 4 columns, got 3"),
+    (parse_input_log, INPUT + b"x1,1,2,W\n", "input", 2, 23, "malformed timestamp 'x1'"),
+    (parse_input_log, INPUT + b"-inf,1,2,\n", "input", 2, 23, "non-finite timestamp '-inf'"),
+    (parse_input_log, INPUT + b"1,0,0,\n0.5,0,0,\n", "input", 3, 30,
+     "timestamp 0.5 is not strictly increasing (previous 1.0)"),
+    (parse_input_log, INPUT + b"0,1e999,0,\n", "input", 2, 23, "non-finite mouse_x '1e999'"),
+    (parse_input_log, INPUT + b"0,1,a,\n", "input", 2, 23, "malformed mouse_y 'a'"),
+    (parse_input_log, INPUT + b"0,1,2,W+XYZZY\n", "input", 2, 23, "unknown key token 'XYZZY'"),
+    (parse_input_log, INPUT + b"0,1,2,W++A\n", "input", 2, 23, "unknown key token ''"),
+    (parse_input_log, INPUT + b"0,1,2,w\n", "input", 2, 23, "unknown key token 'w'"),
+    (parse_input_log, INPUT + b"0,x,2,XYZZY\n", "input", 2, 23, "malformed mouse_x 'x'"),
+]
+
+
+@pytest.mark.parametrize("parse,data,kind,line,offset,message", PARSE_ERRORS)
+def test_parse_error_location_and_message(parse, data, kind, line, offset, message):
+    with pytest.raises(ParseError) as exc:
+        parse(data)
+    e = exc.value
+    assert (e.kind, e.line, e.byte_offset, e.message) == (kind, line, offset, message)
+
+
 def test_parse_hrm_happy_path():
     beats = parse_hrm_log(b"1.0\n1.5\n2.0\n")
     assert beats.beat_times == [1.0, 1.5, 2.0]

@@ -15,7 +15,6 @@ from etk.model import (
     PlayerMeta,
     Round,
     Session,
-    canonical_key_order,
     validate_session,
 )
 from etk.zones import WindowSeries
@@ -109,11 +108,6 @@ def test_too_fast_heartbeat_is_flagged(tiny_session):
                       timeline=tiny_session.timeline,
                       hrm=BeatSeries(beat_times=[1.0, 1.1]))
     assert any("240" in v.message for v in validate_session(session))
-
-
-def test_canonical_key_order_follows_alphabet():
-    assert canonical_key_order({"MOUSE1", "A", "W"}) == ["W", "A", "MOUSE1"]
-    assert canonical_key_order([]) == []
 
 
 def test_interval_is_half_open():

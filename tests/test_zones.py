@@ -1,4 +1,4 @@
-"""Zone model, assignment, rolling windows, clustering, and heatmaps."""
+"""Zone model, assignment, rolling windows, and heatmaps."""
 import io
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etk.errors import DegenerateInput, DimensionMismatch, EmptyInput, TooManyWindows
+from etk.errors import DimensionMismatch, EmptyInput, TooManyWindows
 from etk.zones import (
     MAX_WINDOWS,
     Heatmap,
@@ -17,9 +17,7 @@ from etk.zones import (
     assign_zones,
     average_distribution,
     default_zone_model,
-    fit_zones,
     heatmap_grid,
-    lloyd_step,
     read_zone_model_csv,
     window_distributions,
     write_zone_model_csv,
@@ -275,69 +273,6 @@ class TestZoneShares:
         seq = ZoneSequence(times=np.array([]), zones=np.array([], dtype=int), k=9)
         with pytest.raises(EmptyInput):
             zone_shares(seq)
-
-
-class TestFitZones:
-    def two_blob_points(self, n=200, seed=5, spread=5.0,
-                        centers=((100.0, 100.0), (900.0, 900.0))):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(centers[0], spread, size=(n, 2))
-        b = rng.normal(centers[1], spread, size=(n, 2))
-        return np.vstack([a, b])
-
-    def test_fixed_mode_returns_seeds_verbatim(self):
-        seeds = ((1.0, 2.0), (3.0, 4.0))
-        model = fit_zones(self.two_blob_points(), k=2, mode="fixed", seeds=seeds)
-        assert model.centers == seeds
-
-    def test_lloyd_recovers_exact_blob_means(self):
-        # Two tight, well-separated blobs: Lloyd must converge to the
-        # exact per-blob means no matter which blob seeds first.
-        points = self.two_blob_points(spread=0.1,
-                                      centers=((0.0, 0.0), (10.0, 10.0)))
-        expected = sorted([tuple(points[:200].mean(axis=0)),
-                           tuple(points[200:].mean(axis=0))])
-        model = fit_zones(points, k=2, mode="lloyd", seed=0)
-        got = sorted(model.centers)
-        for g, e in zip(got, expected):
-            assert g == pytest.approx(e, abs=1e-6)
-
-    def test_lloyd_matches_exact_two_point_solution(self):
-        # Four points in two tight pairs: the optimum is the pair midpoints.
-        points = np.array([[0.0, 0.0], [0.0, 2.0], [10.0, 0.0], [10.0, 2.0]])
-        model = fit_zones(points, k=2, mode="lloyd", seeds=((0.0, 1.0), (9.0, 1.0)))
-        assert sorted(model.centers) == [(0.0, 1.0), (10.0, 1.0)]
-
-    def test_lloyd_step_never_increases_sse(self):
-        points = self.two_blob_points(seed=9)
-        centers = np.array([[0.0, 0.0], [50.0, 50.0]])
-        last = math.inf
-        for _ in range(20):
-            centers, sse = lloyd_step(points, centers)
-            assert sse <= last + 1e-9
-            last = sse
-
-    def test_farthest_first_picks_one_seed_per_blob(self):
-        points = self.two_blob_points()
-        model = fit_zones(points, k=2, mode="farthest_first")
-        blobs = sorted(model.centers)
-        # Greedy k-center picks actual data points, one from each blob.
-        assert math.dist(blobs[0], (100.0, 100.0)) < 30.0
-        assert math.dist(blobs[1], (900.0, 900.0)) < 30.0
-
-    def test_too_few_distinct_points_raises(self):
-        points = np.array([[1.0, 1.0]] * 50 + [[2.0, 2.0]] * 50)
-        with pytest.raises(DegenerateInput):
-            fit_zones(points, k=3, mode="farthest_first")
-
-    def test_lloyd_too_few_distinct_points_raises(self):
-        points = np.array([[1.0, 1.0], [2.0, 2.0]])
-        with pytest.raises(DegenerateInput):
-            fit_zones(points, k=3, mode="lloyd")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            fit_zones(self.two_blob_points(), k=2, mode="voronoi")
 
 
 class TestHeatmap:
