@@ -16,6 +16,8 @@ import json
 import logging
 import math
 import os
+import re
+import shutil
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -54,7 +56,7 @@ from .preprocess import (
 )
 from .rng import Rng
 from .synth import CohortProfile, Scenario, default_profiles, generate_session, load_profiles
-from .textio import _fmt_column, _fmt_distinct, fmt_num
+from .textio import _fmt_column, _fmt_distinct, _write_text, fmt_num
 from .zones import (
     MAX_WINDOWS,
     WindowSeries,
@@ -92,21 +94,6 @@ def _configure_logging() -> None:
                         stream=sys.stderr)
 
 
-def _atomic_write(path: Path, writer) -> None:
-    """Run `writer(tmp_path)` then rename over the target; no temp file outlives a failure."""
-    tmp = Path(str(path) + ".tmp")
-    try:
-        writer(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    _atomic_write(path, lambda tmp: tmp.write_bytes(text.encode("utf-8")))
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:
@@ -142,8 +129,7 @@ def _expand_session_dirs(paths: list[str]) -> list[Path]:
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
     manifest = {"command": command, "config": config, "inputs": inputs}
-    _atomic_write_text(out_dir / "manifest.json",
-                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +160,7 @@ def cmd_ingest(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(out_dir / "summary.json", payload + "\n")
+        _write_text(out_dir / "summary.json", payload + "\n")
         _write_manifest(out_dir, "ingest", {"paths": [str(d) for d in dirs]},
                         {str(d): _dir_digests(d) for d in dirs})
     return EXIT_OK
@@ -338,14 +324,6 @@ def _derive_sessions(dirs: list[Path], derive, jobs: int) -> list[_SessionDerive
         pool.shutdown(cancel_futures=True)
 
 
-def _atomic_write_blocks(path: Path, blocks) -> None:
-    """Write an iterable of text blocks, each written as soon as it is produced."""
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8", newline="") as f:
-            f.writelines(blocks)
-    _atomic_write(path, write)
-
-
 def _window_blocks(derived: list[_SessionDerived], kind: str, columns):
     """Lines `<kind>player_id,cohort,round,window_index,<columns>`, one per window.
 
@@ -367,7 +345,7 @@ def _write_windows_csv(path: Path, derived: list[_SessionDerived], k: int) -> No
         ",".join(f"p{i}" for i in range(1, k + 1))
     blocks = _window_blocks(derived, "", lambda d, rows: (
         _fmt_column(d.windows.start[rows]), *_fmt_distinct(d.windows.probs[rows])))
-    _atomic_write_blocks(path, chain([header + "\n"], blocks))
+    _write_text(path, chain([header + "\n"], blocks))
 
 
 def _write_averages_csv(path: Path, derived: list[_SessionDerived], k: int) -> None:
@@ -378,7 +356,7 @@ def _write_averages_csv(path: Path, derived: list[_SessionDerived], k: int) -> N
             continue
         lines.append(f"{d.meta.player_id},{d.meta.cohort.value},"
                      + ",".join(fmt_num(p) for p in d.averaged))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> None:
@@ -392,7 +370,7 @@ def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> No
         lines.append(f"component_{i}," + ",".join(fmt_num(v) for v in comp))
     lines.append("explained_variance," + ",".join(fmt_num(v) for v in model.explained_variance))
     lines.append("explained_ratio," + ",".join(fmt_num(v) for v in model.explained_ratio))
-    _atomic_write_text(out_dir / "pca_model.csv", "\n".join(lines) + "\n")
+    _write_text(out_dir / "pca_model.csv", "\n".join(lines) + "\n")
 
     def pcs(d, rows):
         # Windows with equal probabilities project to equal rows.
@@ -402,14 +380,14 @@ def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> No
     xy = project(model, [d.averaged for d in averaged], dims=2)
     averages = (f"average,{d.meta.player_id},{d.meta.cohort.value},,,{x},{y}\n" for d, x, y in
                 zip(averaged, _fmt_column(xy[:, 0]), _fmt_column(xy[:, 1])))
-    _atomic_write_blocks(out_dir / "pca_projections.csv", chain(
+    _write_text(out_dir / "pca_projections.csv", chain(
         ["kind,player_id,cohort,round,window_index,pc1,pc2\n"],
         _window_blocks(derived, "window,", pcs), averages))
 
 
 def _write_missing_json(path: Path, derived: list[_SessionDerived]) -> None:
     payload = {d.meta.player_id: d.missing for d in derived}
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_heatmaps(out_dir: Path, derived: list[_SessionDerived],
@@ -420,10 +398,8 @@ def _write_heatmaps(out_dir: Path, derived: list[_SessionDerived],
         if not len(points):
             continue
         hm = heatmap_grid(points, screen=screen)
-        _atomic_write(out_dir / f"heatmap_{cohort.value}.csv",
-                      lambda tmp, hm=hm: write_heatmap_csv(hm, tmp))
-        _atomic_write(out_dir / f"heatmap_{cohort.value}.pgm",
-                      lambda tmp, hm=hm: write_heatmap_pgm(hm, tmp))
+        write_heatmap_csv(hm, out_dir / f"heatmap_{cohort.value}.csv")
+        write_heatmap_pgm(hm, out_dir / f"heatmap_{cohort.value}.pgm")
 
 
 def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: str) -> None:
@@ -442,7 +418,7 @@ def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: str) -
                 continue
             for x, dv in zip(xs, dens):
                 lines.append(f"{cohort.value},{feature},{fmt_num(x)},{fmt_num(dv)}")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_analyze(args) -> int:
@@ -479,10 +455,8 @@ def cmd_analyze(args) -> int:
     _write_missing_json(out_dir / "missing.json", derived)
     _write_windows_csv(out_dir / "windows.csv", derived, k)
     _write_averages_csv(out_dir / "averages.csv", derived, k)
-    _atomic_write(out_dir / "zones.csv", lambda tmp: write_zone_model_csv(model, tmp))
-    feature_rows = [r for d in derived for r in d.feature_rows]
-    _atomic_write(out_dir / "features.csv",
-                  lambda tmp: write_feature_table(feature_rows, tmp))
+    write_zone_model_csv(model, out_dir / "zones.csv")
+    write_feature_table([r for d in derived for r in d.feature_rows], out_dir / "features.csv")
     _write_kde_csv(out_dir / "kde.csv", derived, args.bandwidth)
     _write_heatmaps(out_dir, derived, screen)
 
@@ -526,8 +500,12 @@ def cmd_synth(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # A reused --out keeps no session of an earlier run; other entries stay.
+    (out_dir / "manifest.json").unlink(missing_ok=True)
+    for child in out_dir.iterdir():
+        if re.fullmatch(r"(pro|am)\d{2,}", child.name) and (child / META_FILE).is_file():
+            shutil.rmtree(child)
     master = Rng(args.seed)
-    written: list[Path] = []
     for i in range(args.count):
         if i < n_pro:
             cohort, prefix = Cohort.PROFESSIONAL, "pro"
@@ -536,7 +514,7 @@ def cmd_synth(args) -> int:
         meta = PlayerMeta(player_id=f"{prefix}{i + 1:02d}", cohort=cohort, n=i + 1)
         session = generate_session(profiles[cohort], scenario,
                                    seed=master.child_seed(i), meta=meta)
-        written.append(write_session_dir(session, out_dir / meta.player_id))
+        write_session_dir(session, out_dir / meta.player_id)
         log.info("synthesized %s (%s)", meta.player_id, cohort.value)
 
     _write_manifest(out_dir, "synth",
@@ -591,7 +569,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParseError as e:
-        log.error("%s", e)
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except InvalidProfile as e:

@@ -83,12 +83,6 @@ _EVENT_RANK = {
     "kill": 4,
     "death": 5,
 }
-_KIND_RANK = {
-    EventKind.SPAWN: 2,
-    EventKind.WEAPON_FIRE: 3,
-    EventKind.KILL: 4,
-    EventKind.DEATH: 5,
-}
 
 
 def _read_bytes(source) -> bytes:
@@ -393,7 +387,7 @@ def parse_demo_events(source) -> MatchTimeline:
 
     ordered = sorted(
         (e for _, _, e in events),
-        key=lambda e: (e.t, _KIND_RANK[e.kind], e.subject, e.object or ""),
+        key=lambda e: (e.t, _EVENT_RANK[e.kind.value], e.subject, e.object or ""),
     )
     return MatchTimeline(rounds=sorted(rounds, key=lambda r: r.start_t), events=ordered)
 
@@ -449,7 +443,7 @@ def _demo_lines(timeline: MatchTimeline) -> list[str]:
             text = f"kill {fmt_num(e.t)} {e.subject} {e.object}"
         else:
             text = f"{e.kind.value} {fmt_num(e.t)} {e.subject}"
-        items.append((e.t, _KIND_RANK[e.kind], text))
+        items.append((e.t, _EVENT_RANK[e.kind.value], text))
     items.sort(key=lambda it: (it[0], it[1], it[2]))
     return [text for _, _, text in items]
 
@@ -529,6 +523,14 @@ def write_session_dir(session: Session, directory) -> Path:
     return d
 
 
+def _parse_file(parser, path: Path):
+    """`parser(path)`, whose `ParseError` names the file as `read_meta_json`'s do."""
+    try:
+        return parser(path)
+    except ParseError as e:
+        raise ParseError(e.kind, e.line, e.byte_offset, f"{path}: {e.message}") from None
+
+
 def read_session_dir(directory) -> Session:
     """Parse a session directory (hrm.txt optional) into a validated Session."""
     d = Path(directory)
@@ -537,8 +539,8 @@ def read_session_dir(directory) -> Session:
     if missing:
         raise AssemblyError([], f"session directory {d} is missing {', '.join(missing)}")
     meta, screen, rate = read_meta_json(d / META_FILE)
-    gaze = parse_gaze_log(d / GAZE_FILE, screen=screen, rate_hz=rate)
-    input_samples = parse_input_log(d / INPUT_FILE)
-    hrm = parse_hrm_log(d / HRM_FILE) if (d / HRM_FILE).is_file() else None
-    timeline = parse_demo_events(d / DEMO_FILE)
+    gaze = _parse_file(partial(parse_gaze_log, screen=screen, rate_hz=rate), d / GAZE_FILE)
+    input_samples = _parse_file(parse_input_log, d / INPUT_FILE)
+    hrm = _parse_file(parse_hrm_log, d / HRM_FILE) if (d / HRM_FILE).is_file() else None
+    timeline = _parse_file(parse_demo_events, d / DEMO_FILE)
     return assemble_session(meta, gaze, input_samples, timeline, hrm)

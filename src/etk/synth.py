@@ -232,12 +232,7 @@ def _runs_to_mask(runs: list[tuple[int, int]], n: int) -> np.ndarray:
 
 def _missing_mask(rng: Rng, n: int, missing_rate: float) -> np.ndarray:
     """Invalid-sample mask with geometric runs averaging a few samples."""
-    if missing_rate <= 0.0 or n == 0:
-        return np.zeros(n, dtype=bool)
-    if missing_rate >= 1.0:
-        return np.ones(n, dtype=bool)
-    runs = _two_state_runs(rng, n, missing_rate, MISSING_RUN_MEAN_SAMPLES)
-    return _runs_to_mask(runs, n)
+    return _runs_to_mask(_two_state_runs(rng, n, missing_rate, MISSING_RUN_MEAN_SAMPLES), n)
 
 
 def _generate_timeline(rng: Rng, scenario: Scenario, player_id: str) -> MatchTimeline:

@@ -6,6 +6,9 @@ The column kernels give the same strings as `fmt_num` on each entry.
 """
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 
@@ -40,14 +43,27 @@ def _fmt_distinct(matrix: np.ndarray) -> list[list[str]]:
     return texts.take(inverse.reshape(matrix.shape)).T.tolist()
 
 
-def _write_text(path, text: str) -> None:
-    """Write `text` as UTF-8 to a path, or to an open binary or text stream."""
+def _write_text(path, text) -> None:
+    """Write `text`, a str or an iterable of str blocks, as UTF-8; etk's only file writer.
+
+    A path gets `<path>.tmp`, block by block, renamed over it at the end;
+    on failure the temp file goes and the target keeps its old bytes.
+    A binary or text stream gets the blocks joined.
+    """
+    blocks = [text] if isinstance(text, str) else text
     if hasattr(path, "write"):
-        data = text.encode("utf-8")
+        text = "".join(blocks)
         try:
-            path.write(data)
+            path.write(text.encode("utf-8"))
         except TypeError:
             path.write(text)
         return
-    with open(path, "wb") as f:
-        f.write(text.encode("utf-8"))
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for block in blocks:
+                f.write(block.encode("utf-8"))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise

@@ -90,6 +90,24 @@ class TestSynthCommand:
         assert "invalid profile" in err
         assert "gaze_noise_px" in err
 
+    def test_reused_out_drops_stale_sessions_only(self, tmp_path):
+        args = ["--rounds", "2", "--round-s", "30"]
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["synth", "--out", str(reused), "--count", "3", *args]) == 0
+        (reused / "notes.txt").write_text("keep\n")
+        for name in ("data", "pro01x", "am09"):   # no session: not a match, or no meta.json
+            (reused / name).mkdir()
+            (reused / name / "keep.txt").write_text("keep\n")
+        assert main(["synth", "--out", str(reused), "--count", "2", *args]) == 0
+        assert main(["synth", "--out", str(fresh), "--count", "2", *args]) == 0
+        kept = {"notes.txt", "data", "pro01x", "am09"}
+        assert {p.name for p in reused.iterdir()} == {p.name for p in fresh.iterdir()} | kept
+        assert tree_bytes(reused, skip=kept) == tree_bytes(fresh)
+        for name in ("pro01", "am02"):
+            assert tree_bytes(reused / name) == tree_bytes(fresh / name)
+        for name in ("data", "pro01x", "am09"):
+            assert (reused / name / "keep.txt").read_text() == "keep\n"
+
     def test_same_seed_reruns_are_byte_identical(self, corpus, tmp_path):
         again = tmp_path / "again"
         assert main(["synth", "--out", str(again), "--count", "3",
@@ -435,6 +453,40 @@ class TestInputErrors:
         assert str(root / "am02_copy") in err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("name,kind", [("gaze.csv", "gaze"), ("input.csv", "input"),
+                                           ("hrm.txt", "hrm"), ("demo.events", "demo")])
+    def test_session_parse_error_names_file_alike_under_jobs(self, corpus, tmp_path, capsys,
+                                                             name, kind):
+        root = tmp_path / "corpus"
+        for player in ("pro01", "am02", "am03"):
+            shutil.copytree(corpus / player, root / player)
+        path = root / "am02" / name
+        lines = path.read_text().splitlines()
+        lines.insert(3, "bad row")
+        path.write_text("\n".join(lines) + "\n")
+        errs = []
+        for jobs in ("1", "2"):
+            assert main(["analyze", str(root), "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(f"error: {kind}: line 4 (byte ")
+        assert f"): {path}: " in errs[0]
+        assert errs[0].count("\n") == 1
+
+    def test_parse_error_is_printed_once(self, corpus, tmp_path):
+        broken = tmp_path / "pro01"
+        shutil.copytree(corpus / "pro01", broken)
+        self._corrupt_gaze(tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(etk.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        env.pop("ETK_LOG", None)
+        proc = subprocess.run([sys.executable, "-m", "etk.cli", "ingest", str(broken)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: gaze: line 51 ")
+        assert proc.stderr.count("\n") == 1
+
     @staticmethod
     def _corrupt_gaze(root):
         gaze = root / "pro01" / "gaze.csv"
@@ -472,13 +524,15 @@ class TestInputErrors:
 
 
 def test_atomic_write_removes_tmp_when_writer_fails(tmp_path):
-    from etk.cli import _atomic_write
+    from etk.textio import _write_text
     target = tmp_path / "artifact.csv"
+    target.write_bytes(b"old\n")
 
-    def failing(tmp):
-        Path(tmp).write_bytes(b"partial")
+    def blocks():
+        yield "partial\n"
         raise OSError("disk full")
 
     with pytest.raises(OSError, match="disk full"):
-        _atomic_write(target, failing)
-    assert list(tmp_path.iterdir()) == []
+        _write_text(target, blocks())
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_bytes() == b"old\n"

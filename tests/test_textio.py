@@ -4,12 +4,17 @@
 the texts back. It must give exactly the strings `_fmt_column` gives for
 each column, whatever the values repeat, their signs or their kind.
 `column_by_column_windows_csv` is the `windows.csv` writer from before
-the kernel, kept as the oracle of `cli._write_windows_csv`.
+the kernel, kept as the oracle of `cli._write_windows_csv`. A source scan
+keeps `_write_text` the only function in etk that writes a file.
 """
+import ast
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import etk
 from etk.cli import _SessionDerived, _write_windows_csv
 from etk.model import Cohort, PlayerMeta
 from etk.textio import _fmt_column, _fmt_distinct
@@ -119,3 +124,30 @@ def test_windows_csv_without_windows(tmp_path):
     path = tmp_path / "windows.csv"
     _write_windows_csv(path, derived, 2)
     assert path.read_text() == column_by_column_windows_csv(derived, 2)
+
+
+def _creates_file(call: ast.Call) -> bool:
+    """Whether a call opens a file for writing, writes a path or renames over one."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_bytes", "write_text"):
+        return True
+    if name == "replace":
+        return isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os"
+    if name == "open":
+        modes = [*call.args, *(k.value for k in call.keywords if k.arg == "mode")]
+        return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                   and set(m.value) & set("wax+") for m in modes)
+    return False
+
+
+def test_only_textio_writes_files():
+    """Every file etk writes goes through `textio._write_text`, atomically."""
+    offenders = []
+    for path in sorted(Path(etk.__file__).parent.glob("*.py")):
+        if path.name == "textio.py":
+            continue
+        tree = ast.parse(path.read_text())
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _creates_file(node)]
+    assert offenders == []
