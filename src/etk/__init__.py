@@ -31,7 +31,6 @@ from .ingest import (
 from .input_features import (
     ClickStats,
     FeatureRow,
-    HoldInterval,
     MouseKinematics,
     click_stats,
     click_zone_distribution,
@@ -70,7 +69,6 @@ from .numerics import (
     silverman_bandwidth,
 )
 from .preprocess import (
-    BpmSample,
     MissingReport,
     beats_to_bpm,
     extract_alive_segments,

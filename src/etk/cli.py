@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
     TooManyWindows,
 )
-from .ingest import META_FILE, read_session_dir, write_session_dir
+from .ingest import META_FILE, _parse_file, read_session_dir, write_session_dir
 from .input_features import (
     MOUSE1,
     FeatureRow,
@@ -426,7 +426,7 @@ def cmd_analyze(args) -> int:
     if args.zones == "default":
         model = default_zone_model()
     else:
-        model = read_zone_model_csv(args.zones)
+        model = _parse_file(read_zone_model_csv, args.zones)
     if not (0 < args.window_s < math.inf and 0 < args.hop_s < math.inf):
         raise ValueError("--window-s and --hop-s must be positive and finite")
     if args.bandwidth != "auto":

@@ -29,7 +29,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 import sys
 from functools import partial
 from itertools import repeat
@@ -86,13 +85,10 @@ _EVENT_RANK = {
 
 
 def _read_bytes(source) -> bytes:
-    """The whole content of a path, a bytes object or a binary stream."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            return f.read()
+    """The whole content of a path or a bytes object."""
     if isinstance(source, (bytes, bytearray)):
         return bytes(source)
-    return source.read()
+    return Path(source).read_bytes()
 
 
 def _iter_lines(source, kind: str):
@@ -428,7 +424,7 @@ def write_input_csv(samples: InputSeries, path) -> None:
 
 
 def write_hrm_txt(beats: BeatSeries, path) -> None:
-    _write_text(path, "".join(fmt_num(t) + "\n" for t in beats.beat_times))
+    _write_text(path, "".join(text + "\n" for text in _fmt_column(beats.beat_times)))
 
 
 def _demo_lines(timeline: MatchTimeline) -> list[str]:
@@ -523,7 +519,7 @@ def write_session_dir(session: Session, directory) -> Path:
     return d
 
 
-def _parse_file(parser, path: Path):
+def _parse_file(parser, path):
     """`parser(path)`, whose `ParseError` names the file as `read_meta_json`'s do."""
     try:
         return parser(path)

@@ -22,13 +22,6 @@ KINEMATICS_WINDOW_S = 1.0
 
 
 @dataclass(frozen=True)
-class HoldInterval:
-    """One maximal stretch during which a key stayed down."""
-    key: str
-    interval: Interval
-
-
-@dataclass(frozen=True)
 class ClickStats:
     click_count: int
     mean_duration_s: float
@@ -57,8 +50,8 @@ def _key_runs(samples: InputSeries, key: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def key_hold_intervals(samples: InputSeries, key: str,
-                       period_s: float | None = None) -> list[HoldInterval]:
-    """Maximal held stretches of `key` as half-open intervals.
+                       period_s: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal held stretches of `key` as half-open [start, end) arrays.
 
     A run closes at the first sample after it; a run still held at the
     end of the data closes one nominal period past the last sample.
@@ -66,10 +59,8 @@ def key_hold_intervals(samples: InputSeries, key: str,
     if period_s is None:
         period_s = nominal_period(samples)
     first, last = _key_runs(samples, key)
-    t = samples.t.tolist()
-    return [HoldInterval(key=key, interval=Interval(
-                t[lo], t[hi + 1] if hi + 1 < len(t) else t[hi] + period_s))
-            for lo, hi in zip(first.tolist(), last.tolist())]
+    t = np.append(samples.t, samples.t[-1:] + period_s)
+    return t[first], t[last + 1]
 
 
 def _overlap(lo: np.ndarray, hi: np.ndarray, intervals: list[Interval]) -> np.ndarray:
@@ -130,9 +121,7 @@ def click_stats(samples: InputSeries, button: str = MOUSE1,
     total = _alive_duration(alive)
     if total <= 0.0:
         raise EmptySupport("alive intervals have zero total duration")
-    holds = key_hold_intervals(samples, button, period_s)
-    clipped = _overlap(np.array([h.interval.start_t for h in holds]),
-                       np.array([h.interval.end_t for h in holds]), alive)
+    clipped = _overlap(*key_hold_intervals(samples, button, period_s), alive)
     durations = clipped[clipped > 0.0].tolist()
     count = len(durations)
     mean = math.fsum(durations) / count if count else 0.0

@@ -2,8 +2,8 @@
 
 Every stream (gaze, input, heart beats, game events) shares a single
 session-relative clock measured in seconds, so downstream code never
-juggles device-native units. The sampled streams are columnar: a
-`GazeSeries` or `InputSeries` holds one read-only numpy array per
+juggles device-native units. Every stream is columnar: a `GazeSeries`,
+`InputSeries` or `BeatSeries` holds one read-only numpy array per
 field, with one entry per sample, rather than an object per sample.
 All types are immutable values: construct them, share them across
 workers, never mutate them.
@@ -179,15 +179,14 @@ class InputSeries(_Columns):
     keys: np.ndarray = _empty_column()
 
 
-@dataclass(frozen=True)
-class BeatSeries:
-    """Heart beat timestamps for one player."""
+@dataclass(frozen=True, eq=False)
+class BeatSeries(_Columns):
+    """Heart beat timestamps for one player, as one float64 column."""
 
-    beat_times: list[float]
+    _COLUMNS: ClassVar[dict[str, type]] = {"beat_times": np.float64}
+
+    beat_times: np.ndarray = _empty_column()
     player: PlayerMeta | None = None
-
-    def __len__(self) -> int:
-        return len(self.beat_times)
 
 
 @dataclass(frozen=True)
@@ -322,14 +321,16 @@ def _validate_input(samples: InputSeries, out: list[Violation]) -> None:
 
 
 def _validate_hrm(hrm: BeatSeries, out: list[Violation]) -> None:
-    prev_t = -math.inf
-    for i, t in enumerate(hrm.beat_times):
+    not_increasing, prev = _not_increasing(hrm.beat_times)
+    with np.errstate(invalid="ignore"):
+        too_fast = ~not_increasing & (hrm.beat_times - prev <= MIN_BEAT_INTERVAL_S)
+    for i in np.flatnonzero(not_increasing | too_fast).tolist():
         loc = f"hrm.beat_times[{i}]"
-        if t <= prev_t:
+        t, prev_t = float(hrm.beat_times[i]), float(prev[i])
+        if not_increasing[i]:
             out.append(Violation(loc, f"beat time {t} not increasing (previous {prev_t})"))
-        elif i > 0 and t - prev_t <= MIN_BEAT_INTERVAL_S:
+        else:
             out.append(Violation(loc, f"inter-beat interval {t - prev_t:.4f}s implies pulse above 240 bpm"))
-        prev_t = t
 
 
 def _validate_timeline(timeline: MatchTimeline, out: list[Violation]) -> None:
@@ -386,15 +387,12 @@ def validate_session(session: Session) -> list[Violation]:
 
     if session.timeline.rounds:
         horizon = max(r.end_t for r in session.timeline.rounds) + TIME_SLACK_S
-        for name, last_t in (
-            ("gaze", float(session.gaze.t[-1]) if len(session.gaze) else None),
-            ("input", float(session.input.t[-1]) if len(session.input) else None),
-            ("hrm", session.hrm.beat_times[-1] if session.hrm and session.hrm.beat_times else None),
-        ):
-            if last_t is not None and last_t > horizon:
+        for name, t in (("gaze", session.gaze.t), ("input", session.input.t),
+                        ("hrm", session.hrm.beat_times if session.hrm else ())):
+            if len(t) and t[-1] > horizon:
                 out.append(Violation(
                     f"session.{name}",
-                    f"last sample at t={last_t} runs past the match end ({horizon - TIME_SLACK_S}) "
+                    f"last sample at t={float(t[-1])} runs past the match end ({horizon - TIME_SLACK_S}) "
                     f"by more than {TIME_SLACK_S}s; streams do not share a time origin"))
     return out
 

@@ -54,12 +54,6 @@ class MissingReport:
         }
 
 
-@dataclass(frozen=True)
-class BpmSample:
-    t: float
-    bpm: float
-
-
 def extract_alive_segments(timeline: MatchTimeline, player_id: str) -> list[Interval]:
     """Half-open [spawn, death) intervals for `player_id`, one per spawn.
 
@@ -152,27 +146,23 @@ def missing_stats(series: GazeSeries) -> MissingReport:
                          interpolated_samples=0)
 
 
-def beats_to_bpm(beats: BeatSeries, window_beats: int = BPM_WINDOW_BEATS) -> list[BpmSample]:
-    """Instantaneous pulse from a trailing window of beats.
+def beats_to_bpm(beats: BeatSeries, window_beats: int = BPM_WINDOW_BEATS) -> np.ndarray:
+    """Instantaneous pulse from a trailing window of beats, as a float64 array.
 
-    At each beat from index window_beats-1 on, the rate is
-    ``60 * (window_beats - 1) / (t_i - t_{i-window_beats+1})``: the
+    Entry j is the rate at beat i = j + window_beats - 1:
+    ``60 * (window_beats - 1) / (t_i - t_{i-window_beats+1})``, the
     number of inter-beat intervals inside the window over its duration.
     """
     if window_beats < 2:
         raise ValueError(f"window_beats must be >= 2, got {window_beats}")
-    times = beats.beat_times
-    if len(times) < window_beats:
+    t = beats.beat_times
+    if len(t) < window_beats:
         raise InsufficientData(
-            f"need at least {window_beats} beats, got {len(times)}")
-    out: list[BpmSample] = []
-    for i in range(window_beats - 1, len(times)):
-        dt = times[i] - times[i - window_beats + 1]
-        out.append(BpmSample(t=times[i], bpm=60.0 * (window_beats - 1) / dt))
-    return out
+            f"need at least {window_beats} beats, got {len(t)}")
+    return 60.0 * (window_beats - 1) / (t[window_beats - 1:] - t[:len(t) - window_beats + 1])
 
 
-def mean_bpm(samples: list[BpmSample]) -> float:
-    if not samples:
+def mean_bpm(rates: np.ndarray) -> float:
+    if not len(rates):
         raise InsufficientData("no bpm samples")
-    return math.fsum(s.bpm for s in samples) / len(samples)
+    return math.fsum(rates.tolist()) / len(rates)

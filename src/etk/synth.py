@@ -102,15 +102,8 @@ class CohortProfile:
             raise InvalidProfile(f"bpm_base {self.bpm_base} outside [30, 220]")
 
     def to_dict(self) -> dict:
-        return {
-            "zone_dwell": list(self.zone_dwell),
-            "dwell_persistence": self.dwell_persistence,
-            "gaze_noise_px": self.gaze_noise_px,
-            "missing_rate": self.missing_rate,
-            "ad_hold_rate": self.ad_hold_rate,
-            "w_m1_rate": self.w_m1_rate,
-            "bpm_base": self.bpm_base,
-        }
+        return {name: getattr(self, name) for name in _PROFILE_FIELDS} | {
+            "zone_dwell": list(self.zone_dwell)}
 
     @staticmethod
     def from_dict(raw: dict) -> "CohortProfile":
@@ -118,15 +111,8 @@ class CohortProfile:
         if missing:
             raise InvalidProfile(f"profile is missing fields: {', '.join(missing)}")
         try:
-            return CohortProfile(
-                zone_dwell=tuple(float(p) for p in raw["zone_dwell"]),
-                dwell_persistence=float(raw["dwell_persistence"]),
-                gaze_noise_px=float(raw["gaze_noise_px"]),
-                missing_rate=float(raw["missing_rate"]),
-                ad_hold_rate=float(raw["ad_hold_rate"]),
-                w_m1_rate=float(raw["w_m1_rate"]),
-                bpm_base=float(raw["bpm_base"]),
-            )
+            return CohortProfile(tuple(float(p) for p in raw["zone_dwell"]),
+                                 *(float(raw[name]) for name in _PROFILE_FIELDS[1:]))
         except (TypeError, ValueError) as e:
             raise InvalidProfile(f"malformed profile field: {e}") from None
 

@@ -46,18 +46,10 @@ def _fmt_distinct(matrix: np.ndarray) -> list[list[str]]:
 def _write_text(path, text) -> None:
     """Write `text`, a str or an iterable of str blocks, as UTF-8; etk's only file writer.
 
-    A path gets `<path>.tmp`, block by block, renamed over it at the end;
-    on failure the temp file goes and the target keeps its old bytes.
-    A binary or text stream gets the blocks joined.
+    The blocks go to `<path>.tmp`, which is renamed over `path` at the
+    end; on failure the temp file goes and the target keeps its old bytes.
     """
     blocks = [text] if isinstance(text, str) else text
-    if hasattr(path, "write"):
-        text = "".join(blocks)
-        try:
-            path.write(text.encode("utf-8"))
-        except TypeError:
-            path.write(text)
-        return
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as f:

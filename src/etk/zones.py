@@ -82,7 +82,7 @@ def default_zone_model() -> ZoneModel:
 
 
 @dataclass(frozen=True, eq=False)
-class ZoneSequence:
+class ZoneSequence(_Columns):
     """Categorical gaze track: zone index (1..k) per retained sample.
 
     `span` is the enclosing segment's [start, end) in seconds; window
@@ -90,23 +90,18 @@ class ZoneSequence:
     segments still window consistently. When absent, the sample extent
     is used.
     """
+
+    _COLUMNS: ClassVar[dict[str, type]] = {"times": np.float64, "zones": np.int64}
+
     times: np.ndarray
     zones: np.ndarray
     k: int
     span: tuple[float, float] | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        zones = np.asarray(self.zones, dtype=np.int64)
-        if times.shape != zones.shape or times.ndim != 1:
-            raise ValueError("times and zones must be parallel 1-D arrays")
-        if len(zones) and (zones.min() < 1 or zones.max() > self.k):
+        super().__post_init__()
+        if len(self) and (self.zones.min() < 1 or self.zones.max() > self.k):
             raise ValueError(f"zone indices must lie in 1..{self.k}")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "zones", zones)
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 @dataclass(frozen=True, eq=False)

@@ -302,11 +302,11 @@ def test_criterion_09_missingness_accounting(synth_cohorts):
 def test_criterion_10_bpm_exactness():
     with criterion(10, "bpm derivation exactness") as note:
         beats = BeatSeries(beat_times=[0.5 * (i + 1) for i in range(40)])
-        samples = beats_to_bpm(beats)
-        assert len(samples) == 37
-        for s in samples:
-            assert s.bpm == 120.0  # exact equality, no tolerance
-        note.text = f"{len(samples)} samples all exactly 120.0"
+        rates = beats_to_bpm(beats)
+        assert len(rates) == 37
+        for r in rates.tolist():
+            assert r == 120.0  # exact equality, no tolerance
+        note.text = f"{len(rates)} rates all exactly 120.0"
 
 
 def test_criterion_11_end_to_end_determinism(tmp_path):

@@ -329,7 +329,7 @@ class TestAnalyzeCommand:
         zones.write_text(f"k,label,x,y\n1,a,960,540\n{row}\n3,c,100,100\n")
         out = tmp_path / "x"
         assert main(["analyze", str(corpus), "--out", str(out), "--zones", str(zones)]) == 2
-        assert capsys.readouterr().err == f"error: zones: line 3 (byte 24): {message}\n"
+        assert capsys.readouterr().err == f"error: zones: line 3 (byte 24): {zones}: {message}\n"
         assert not out.exists()
 
     def test_bad_window_exits_1(self, corpus, tmp_path, capsys):

@@ -1,6 +1,4 @@
 """Parser and writer behavior for the four capture formats."""
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -134,7 +132,7 @@ def test_parse_error_location_and_message(parse, data, kind, line, offset, messa
 
 def test_parse_hrm_happy_path():
     beats = parse_hrm_log(b"1.0\n1.5\n2.0\n")
-    assert beats.beat_times == [1.0, 1.5, 2.0]
+    assert beats.beat_times.tolist() == [1.0, 1.5, 2.0]
 
 
 def test_parse_hrm_non_increasing_rejected():
@@ -210,23 +208,24 @@ def test_assemble_session_hrm_optional(tiny_session):
     assert session.hrm is None
 
 
-def test_write_parse_round_trip_structural(tiny_session):
-    buf = io.BytesIO()
-    write_gaze_csv(tiny_session.gaze, buf)
-    reparsed = parse_gaze_log(buf.getvalue())
+def test_write_parse_round_trip_structural(tiny_session, tmp_path):
+    path = tmp_path / "gaze.csv"
+    write_gaze_csv(tiny_session.gaze, path)
+    reparsed = parse_gaze_log(path.read_bytes())
     assert gaze_rows(reparsed) == gaze_rows(tiny_session.gaze)
 
-    buf = io.BytesIO()
-    write_input_csv(tiny_session.input, buf)
-    assert input_rows(parse_input_log(buf.getvalue())) == input_rows(tiny_session.input)
+    path = tmp_path / "input.csv"
+    write_input_csv(tiny_session.input, path)
+    assert input_rows(parse_input_log(path.read_bytes())) == input_rows(tiny_session.input)
 
-    buf = io.BytesIO()
-    write_hrm_txt(tiny_session.hrm, buf)
-    assert parse_hrm_log(buf.getvalue()).beat_times == tiny_session.hrm.beat_times
+    path = tmp_path / "hrm.txt"
+    write_hrm_txt(tiny_session.hrm, path)
+    assert (parse_hrm_log(path.read_bytes()).beat_times.tolist()
+            == tiny_session.hrm.beat_times.tolist())
 
-    buf = io.BytesIO()
-    write_demo_events(tiny_session.timeline, buf)
-    reparsed = parse_demo_events(buf.getvalue())
+    path = tmp_path / "demo.events"
+    write_demo_events(tiny_session.timeline, path)
+    reparsed = parse_demo_events(path.read_bytes())
     assert reparsed.rounds == tiny_session.timeline.rounds
     assert reparsed.events == sorted(
         tiny_session.timeline.events,
@@ -240,7 +239,7 @@ def test_session_dir_round_trip(tmp_path, tiny_session):
     assert session.meta == tiny_session.meta
     assert gaze_rows(session.gaze) == gaze_rows(tiny_session.gaze)
     assert input_rows(session.input) == input_rows(tiny_session.input)
-    assert session.hrm.beat_times == tiny_session.hrm.beat_times
+    assert session.hrm.beat_times.tolist() == tiny_session.hrm.beat_times.tolist()
 
 
 def test_read_session_dir_missing_files(tmp_path):
@@ -267,15 +266,15 @@ def test_fmt_num_round_trips_exactly(value):
                           st.floats(0, 1920, allow_nan=False),
                           st.floats(0, 1080, allow_nan=False)),
                 min_size=0, max_size=30))
-def test_gaze_write_parse_write_is_byte_identical(rows):
+def test_gaze_write_parse_write_is_byte_identical(tmp_path_factory, rows):
     rows = sorted({r[0]: r for r in rows}.values())
     from conftest import make_gaze
     series = make_gaze(rows)
-    first = io.BytesIO()
+    d = tmp_path_factory.mktemp("gaze")
+    first, second = d / "first.csv", d / "second.csv"
     write_gaze_csv(series, first)
-    second = io.BytesIO()
-    write_gaze_csv(parse_gaze_log(first.getvalue()), second)
-    assert first.getvalue() == second.getvalue()
+    write_gaze_csv(parse_gaze_log(first.read_bytes()), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -30,26 +30,27 @@ def cadence(n, period=0.1, key_on=lambda i: frozenset()):
 class TestKeyHoldIntervals:
     def test_run_to_end_of_data_closes_one_period_late(self):
         samples = make_input([mk(i * 0.01, ("W",)) for i in range(10)])
-        intervals = key_hold_intervals(samples, "W")
-        assert len(intervals) == 1
-        assert intervals[0].interval.start_t == 0.0
-        assert intervals[0].interval.end_t == pytest.approx(0.10, abs=1e-12)
+        start, end = key_hold_intervals(samples, "W")
+        assert len(start) == len(end) == 1
+        assert start[0] == 0.0
+        assert end[0] == pytest.approx(0.10, abs=1e-12)
 
     def test_run_closes_at_first_sample_after(self):
         samples = cadence(10, key_on=lambda i: frozenset(("A",)) if i < 4 else frozenset())
-        intervals = key_hold_intervals(samples, "A")
-        assert intervals[0].interval.start_t == 0.0
-        assert intervals[0].interval.end_t == pytest.approx(0.4, abs=1e-12)
+        start, end = key_hold_intervals(samples, "A")
+        assert start[0] == 0.0
+        assert end[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_never_pressed_gives_empty_list(self):
-        assert key_hold_intervals(cadence(10), "W") == []
+        start, end = key_hold_intervals(cadence(10), "W")
+        assert start.tolist() == end.tolist() == []
 
     def test_two_separated_runs(self):
         on = lambda i: frozenset(("D",)) if i in (0, 1, 5, 6, 7) else frozenset()
-        intervals = key_hold_intervals(cadence(10, key_on=on), "D")
-        assert len(intervals) == 2
-        assert intervals[0].interval.start_t == 0.0
-        assert intervals[1].interval.start_t == 0.5
+        start, end = key_hold_intervals(cadence(10, key_on=on), "D")
+        assert len(start) == len(end) == 2
+        assert start[0] == 0.0
+        assert start[1] == 0.5
 
     def test_key_and_complement_partition_the_timeline(self):
         pattern = [bool(i % 3) for i in range(30)]
@@ -57,12 +58,13 @@ class TestKeyHoldIntervals:
                               for i, held in enumerate(pattern)])
         flipped = make_input([mk(i * 0.1, () if held else ("W",))
                               for i, held in enumerate(pattern)])
-        both = key_hold_intervals(samples, "W") + key_hold_intervals(flipped, "W")
-        tiles = sorted((h.interval for h in both), key=lambda iv: iv.start_t)
-        assert tiles[0].start_t == 0.0
+        both = [pair for series in (samples, flipped)
+                for pair in zip(*(c.tolist() for c in key_hold_intervals(series, "W")))]
+        tiles = sorted(both)
+        assert tiles[0][0] == 0.0
         for a, b in zip(tiles, tiles[1:]):
-            assert b.start_t == pytest.approx(a.end_t, abs=1e-12)
-        assert tiles[-1].end_t == pytest.approx(29 * 0.1 + 0.1, abs=1e-12)
+            assert b[0] == pytest.approx(a[1], abs=1e-12)
+        assert tiles[-1][1] == pytest.approx(29 * 0.1 + 0.1, abs=1e-12)
 
 
 class TestFractionHeld:

@@ -1,11 +1,13 @@
 """Domain model construction and validate_session behavior."""
 import pickle
+import typing
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from etk.model import (
+    BeatSeries,
     Cohort,
     EventKind,
     GameEvent,
@@ -15,9 +17,10 @@ from etk.model import (
     PlayerMeta,
     Round,
     Session,
+    _Columns,
     validate_session,
 )
-from etk.zones import WindowSeries
+from etk.zones import WindowSeries, ZoneSequence
 from conftest import make_gaze, make_timeline
 
 
@@ -103,7 +106,6 @@ def test_overlapping_rounds_are_flagged(tiny_session):
 
 
 def test_too_fast_heartbeat_is_flagged(tiny_session):
-    from etk.model import BeatSeries
     session = Session(meta=tiny_session.meta, gaze=make_gaze([]), input=InputSeries(),
                       timeline=tiny_session.timeline,
                       hrm=BeatSeries(beat_times=[1.0, 1.1]))
@@ -125,6 +127,8 @@ def test_round_contains_is_closed():
     make_gaze([(0.0, 1.0, 2.0), (0.5, None, None)], screen=(640, 480)),
     InputSeries([0.0, 0.01], [1.0, 2.0], [3.0, 4.0], [0, 5]),
     WindowSeries(np.arange(2), np.array([0.0, 1.0]), np.eye(2)),
+    BeatSeries([1.0, 1.5, 2.0], player=PlayerMeta("p1", Cohort.AMATEUR, 1)),
+    ZoneSequence(np.array([0.0, 0.5]), np.array([1, 3]), k=3, span=(0.0, 1.0)),
 ], ids=lambda series: type(series).__name__)
 def test_columns_stay_read_only_after_pickling(series):
     copy = pickle.loads(pickle.dumps(series))
@@ -132,8 +136,15 @@ def test_columns_stay_read_only_after_pickling(series):
     for f in fields(series):
         want, got = getattr(series, f.name), getattr(copy, f.name)
         if f.name in series._COLUMNS:
-            assert not got.flags.writeable
+            assert not want.flags.writeable and not got.flags.writeable
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         else:
             assert got == want
+
+
+def test_every_session_stream_is_columnar():
+    hints = typing.get_type_hints(Session)
+    for name in ("gaze", "input", "hrm"):
+        types = typing.get_args(hints[name]) or (hints[name],)
+        assert all(issubclass(t, _Columns) for t in types if t is not type(None)), name

@@ -1,10 +1,21 @@
 """Alive segments, gap interpolation, missingness, and BPM derivation."""
 import math
+from itertools import accumulate
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etk.errors import InsufficientData, UnknownPlayer
-from etk.model import BeatSeries, EventKind, GameEvent, Interval
+from etk.model import (
+    MIN_BEAT_INTERVAL_S,
+    BeatSeries,
+    EventKind,
+    GameEvent,
+    Interval,
+    Violation,
+    _validate_hrm,
+)
 from etk.preprocess import (
     beats_to_bpm,
     extract_alive_segments,
@@ -179,19 +190,68 @@ class TestMissingStats:
 class TestBeatsToBpm:
     def test_constant_half_second_interval_gives_120(self):
         beats = BeatSeries(beat_times=[0.5 * (i + 1) for i in range(20)])
-        samples = beats_to_bpm(beats)
-        assert len(samples) == 17
-        assert all(s.bpm == 120.0 for s in samples)
+        rates = beats_to_bpm(beats)
+        assert len(rates) == 17
+        assert all(r == 120.0 for r in rates.tolist())
 
     def test_one_second_interval_gives_60(self):
         beats = BeatSeries(beat_times=[float(i + 1) for i in range(6)])
-        assert all(s.bpm == 60.0 for s in beats_to_bpm(beats))
+        assert all(r == 60.0 for r in beats_to_bpm(beats).tolist())
 
     def test_too_few_beats_raises(self):
         with pytest.raises(InsufficientData):
             beats_to_bpm(BeatSeries(beat_times=[1.0, 1.5, 2.0]))
 
-    def test_sample_timestamps_are_window_ends(self):
+    def test_one_rate_per_beat_from_the_window_end_on(self):
         beats = BeatSeries(beat_times=[1.0, 1.5, 2.0, 2.5, 3.0])
-        samples = beats_to_bpm(beats)
-        assert [s.t for s in samples] == [2.5, 3.0]
+        for window_beats in (2, 4, 5):
+            assert len(beats_to_bpm(beats, window_beats)) == len(beats) - window_beats + 1
+
+
+def per_beat_violations(times):
+    """The per-beat loop that `model._validate_hrm` replaced (the oracle)."""
+    out = []
+    prev_t = -math.inf
+    for i, t in enumerate(times):
+        loc = f"hrm.beat_times[{i}]"
+        if t <= prev_t:
+            out.append(Violation(loc, f"beat time {t} not increasing (previous {prev_t})"))
+        elif i > 0 and t - prev_t <= MIN_BEAT_INTERVAL_S:
+            out.append(Violation(loc, f"inter-beat interval {t - prev_t:.4f}s implies pulse above 240 bpm"))
+        prev_t = t
+    return out
+
+
+def per_beat_rates(times, window_beats):
+    """The per-beat loop that `beats_to_bpm` replaced (the oracle).
+
+    Where a window spans no time the loop raised ZeroDivisionError; the
+    column division gives the IEEE result, an infinity of the span's sign.
+    """
+    out = []
+    for i in range(window_beats - 1, len(times)):
+        dt = times[i] - times[i - window_beats + 1]
+        out.append(60.0 * (window_beats - 1) / dt if dt else math.copysign(math.inf, dt))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(0.0, 100.0),
+       steps=st.lists(st.one_of(st.sampled_from([0.0, -0.5, 0.1, 0.25, 0.5, 1.0]),
+                                st.floats(-1.0, 2.0)), max_size=30),
+       window_beats=st.integers(2, 6))
+def test_hrm_columns_match_per_beat_loops(start, steps, window_beats):
+    # Repeats (step 0), decreases and gaps at or under 0.25 s all occur.
+    times = list(accumulate(steps, initial=start))
+    beats = BeatSeries(times)
+    found = []
+    _validate_hrm(beats, found)
+    assert found == per_beat_violations(times)
+    if len(times) < window_beats:
+        with pytest.raises(InsufficientData):
+            beats_to_bpm(beats, window_beats)
+        return
+    with np.errstate(divide="ignore"):
+        rates = beats_to_bpm(beats, window_beats)
+    assert rates.dtype == np.float64
+    assert rates.tolist() == per_beat_rates(times, window_beats)

@@ -35,7 +35,7 @@ class TestDeterminism:
         b = small_session(seed=7)
         assert gaze_rows(a.gaze) == gaze_rows(b.gaze)
         assert input_rows(a.input) == input_rows(b.input)
-        assert a.hrm.beat_times == b.hrm.beat_times
+        assert a.hrm.beat_times.tolist() == b.hrm.beat_times.tolist()
         assert a.timeline.events == b.timeline.events
 
     def test_different_seed_different_session(self):

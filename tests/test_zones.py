@@ -1,5 +1,4 @@
 """Zone model, assignment, rolling windows, and heatmaps."""
-import io
 import math
 
 import numpy as np
@@ -299,12 +298,11 @@ class TestHeatmap:
         hm = heatmap_grid(points, screen=(1920, 1080), cell_px=120)
         assert math.fsum(hm.normalized().ravel()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_pgm_output_shape(self):
+    def test_pgm_output_shape(self, tmp_path):
         hm = heatmap_grid([(5.0, 5.0), (25.0, 5.0), (25.0, 5.0)],
                           screen=(40, 20), cell_px=20)
-        buf = io.StringIO()
-        write_heatmap_pgm(hm, buf)
-        lines = buf.getvalue().splitlines()
+        write_heatmap_pgm(hm, tmp_path / "h.pgm")
+        lines = (tmp_path / "h.pgm").read_text().splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "2 1"
         assert lines[2] == "255"
@@ -342,29 +340,28 @@ def cellwise_heatmap_pgm(hm: Heatmap) -> str:
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 12), cols=st.integers(1, 200), peak=st.integers(0, 10**6),
        seed=st.integers(0, 2**32 - 1))
-def test_heatmap_writers_match_cellwise_oracle(rows, cols, peak, seed):
+def test_heatmap_writers_match_cellwise_oracle(tmp_path_factory, rows, cols, peak, seed):
     # Counts spread over 0..peak give PGM values of one to three digits, so
     # rows wrap at every possible position around the 70-character limit.
     rng = np.random.default_rng(seed)
     grid = rng.integers(0, peak + 1, size=(rows, cols)) * rng.integers(0, 2, size=(rows, cols))
     hm = Heatmap(grid=grid, cell_px=10, total=int(grid.sum()))
+    path = tmp_path_factory.mktemp("heatmap") / "h"
     for write, oracle in ((write_heatmap_csv, cellwise_heatmap_csv),
                           (write_heatmap_pgm, cellwise_heatmap_pgm)):
-        buf = io.StringIO()
-        write(hm, buf)
-        assert buf.getvalue() == oracle(hm)
+        write(hm, path)
+        assert path.read_bytes() == oracle(hm).encode()
 
 
-def test_heatmap_writers_match_cellwise_oracle_on_screen_grid():
+def test_heatmap_writers_match_cellwise_oracle_on_screen_grid(tmp_path):
     rng = np.random.default_rng(5)
     points = np.column_stack((rng.normal(960, 300, 20000), rng.normal(540, 200, 20000)))
     hm = heatmap_grid(points, screen=(1920, 1080))
     assert hm.grid.shape == (108, 192)
     for write, oracle in ((write_heatmap_csv, cellwise_heatmap_csv),
                           (write_heatmap_pgm, cellwise_heatmap_pgm)):
-        buf = io.StringIO()
-        write(hm, buf)
-        assert buf.getvalue() == oracle(hm)
+        write(hm, tmp_path / "h")
+        assert (tmp_path / "h").read_bytes() == oracle(hm).encode()
 
 
 class TestScaleCovariance:
