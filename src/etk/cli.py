@@ -42,10 +42,11 @@ from .input_features import (
     click_stats,
     fraction_held,
     mouse_kinematics,
+    nominal_period,
     write_feature_table,
 )
-from .model import Cohort, PlayerMeta, Session
-from .numerics import fit_kde, fit_pca, kde_curve, project, silverman_bandwidth
+from .model import Cohort, InputSeries, Interval, PlayerMeta, Session
+from .numerics import fit_kde, fit_pca, kde_curve, project
 from .preprocess import (
     beats_to_bpm,
     extract_alive_segments,
@@ -183,6 +184,23 @@ class _SessionDerived:
     warnings: list[str]           # logged by the parent, in input-directory order
 
 
+def _segment_features(samples: InputSeries, alive: list[Interval]):
+    """Yield the (feature, value) pairs of one segment's input, in features.csv order.
+
+    The sampling period is measured once and shared by every feature
+    that credits samples with it.
+    """
+    period_s = nominal_period(samples)
+    yield "ad_hold_fraction", fraction_held(samples, {"A", "D"}, alive, "any", period_s)
+    yield "w_m1_fraction", fraction_held(samples, {"W", MOUSE1}, alive, "all", period_s)
+    stats = click_stats(samples, MOUSE1, alive, period_s)
+    yield "clicks_per_minute", stats.clicks_per_minute
+    yield "click_mean_duration_s", stats.mean_duration_s
+    kin = mouse_kinematics(samples, alive)
+    yield "mouse_path_mean_px", kin.path_mean_px
+    yield "mouse_vel_mean_px_s", kin.vel_mean_px_s
+
+
 def _derive_session(directory: Path, model: ZoneModel, window_s: float,
                     hop_s: float) -> _SessionDerived:
     """One session's contribution; runs in a worker process under `--jobs N`.
@@ -225,27 +243,11 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float,
         heat_x.append(repaired.x[repaired.valid])
         heat_y.append(repaired.y[repaired.valid])
 
-        cohort = meta.cohort.value
-        segment_alive = [interval]
         try:
-            feature_rows.append(FeatureRow(meta.player_id, cohort, round_index,
-                                           "ad_hold_fraction",
-                                           fraction_held(input_seg, {"A", "D"},
-                                                         segment_alive, mode="any")))
-            feature_rows.append(FeatureRow(meta.player_id, cohort, round_index,
-                                           "w_m1_fraction",
-                                           fraction_held(input_seg, {"W", MOUSE1},
-                                                         segment_alive, mode="all")))
-            stats = click_stats(input_seg, MOUSE1, segment_alive)
-            feature_rows.append(FeatureRow(meta.player_id, cohort, round_index,
-                                           "clicks_per_minute", stats.clicks_per_minute))
-            feature_rows.append(FeatureRow(meta.player_id, cohort, round_index,
-                                           "click_mean_duration_s", stats.mean_duration_s))
-            kin = mouse_kinematics(input_seg, segment_alive)
-            feature_rows.append(FeatureRow(meta.player_id, cohort, round_index,
-                                           "mouse_path_mean_px", kin.path_mean_px))
-            feature_rows.append(FeatureRow(meta.player_id, cohort, round_index,
-                                           "mouse_vel_mean_px_s", kin.vel_mean_px_s))
+            # A failure keeps the rows of the features before it.
+            for feature, value in _segment_features(input_seg, [interval]):
+                feature_rows.append(FeatureRow(meta.player_id, meta.cohort.value,
+                                               round_index, feature, value))
         except (EtkError, ValueError) as e:
             warnings.append(f"{meta.player_id} round {round_index}: "
                             f"skipping input features ({e})")
@@ -402,7 +404,7 @@ def _write_heatmaps(out_dir: Path, derived: list[_SessionDerived],
         write_heatmap_pgm(hm, out_dir / f"heatmap_{cohort.value}.pgm")
 
 
-def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: str) -> None:
+def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: float | None) -> None:
     lines = ["cohort,feature,x,density"]
     for cohort in Cohort:
         for feature in KDE_FEATURES:
@@ -411,8 +413,7 @@ def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: str) -
             if len(values) < 2:
                 continue
             try:
-                h = float(bandwidth) if bandwidth != "auto" else silverman_bandwidth(values)
-                xs, dens = kde_curve(fit_kde(values, h))
+                xs, dens = kde_curve(fit_kde(values, bandwidth))
             except EtkError as e:
                 log.warning("kde %s/%s skipped: %s", cohort.value, feature, e)
                 continue
@@ -429,9 +430,9 @@ def cmd_analyze(args) -> int:
         model = _parse_file(read_zone_model_csv, args.zones)
     if not (0 < args.window_s < math.inf and 0 < args.hop_s < math.inf):
         raise ValueError("--window-s and --hop-s must be positive and finite")
-    if args.bandwidth != "auto":
-        if float(args.bandwidth) <= 0:
-            raise ValueError("--bandwidth must be positive or 'auto'")
+    bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
+    if bandwidth is not None and bandwidth <= 0:
+        raise ValueError("--bandwidth must be positive or 'auto'")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
@@ -457,7 +458,7 @@ def cmd_analyze(args) -> int:
     _write_averages_csv(out_dir / "averages.csv", derived, k)
     write_zone_model_csv(model, out_dir / "zones.csv")
     write_feature_table([r for d in derived for r in d.feature_rows], out_dir / "features.csv")
-    _write_kde_csv(out_dir / "kde.csv", derived, args.bandwidth)
+    _write_kde_csv(out_dir / "kde.csv", derived, bandwidth)
     _write_heatmaps(out_dir, derived, screen)
 
     pooled = sum(len(d.windows) for d in derived)

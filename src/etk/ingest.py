@@ -54,7 +54,6 @@ from .model import (
     key_mask,
     key_names,
     validate_session,
-    with_player,
 )
 from .textio import _fmt_column, _write_text, fmt_num
 
@@ -391,13 +390,7 @@ def parse_demo_events(source) -> MatchTimeline:
 def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: InputSeries,
                      timeline: MatchTimeline, hrm: BeatSeries | None = None) -> Session:
     """Bind parsed streams into a `Session`, refusing invalid combinations."""
-    session = Session(
-        meta=meta,
-        gaze=with_player(gaze, meta),
-        input=input_samples,
-        timeline=timeline,
-        hrm=with_player(hrm, meta) if hrm is not None else None,
-    )
+    session = Session(meta=meta, gaze=gaze, input=input_samples, timeline=timeline, hrm=hrm)
     violations = validate_session(session)
     if violations:
         raise AssemblyError(violations)

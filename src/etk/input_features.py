@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import EmptySupport, InsufficientData
 from .model import DEFAULT_INPUT_PERIOD_S, InputSeries, Interval, key_mask, true_runs
+from .preprocess import slice_by_intervals
 from .textio import _write_text, fmt_num
 from .zones import ZoneModel, _nearest_zones
 
@@ -145,7 +146,7 @@ def mouse_kinematics(samples: InputSeries, alive: list[Interval],
     credited to the bin holding its first sample. Stds use n-1 and are
     0.0 when fewer than two observations exist.
     """
-    segments = [samples.between(iv.start_t, iv.end_t) for iv in alive]
+    segments = slice_by_intervals(samples, alive)
     if sum(len(seg) for seg in segments) < 2:
         raise InsufficientData("need at least 2 input samples inside alive time")
 

@@ -132,11 +132,6 @@ class _Columns:
     def __getitem__(self, index):
         return replace(self, **{name: getattr(self, name)[index] for name in self._COLUMNS})
 
-    def between(self, start_t: float, end_t: float):
-        """The samples with start_t <= t < end_t, as views; times must increase."""
-        lo, hi = np.searchsorted(self.t, (start_t, end_t), side="left").tolist()
-        return self[lo:max(lo, hi)]
-
 
 def _empty_column():
     return field(default_factory=lambda: np.empty(0))
@@ -159,7 +154,6 @@ class GazeSeries(_Columns):
     valid: np.ndarray = _empty_column()
     nominal_rate_hz: float = DEFAULT_GAZE_RATE_HZ
     screen: tuple[int, int] = DEFAULT_SCREEN
-    player: PlayerMeta | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +180,6 @@ class BeatSeries(_Columns):
     _COLUMNS: ClassVar[dict[str, type]] = {"beat_times": np.float64}
 
     beat_times: np.ndarray = _empty_column()
-    player: PlayerMeta | None = None
 
 
 @dataclass(frozen=True)
@@ -274,10 +267,21 @@ def _validate_meta(meta: PlayerMeta, out: list[Violation]) -> None:
         out.append(Violation("meta.n", f"player index must be >= 1, got {meta.n}"))
 
 
-def _not_increasing(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mask of samples whose time is not above the previous one, and those previous times."""
+def _report_flagged(out: list[Violation], column: str, checks) -> None:
+    """One violation per flagged sample and check, in sample order, then check order.
+
+    `checks` pairs a bool mask over the samples with `message(i)`, the
+    text for sample i. Violations are rare, so messages are built only
+    for the flagged samples, exactly as a per-sample scan reports them.
+    """
+    for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks])).tolist():
+        out.extend(Violation(f"{column}[{i}]", message(i)) for mask, message in checks if mask[i])
+
+
+def _not_increasing(t: np.ndarray, noun: str):
+    """Check for samples whose time is not above the previous one's."""
     prev = np.concatenate(([-math.inf], t[:-1]))
-    return t <= prev, prev
+    return t <= prev, lambda i: f"{noun} {float(t[i])} not increasing (previous {float(prev[i])})"
 
 
 def _validate_gaze(gaze: GazeSeries, out: list[Violation]) -> None:
@@ -288,49 +292,31 @@ def _validate_gaze(gaze: GazeSeries, out: list[Violation]) -> None:
     if w <= 0 or h <= 0:
         out.append(Violation("gaze.screen", f"screen dims must be positive, got {gaze.screen}"))
     t, x, y, valid = gaze.t, gaze.x, gaze.y, gaze.valid
-    negative = t < 0
-    not_increasing, prev = _not_increasing(t)
     nonfinite = valid & ~(np.isfinite(x) & np.isfinite(y))
     outside = valid & ~nonfinite & ~((0 <= x) & (x <= w) & (0 <= y) & (y <= h))
-    # Violations are rare: build messages only for the flagged samples,
-    # in sample order, exactly as a per-sample scan reports them.
-    for i in np.flatnonzero(negative | not_increasing | nonfinite | outside).tolist():
-        loc = f"gaze.samples[{i}]"
-        ti = float(t[i])
-        if negative[i]:
-            out.append(Violation(loc, f"negative timestamp {ti}"))
-        if not_increasing[i]:
-            out.append(Violation(loc, f"timestamp {ti} not increasing (previous {float(prev[i])})"))
-        if nonfinite[i]:
-            out.append(Violation(loc, "valid sample with non-finite coordinates"))
-        elif outside[i]:
-            out.append(Violation(loc, f"gaze point ({float(x[i])}, {float(y[i])}) "
-                                      f"outside {w}x{h} screen"))
+    _report_flagged(out, "gaze.samples", [
+        (t < 0, lambda i: f"negative timestamp {float(t[i])}"),
+        _not_increasing(t, "timestamp"),
+        (nonfinite, lambda i: "valid sample with non-finite coordinates"),
+        (outside, lambda i: f"gaze point ({float(x[i])}, {float(y[i])}) outside {w}x{h} screen"),
+    ])
 
 
 def _validate_input(samples: InputSeries, out: list[Violation]) -> None:
-    not_increasing, prev = _not_increasing(samples.t)
     unknown = samples.keys & ~np.uint32(_ALL_KEYS)
-    for i in np.flatnonzero(not_increasing | (unknown != 0)).tolist():
-        loc = f"input[{i}]"
-        if not_increasing[i]:
-            out.append(Violation(loc, f"timestamp {float(samples.t[i])} not increasing "
-                                      f"(previous {float(prev[i])})"))
-        if unknown[i]:
-            out.append(Violation(loc, f"unknown key bits {int(unknown[i]):#x}"))
+    _report_flagged(out, "input", [
+        _not_increasing(samples.t, "timestamp"),
+        (unknown != 0, lambda i: f"unknown key bits {int(unknown[i]):#x}"),
+    ])
 
 
 def _validate_hrm(hrm: BeatSeries, out: list[Violation]) -> None:
-    not_increasing, prev = _not_increasing(hrm.beat_times)
+    t = hrm.beat_times
+    not_increasing, message = _not_increasing(t, "beat time")
     with np.errstate(invalid="ignore"):
-        too_fast = ~not_increasing & (hrm.beat_times - prev <= MIN_BEAT_INTERVAL_S)
-    for i in np.flatnonzero(not_increasing | too_fast).tolist():
-        loc = f"hrm.beat_times[{i}]"
-        t, prev_t = float(hrm.beat_times[i]), float(prev[i])
-        if not_increasing[i]:
-            out.append(Violation(loc, f"beat time {t} not increasing (previous {prev_t})"))
-        else:
-            out.append(Violation(loc, f"inter-beat interval {t - prev_t:.4f}s implies pulse above 240 bpm"))
+        too_fast = ~not_increasing & (np.diff(t, prepend=-math.inf) <= MIN_BEAT_INTERVAL_S)
+    _report_flagged(out, "hrm.beat_times", [(not_increasing, message), (too_fast, lambda i: (
+        f"inter-beat interval {float(t[i]) - float(t[i - 1]):.4f}s implies pulse above 240 bpm"))])
 
 
 def _validate_timeline(timeline: MatchTimeline, out: list[Violation]) -> None:
@@ -395,8 +381,3 @@ def validate_session(session: Session) -> list[Violation]:
                     f"last sample at t={float(t[-1])} runs past the match end ({horizon - TIME_SLACK_S}) "
                     f"by more than {TIME_SLACK_S}s; streams do not share a time origin"))
     return out
-
-
-def with_player(value, meta: PlayerMeta):
-    """Return a copy of a gaze or beat series tagged with its player."""
-    return replace(value, player=meta)

@@ -93,7 +93,9 @@ def slice_by_intervals(stream: GazeSeries | InputSeries,
     same type. A segment holds exactly the samples with
     start_t <= t < end_t, in source order, as views of the stream.
     """
-    return [stream.between(iv.start_t, iv.end_t) for iv in intervals]
+    bounds = np.searchsorted(stream.t, [t for iv in intervals for t in (iv.start_t, iv.end_t)],
+                             side="left").tolist()
+    return [stream[lo:max(lo, hi)] for lo, hi in zip(bounds[::2], bounds[1::2])]
 
 
 def _gap_histogram(first: np.ndarray, last: np.ndarray) -> dict[int, int]:
@@ -101,21 +103,20 @@ def _gap_histogram(first: np.ndarray, last: np.ndarray) -> dict[int, int]:
     return dict(zip(lengths.tolist(), counts.tolist()))
 
 
-def interpolate_gaps(segment: GazeSeries,
-                     max_gap_s: float = MAX_GAP_S) -> tuple[GazeSeries, MissingReport]:
+def interpolate_gaps(segment: GazeSeries) -> tuple[GazeSeries, MissingReport]:
     """Linearly fill short tracker dropouts and account for the rest.
 
     A run of invalid samples is repaired only when it is bracketed by
     valid samples on both sides and spans strictly less than
-    `max_gap_s` (measured first-invalid to last-invalid timestamp;
-    at a 60 Hz cadence the default admits up to 6 consecutive misses).
+    `MAX_GAP_S` (measured first-invalid to last-invalid timestamp;
+    at a 60 Hz cadence that admits up to 6 consecutive misses).
     Longer or boundary-touching runs stay invalid. Valid input samples
     are never changed.
     """
     t = segment.t
     n = len(t)
     first, last = true_runs(~segment.valid)
-    fill = (first > 0) & (last < n - 1) & (t[last] - t[first] < max_gap_s)
+    fill = (first > 0) & (last < n - 1) & (t[last] - t[first] < MAX_GAP_S)
     first, last = first[fill], last[fill]
     lengths = last - first + 1
     repaired = segment

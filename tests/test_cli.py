@@ -6,12 +6,14 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import etk
 from etk.cli import main
+from etk.ingest import write_session_dir
 
 ANALYZE_ARTIFACTS = {
     "averages.csv",
@@ -342,6 +344,48 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(corpus), "--out", str(out),
                      "--bandwidth", "0.05"]) == 0
         assert (out / "kde.csv").stat().st_size > 0
+
+    def test_round_with_one_input_sample_skips_only_mouse_features(self, tiny_session,
+                                                                   tmp_path, caplog):
+        # Round 1 is alive over [0, 25); keep one input sample inside it.
+        t = tiny_session.input.t
+        session = replace(tiny_session, input=tiny_session.input[(t >= 25.0) | (t == 10.0)])
+        write_session_dir(session, tmp_path / "p1")
+        out = tmp_path / "run"
+        assert main(["analyze", str(tmp_path / "p1"), "--out", str(out)]) == 0
+        # One row per line, segment by segment: round 1's, round 2's, then the pulse.
+        features = [line.split(",")[3] for line in
+                    (out / "features.csv").read_text().splitlines()[1:]]
+        kept = ["ad_hold_fraction", "w_m1_fraction",
+                "clicks_per_minute", "click_mean_duration_s"]
+        assert features == [*kept, *kept, "mouse_path_mean_px", "mouse_vel_mean_px_s",
+                            "bpm_mean"]
+        skipped = [r.getMessage() for r in caplog.records
+                   if "skipping input features" in r.getMessage()]
+        assert len(skipped) == 1 and skipped[0].startswith("p1 round 1: ")
+
+    def test_input_period_is_measured_once_per_alive_segment(self, corpus, monkeypatch):
+        import etk.input_features
+        from etk.cli import _derive_session
+        from etk.ingest import read_session_dir
+        from etk.preprocess import extract_alive_segments
+        from etk.zones import default_zone_model
+
+        measure = etk.input_features.nominal_period
+        calls = []
+
+        def counting(samples):
+            calls.append(len(samples))
+            return measure(samples)
+
+        for module in ("etk.cli", "etk.input_features"):
+            monkeypatch.setattr(f"{module}.nominal_period", counting)
+        derived = _derive_session(corpus / "pro01", default_zone_model(), 15.0, 1.0)
+        session = read_session_dir(corpus / "pro01")
+        alive = extract_alive_segments(session.timeline, "pro01")
+        assert len(alive) > 1
+        assert len(calls) == len(alive)
+        assert len([r for r in derived.feature_rows if r.round_index]) == 6 * len(alive)
 
     def test_log_env_variable_accepted(self, corpus, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("ETK_LOG", "DEBUG")

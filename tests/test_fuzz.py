@@ -184,8 +184,9 @@ def _damage(path: Path, action, arg) -> None:
     data = bytearray(path.read_bytes())
     if action == "truncate":
         del data[int(arg * len(data)):]
-    elif action == "mutate" and data:
-        for where, byte in arg:
+    elif action == "mutate":
+        # Mutating empty data leaves it empty.
+        for where, byte in arg if data else ():
             data[min(int(where * len(data)), len(data) - 1)] = byte
     elif action == "replace":
         data = bytearray(arg)

@@ -8,13 +8,11 @@ import pytest
 
 from etk.model import (
     BeatSeries,
-    Cohort,
     EventKind,
     GameEvent,
     GazeSeries,
     InputSeries,
     Interval,
-    PlayerMeta,
     Round,
     Session,
     _Columns,
@@ -127,7 +125,7 @@ def test_round_contains_is_closed():
     make_gaze([(0.0, 1.0, 2.0), (0.5, None, None)], screen=(640, 480)),
     InputSeries([0.0, 0.01], [1.0, 2.0], [3.0, 4.0], [0, 5]),
     WindowSeries(np.arange(2), np.array([0.0, 1.0]), np.eye(2)),
-    BeatSeries([1.0, 1.5, 2.0], player=PlayerMeta("p1", Cohort.AMATEUR, 1)),
+    BeatSeries([1.0, 1.5, 2.0]),
     ZoneSequence(np.array([0.0, 0.5]), np.array([1, 3]), k=3, span=(0.0, 1.0)),
 ], ids=lambda series: type(series).__name__)
 def test_columns_stay_read_only_after_pickling(series):
