@@ -70,8 +70,8 @@ print(f"window {windows.index[0]} at t={windows.start[0]:.0f}s:",
 
 # Each window distribution sums to one; so does their average.
 avg = average_distribution(windows.probs)
-print("averaged distribution:", " ".join(f"{p:.3f}" for p in avg.probs))
-print(f"sum = {sum(avg.probs):.12f}, cross-hair share = {avg.probs[0]:.3f}")
+print("averaged distribution:", " ".join(f"{p:.3f}" for p in avg))
+print(f"sum = {sum(avg):.12f}, cross-hair share = {avg[0]:.3f}")
 
 # --- 3. Pixel heatmap ---------------------------------------------------------
 # Raw (not zone-quantised) gaze positions binned into 40 px cells:

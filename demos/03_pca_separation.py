@@ -78,7 +78,7 @@ print(f"\n{'player':8s} {'cohort':12s} {'PC1':>8s} {'PC2':>8s}")
 coords = {}
 for session in sessions:
     avg = average_distribution(per_session[session.meta.player_id])
-    xy = project(pca, avg.probs)
+    xy = project(pca, avg)
     coords[session.meta.player_id] = xy
     print(f"{session.meta.player_id:8s} {session.meta.cohort.value:12s} "
           f"{xy[0]:8.3f} {xy[1]:8.3f}")

@@ -4,8 +4,8 @@ Input behaviour and KDE curves
 
 Keyboard/mouse streams carry their own cohort signal: how much of the
 alive time is spent strafing (A or D held), how often movement and
-fire overlap (W together with MOUSE1), click cadence, and mouse path
-statistics.  Per-player fractions then feed a Gaussian KDE so the two
+fire overlap (W together with MOUSE1), click cadence, and mouse
+speed.  Per-player fractions then feed a Gaussian KDE so the two
 cohorts can be compared as smooth densities rather than bare means.
 """
 import numpy as np
@@ -15,9 +15,7 @@ from etk import (
     Cohort,
     Scenario,
     click_stats,
-    click_zone_distribution,
     default_profiles,
-    default_zone_model,
     extract_alive_segments,
     fit_kde,
     fraction_held,
@@ -72,17 +70,13 @@ for cohort, prefix in ((Cohort.PROFESSIONAL, "pro"), (Cohort.AMATEUR, "am")):
 print("(professionals strafe more; amateurs fire on the move more)\n")
 
 # --- 3. Clicks and mouse kinematics for one player each ------------------------
-model = default_zone_model()
 for session in (sessions[0], sessions[8]):
     alive = extract_alive_segments(session.timeline, session.meta.player_id)
-    cs = click_stats(session.input, "MOUSE1", alive)
+    cs = click_stats(session.input, alive)
     mk = mouse_kinematics(session.input, alive)
-    zone_dist = click_zone_distribution(session.input, "MOUSE1", model)
-    hot = int(np.argmax(zone_dist)) + 1
     print(f"{session.meta.player_id}: {cs.click_count} clicks "
           f"({cs.clicks_per_minute:.1f}/min, mean hold {cs.mean_duration_s * 1e3:.0f} ms), "
-          f"mouse {mk.vel_mean_px_s:.0f}±{mk.vel_std_px_s:.0f} px/s, "
-          f"{zone_dist[hot - 1]:.0%} of clicks in zone {hot}")
+          f"mouse {mk.vel_mean_px_s:.0f} px/s")
 
 # --- 4. KDE over the A/D fractions ---------------------------------------------
 # Silverman's rule picks the bandwidth from the sample spread; the

@@ -33,7 +33,6 @@ from .input_features import (
     FeatureRow,
     MouseKinematics,
     click_stats,
-    click_zone_distribution,
     fraction_held,
     key_hold_intervals,
     mouse_kinematics,
@@ -86,7 +85,6 @@ from .synth import (
     load_profiles,
 )
 from .zones import (
-    AveragedDistribution,
     Heatmap,
     WindowSeries,
     ZoneModel,
@@ -97,7 +95,6 @@ from .zones import (
     default_zone_model,
     heatmap_grid,
     window_distributions,
-    zone_shares,
 )
 
 __version__ = "0.1.0"

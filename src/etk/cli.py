@@ -193,7 +193,7 @@ def _segment_features(samples: InputSeries, alive: list[Interval]):
     period_s = nominal_period(samples)
     yield "ad_hold_fraction", fraction_held(samples, {"A", "D"}, alive, "any", period_s)
     yield "w_m1_fraction", fraction_held(samples, {"W", MOUSE1}, alive, "all", period_s)
-    stats = click_stats(samples, MOUSE1, alive, period_s)
+    stats = click_stats(samples, alive, period_s)
     yield "clicks_per_minute", stats.clicks_per_minute
     yield "click_mean_duration_s", stats.mean_duration_s
     kin = mouse_kinematics(samples, alive)
@@ -229,8 +229,8 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float,
     for interval, gaze_seg, input_seg in zip(alive, gaze_segments, input_segments):
         rnd = session.timeline.round_containing(interval.start_t)
         round_index = rnd.index if rnd is not None else 0
-        repaired, report = interpolate_gaps(gaze_seg)
-        interpolated += report.interpolated_samples
+        repaired, filled = interpolate_gaps(gaze_seg)
+        interpolated += filled
 
         seq = assign_zones(repaired, model, span=(interval.start_t, interval.end_t))
         windows = window_distributions(seq, window_s=window_s, hop_s=hop_s)
@@ -264,7 +264,7 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float,
                              [len(w) for w in segment_windows])
     averaged = None
     if len(windows):
-        averaged = average_distribution(windows.probs).probs
+        averaged = average_distribution(windows.probs)
     else:
         warnings.append(f"{meta.player_id}: no rolling windows "
                         f"(segments shorter than {window_s:g}s)")
@@ -431,8 +431,8 @@ def cmd_analyze(args) -> int:
     if not (0 < args.window_s < math.inf and 0 < args.hop_s < math.inf):
         raise ValueError("--window-s and --hop-s must be positive and finite")
     bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
-    if bandwidth is not None and bandwidth <= 0:
-        raise ValueError("--bandwidth must be positive or 'auto'")
+    if bandwidth is not None and not 0 < bandwidth < math.inf:
+        raise ValueError("--bandwidth must be positive and finite, or 'auto'")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 

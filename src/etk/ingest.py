@@ -106,6 +106,27 @@ def _iter_lines(source, kind: str):
         yield lineno, line_offset, text
 
 
+def _csv_rows(source, kind: str, header: str):
+    """Yield (lineno, byte_offset, cells) for each row under the `header` line.
+
+    The first line `_iter_lines` keeps must equal `header`, and every
+    later one must have as many cells as it.
+    """
+    lines = _iter_lines(source, kind)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(kind, 1, 0, "empty file: missing header")
+    lineno, offset, text = first
+    if text != header:
+        raise ParseError(kind, lineno, offset, f"expected header {header!r}, got {text!r}")
+    ncols = header.count(",") + 1
+    for lineno, offset, text in lines:
+        cells = text.split(",")
+        if len(cells) != ncols:
+            raise ParseError(kind, lineno, offset, f"expected {ncols} columns, got {len(cells)}")
+        yield lineno, offset, cells
+
+
 def _parse_float(tok: str, kind: str, lineno: int, offset: int, what: str) -> float:
     try:
         v = float(tok)
@@ -212,27 +233,15 @@ def _columns_lines(data: bytes, kind: str, header: str, row) -> tuple:
     `row(parts, lineno, offset)` gives the three values that follow the
     time in each row, so the result is four columns.
     """
-    ncols = header.count(",") + 1
     rows = []
     prev_t = -math.inf
-    saw_header = False
-    for lineno, offset, text in _iter_lines(data, kind):
-        if not saw_header:
-            if text != header:
-                raise ParseError(kind, lineno, offset, f"expected header {header!r}, got {text!r}")
-            saw_header = True
-            continue
-        parts = text.split(",")
-        if len(parts) != ncols:
-            raise ParseError(kind, lineno, offset, f"expected {ncols} columns, got {len(parts)}")
+    for lineno, offset, parts in _csv_rows(data, kind, header):
         t = _parse_float(parts[0], kind, lineno, offset, "timestamp")
         if t <= prev_t:
             raise ParseError(kind, lineno, offset,
                              f"timestamp {t} is not strictly increasing (previous {prev_t})")
         prev_t = t
         rows.append((t, *row(parts, lineno, offset)))
-    if not saw_header:
-        raise ParseError(kind, 1, 0, "empty file: missing header")
     return tuple(zip(*rows)) or ((),) * 4
 
 

@@ -16,7 +16,6 @@ from .errors import EmptySupport, InsufficientData
 from .model import DEFAULT_INPUT_PERIOD_S, InputSeries, Interval, key_mask, true_runs
 from .preprocess import slice_by_intervals
 from .textio import _write_text, fmt_num
-from .zones import ZoneModel, _nearest_zones
 
 MOUSE1 = "MOUSE1"
 KINEMATICS_WINDOW_S = 1.0
@@ -31,11 +30,9 @@ class ClickStats:
 
 @dataclass(frozen=True)
 class MouseKinematics:
-    """Path length per window and speed per sample pair, as mean/std."""
+    """Mean path length per window and mean speed per sample pair."""
     path_mean_px: float
-    path_std_px: float
     vel_mean_px_s: float
-    vel_std_px_s: float
 
 
 def nominal_period(samples: InputSeries) -> float:
@@ -43,11 +40,6 @@ def nominal_period(samples: InputSeries) -> float:
     if len(samples) < 2:
         return DEFAULT_INPUT_PERIOD_S
     return float(np.median(np.diff(samples.t)))
-
-
-def _key_runs(samples: InputSeries, key: str) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of each maximal run of samples holding `key`."""
-    return true_runs((samples.keys & key_mask([key])) != 0)
 
 
 def key_hold_intervals(samples: InputSeries, key: str,
@@ -59,7 +51,7 @@ def key_hold_intervals(samples: InputSeries, key: str,
     """
     if period_s is None:
         period_s = nominal_period(samples)
-    first, last = _key_runs(samples, key)
+    first, last = true_runs((samples.keys & key_mask([key])) != 0)
     t = np.append(samples.t, samples.t[-1:] + period_s)
     return t[first], t[last + 1]
 
@@ -109,20 +101,19 @@ def fraction_held(samples: InputSeries, keys, alive: list[Interval],
     return held / total
 
 
-def click_stats(samples: InputSeries, button: str = MOUSE1,
-                alive: list[Interval] | None = None,
+def click_stats(samples: InputSeries, alive: list[Interval],
                 period_s: float | None = None) -> ClickStats:
     """Click count, mean held duration, and rate within alive time.
 
-    A click is one hold interval of `button`; its duration is clipped
+    A click is one hold interval of MOUSE1; its duration is clipped
     to the alive spans, and holds entirely outside them are dropped.
     """
-    if alive is None or not alive:
+    if not alive:
         raise EmptySupport("click_stats needs non-empty alive intervals")
     total = _alive_duration(alive)
     if total <= 0.0:
         raise EmptySupport("alive intervals have zero total duration")
-    clipped = _overlap(*key_hold_intervals(samples, button, period_s), alive)
+    clipped = _overlap(*key_hold_intervals(samples, MOUSE1, period_s), alive)
     durations = clipped[clipped > 0.0].tolist()
     count = len(durations)
     mean = math.fsum(durations) / count if count else 0.0
@@ -130,21 +121,13 @@ def click_stats(samples: InputSeries, button: str = MOUSE1,
                       clicks_per_minute=count / (total / 60.0))
 
 
-def _mean_std(values: np.ndarray) -> tuple[float, float]:
-    if not len(values):
-        return 0.0, 0.0
-    std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-    return float(values.mean()), std
+def mouse_kinematics(samples: InputSeries, alive: list[Interval]) -> MouseKinematics:
+    """Mean path per window and mean speed per step inside alive time.
 
-
-def mouse_kinematics(samples: InputSeries, alive: list[Interval],
-                     window_s: float = KINEMATICS_WINDOW_S) -> MouseKinematics:
-    """Path-per-window and speed-per-step statistics inside alive time.
-
-    Each alive interval is tiled into window_s bins (the tail bin may
-    be shorter); a step between consecutive samples of one interval is
-    credited to the bin holding its first sample. Stds use n-1 and are
-    0.0 when fewer than two observations exist.
+    Each alive interval is tiled into KINEMATICS_WINDOW_S bins (the tail
+    bin may be shorter); a step between consecutive samples of one
+    interval is credited to the bin holding its first sample. A mean
+    over no observations is 0.0.
     """
     segments = slice_by_intervals(samples, alive)
     if sum(len(seg) for seg in segments) < 2:
@@ -155,34 +138,20 @@ def mouse_kinematics(samples: InputSeries, alive: list[Interval],
     for iv, seg in zip(alive, segments):
         if len(seg) < 2:
             continue
-        n_bins = max(1, math.ceil((iv.end_t - iv.start_t) / window_s))
+        n_bins = max(1, math.ceil((iv.end_t - iv.start_t) / KINEMATICS_WINDOW_S))
         # math.hypot, not np.hypot: they differ in the last bit on some inputs.
         step = np.array(list(map(math.hypot, np.diff(seg.mouse_x).tolist(),
                                  np.diff(seg.mouse_y).tolist())))
         speeds.append(step / np.diff(seg.t))
-        bins = np.minimum(((seg.t[:-1] - iv.start_t) / window_s).astype(np.int64), n_bins - 1)
+        bins = np.minimum(((seg.t[:-1] - iv.start_t) / KINEMATICS_WINDOW_S).astype(np.int64),
+                          n_bins - 1)
         # bincount adds each bin's steps in sample order.
         paths.append(np.bincount(bins, weights=step, minlength=n_bins))
 
-    path_mean, path_std = _mean_std(np.concatenate(paths) if paths else np.empty(0))
-    vel_mean, vel_std = _mean_std(np.concatenate(speeds) if speeds else np.empty(0))
-    return MouseKinematics(path_mean_px=path_mean, path_std_px=path_std,
-                           vel_mean_px_s=vel_mean, vel_std_px_s=vel_std)
-
-
-def click_zone_distribution(samples: InputSeries, button: str,
-                            model: ZoneModel) -> tuple[float, ...]:
-    """Normalized zone counts of click onsets (all-zero when no clicks).
-
-    The zone is assigned from the mouse position at the onset sample,
-    not the release.
-    """
-    onsets = _key_runs(samples, button)[0]
-    if not len(onsets):
-        return (0.0,) * model.k
-    zones = _nearest_zones(samples.mouse_x[onsets], samples.mouse_y[onsets],
-                           model.centers_array())
-    return tuple(c / len(onsets) for c in np.bincount(zones - 1, minlength=model.k).tolist())
+    if not paths:
+        return MouseKinematics(path_mean_px=0.0, vel_mean_px_s=0.0)
+    return MouseKinematics(path_mean_px=float(np.concatenate(paths).mean()),
+                           vel_mean_px_s=float(np.concatenate(speeds).mean()))
 
 
 @dataclass(frozen=True)

@@ -188,10 +188,6 @@ class Round:
     start_t: float
     end_t: float
 
-    @property
-    def duration(self) -> float:
-        return self.end_t - self.start_t
-
     def contains(self, t: float) -> bool:
         return self.start_t <= t <= self.end_t
 
@@ -229,13 +225,6 @@ class Interval:
 
     start_t: float
     end_t: float
-
-    @property
-    def duration(self) -> float:
-        return self.end_t - self.start_t
-
-    def contains(self, t: float) -> bool:
-        return self.start_t <= t < self.end_t
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,11 @@ class MissingReport:
     """Missingness accounting for one gaze series.
 
     `gap_histogram` maps run length in samples to the number of invalid
-    runs of that length, counted before any repair.
-    `interpolated_samples` is how many of those samples a repair pass
-    filled (zero for a plain audit).
+    runs of that length.
     """
     total_samples: int
     missing_samples: int
     gap_histogram: dict[int, int] = field(default_factory=dict)
-    interpolated_samples: int = 0
 
     @property
     def missing_fraction(self) -> float:
@@ -50,7 +47,6 @@ class MissingReport:
             "missing_samples": self.missing_samples,
             "missing_fraction": self.missing_fraction,
             "gap_histogram": {str(k): v for k, v in sorted(self.gap_histogram.items())},
-            "interpolated_samples": self.interpolated_samples,
         }
 
 
@@ -103,8 +99,8 @@ def _gap_histogram(first: np.ndarray, last: np.ndarray) -> dict[int, int]:
     return dict(zip(lengths.tolist(), counts.tolist()))
 
 
-def interpolate_gaps(segment: GazeSeries) -> tuple[GazeSeries, MissingReport]:
-    """Linearly fill short tracker dropouts and account for the rest.
+def interpolate_gaps(segment: GazeSeries) -> tuple[GazeSeries, int]:
+    """Linearly fill short tracker dropouts: (repaired series, samples filled).
 
     A run of invalid samples is repaired only when it is bracketed by
     valid samples on both sides and spans strictly less than
@@ -134,8 +130,7 @@ def interpolate_gaps(segment: GazeSeries) -> tuple[GazeSeries, MissingReport]:
         y[idx] = segment.y[left] + w * (segment.y[right] - segment.y[left])
         valid[idx] = True
         repaired = replace(segment, x=x, y=y, valid=valid)
-    report = missing_stats(segment)
-    return repaired, replace(report, interpolated_samples=int(lengths.sum()))
+    return repaired, int(lengths.sum())
 
 
 def missing_stats(series: GazeSeries) -> MissingReport:
@@ -143,8 +138,7 @@ def missing_stats(series: GazeSeries) -> MissingReport:
     first, last = true_runs(~series.valid)
     return MissingReport(total_samples=len(series),
                          missing_samples=int((last - first + 1).sum()),
-                         gap_histogram=_gap_histogram(first, last),
-                         interpolated_samples=0)
+                         gap_histogram=_gap_histogram(first, last))
 
 
 def beats_to_bpm(beats: BeatSeries, window_beats: int = BPM_WINDOW_BEATS) -> np.ndarray:
@@ -153,6 +147,7 @@ def beats_to_bpm(beats: BeatSeries, window_beats: int = BPM_WINDOW_BEATS) -> np.
     Entry j is the rate at beat i = j + window_beats - 1:
     ``60 * (window_beats - 1) / (t_i - t_{i-window_beats+1})``, the
     number of inter-beat intervals inside the window over its duration.
+    A window spanning no time, or a subnormal one, gives IEEE infinity.
     """
     if window_beats < 2:
         raise ValueError(f"window_beats must be >= 2, got {window_beats}")
@@ -160,7 +155,8 @@ def beats_to_bpm(beats: BeatSeries, window_beats: int = BPM_WINDOW_BEATS) -> np.
     if len(t) < window_beats:
         raise InsufficientData(
             f"need at least {window_beats} beats, got {len(t)}")
-    return 60.0 * (window_beats - 1) / (t[window_beats - 1:] - t[:len(t) - window_beats + 1])
+    with np.errstate(divide="ignore", over="ignore"):
+        return 60.0 * (window_beats - 1) / (t[window_beats - 1:] - t[:len(t) - window_beats + 1])
 
 
 def mean_bpm(rates: np.ndarray) -> float:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProfile
+from .ingest import assemble_session
 from .model import (
     BeatSeries,
     Cohort,
@@ -126,8 +127,8 @@ class Scenario:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.round_s <= 0.0:
-            raise ValueError(f"round_s must be positive, got {self.round_s}")
+        if not 0.0 < self.round_s < math.inf:
+            raise ValueError(f"round_s must be positive and finite, got {self.round_s}")
 
     @property
     def total_s(self) -> float:
@@ -326,9 +327,7 @@ def _generate_beats(rng: Rng, profile: CohortProfile, total_s: float) -> BeatSer
 
 
 def generate_session(profile: CohortProfile, scenario: Scenario, seed: int,
-                     meta: PlayerMeta, screen: tuple[int, int] = DEFAULT_SCREEN,
-                     gaze_rate_hz: float = DEFAULT_GAZE_RATE_HZ,
-                     input_rate_hz: float = DEFAULT_INPUT_RATE_HZ) -> Session:
+                     meta: PlayerMeta) -> Session:
     """One full synthetic session, deterministic in (profile, scenario, seed)."""
     base = Rng(seed)
     r_timeline = Rng(base.child_seed(0))
@@ -341,10 +340,8 @@ def generate_session(profile: CohortProfile, scenario: Scenario, seed: int,
 
     timeline = _generate_timeline(r_timeline, scenario, meta.player_id)
     gaze = _generate_gaze(r_zone, r_noise, r_missing, profile,
-                          scenario.total_s, gaze_rate_hz, screen)
+                          scenario.total_s, DEFAULT_GAZE_RATE_HZ, DEFAULT_SCREEN)
     input_samples = _generate_input(r_keys, r_mouse, profile,
-                                    scenario.total_s, input_rate_hz, screen)
+                                    scenario.total_s, DEFAULT_INPUT_RATE_HZ, DEFAULT_SCREEN)
     hrm = _generate_beats(r_hrm, profile, scenario.total_s)
-
-    from .ingest import assemble_session
     return assemble_session(meta, gaze, input_samples, timeline, hrm)

@@ -16,13 +16,14 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, ParseError, TooManyWindows
-from .ingest import _iter_lines, _parse_float, _parse_int
+from .ingest import _csv_rows, _parse_float, _parse_int
 from .model import GazeSeries, _Columns
 from .textio import _write_text, fmt_num
 
 DEFAULT_WINDOW_S = 15.0
 DEFAULT_HOP_S = 1.0
 DEFAULT_CELL_PX = 10
+_ZONES_HEADER = "k,label,x,y"
 _WINDOW_EDGE_TOL = 1e-9
 # Most window starts one `window_distributions` call may place, and most
 # windows one `analyze` run may pool (the densest benchmark run pools 12,478).
@@ -130,23 +131,12 @@ class WindowSeries(_Columns):
                    np.concatenate([np.empty((0, k))] + [w.probs for w in parts]))
 
 
-@dataclass(frozen=True)
-class AveragedDistribution:
-    """Arithmetic mean of a set of window distributions."""
-    probs: tuple[float, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Heatmap:
     """2-D gaze count grid; grid[row][col] covers a cell_px square."""
     grid: np.ndarray
     cell_px: int
     total: int
-
-    def normalized(self) -> np.ndarray:
-        if self.total == 0:
-            return np.zeros_like(self.grid, dtype=float)
-        return self.grid / float(self.total)
 
 
 def _nearest_zones(x: np.ndarray, y: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -230,7 +220,7 @@ def window_distributions(seq: ZoneSequence, window_s: float = DEFAULT_WINDOW_S,
     return WindowSeries(index, starts[index], probs)
 
 
-def average_distribution(probs) -> AveragedDistribution:
+def average_distribution(probs) -> tuple[float, ...]:
     """Eq.-style session summary: the column mean of an (n, k) window probs matrix."""
     try:
         mat = np.asarray(probs, dtype=float)
@@ -240,15 +230,7 @@ def average_distribution(probs) -> AveragedDistribution:
         raise EmptyInput("cannot average zero windows")
     if mat.ndim != 2:
         raise DimensionMismatch(f"window probs must form an (n, k) matrix, got {mat.shape}")
-    return AveragedDistribution(probs=tuple(float(p) for p in mat.mean(axis=0)))
-
-
-def zone_shares(seq: ZoneSequence) -> tuple[float, ...]:
-    """Fraction of samples per zone over a whole sequence."""
-    if len(seq) == 0:
-        raise EmptyInput("cannot compute shares of an empty sequence")
-    counts = np.bincount(seq.zones, minlength=seq.k + 1)[1:]
-    return tuple(float(c) / len(seq) for c in counts)
+    return tuple(float(p) for p in mat.mean(axis=0))
 
 
 def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX) -> Heatmap:
@@ -273,7 +255,7 @@ def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX
 # Exports
 
 def write_zone_model_csv(model: ZoneModel, path) -> None:
-    lines = ["k,label,x,y"]
+    lines = [_ZONES_HEADER]
     for i, ((x, y), label) in enumerate(zip(model.centers, model.labels), start=1):
         lines.append(f"{i},{label},{fmt_num(x)},{fmt_num(y)}")
     _write_text(path, "\n".join(lines) + "\n")
@@ -282,17 +264,7 @@ def write_zone_model_csv(model: ZoneModel, path) -> None:
 def read_zone_model_csv(path) -> ZoneModel:
     centers: list[tuple[float, float]] = []
     labels: list[str] = []
-    saw_header = False
-    for lineno, offset, text in _iter_lines(path, "zones"):
-        if not saw_header:
-            if text != "k,label,x,y":
-                raise ParseError("zones", lineno, offset,
-                                 f"expected header 'k,label,x,y', got {text!r}")
-            saw_header = True
-            continue
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ParseError("zones", lineno, offset, f"expected 4 columns, got {len(parts)}")
+    for lineno, offset, parts in _csv_rows(path, "zones", _ZONES_HEADER):
         idx = _parse_int(parts[0], "zones", lineno, offset, "zone index")
         x = _parse_float(parts[2], "zones", lineno, offset, "x")
         y = _parse_float(parts[3], "zones", lineno, offset, "y")
@@ -306,8 +278,6 @@ def read_zone_model_csv(path) -> ZoneModel:
                              f"duplicate zone center ({fmt_num(x)}, {fmt_num(y)})")
         centers.append((x, y))
         labels.append(parts[1])
-    if not saw_header:
-        raise ParseError("zones", 1, 0, "empty file: missing header")
     if not centers:
         raise ParseError("zones", 1, 0, "zone model has no centers")
     return ZoneModel(centers=tuple(centers), labels=tuple(labels))

@@ -124,7 +124,7 @@ def test_criterion_02_interpolation_rule():
                 points.append((t, None, None))
             else:
                 points.append((t, line_x(t), line_y(t)))
-        repaired, report = interpolate_gaps(make_gaze(points))
+        repaired, filled = interpolate_gaps(make_gaze(points))
 
         worst = 0.0
         for i in sorted(set(range(10, 12)) | set(range(22, 27))):
@@ -134,7 +134,7 @@ def test_criterion_02_interpolation_rule():
         assert worst < 1e-9
         for i in range(37, 45):
             assert not repaired.valid[i]  # 8-sample gap stays open
-        assert report.interpolated_samples == 7
+        assert filled == 7
         note.text = f"max fill error {worst:.2e}, 8-gap untouched"
 
 
@@ -157,7 +157,7 @@ def test_criterion_03_distribution_invariants():
             worst_sum = max(worst_sum, float(sums.max()))
             assert float(sums.max()) <= 1e-9
             avg = average_distribution(windows.probs)
-            delta = np.abs(np.asarray(avg.probs) - mat.mean(axis=0))
+            delta = np.abs(np.asarray(avg) - mat.mean(axis=0))
             worst_avg = max(worst_avg, float(delta.max()))
             assert float(delta.max()) <= 1e-12
         note.text = (f"{total_windows} windows, worst sum dev {worst_sum:.1e}, "
@@ -208,7 +208,7 @@ def test_criterion_05_cohort_pca_separation(synth_cohorts):
         pro_pc1, am_pc1 = [], []
         for cohort, windows in per_session:
             avg = average_distribution(windows.probs)
-            pc1 = float(project(model=pca, vector=avg.probs)[0])
+            pc1 = float(project(model=pca, vector=avg)[0])
             (pro_pc1 if cohort is Cohort.PROFESSIONAL else am_pc1).append(pc1)
         lo, hi = sorted([pro_pc1, am_pc1], key=min)
         margin = min(hi) - max(lo)

@@ -69,6 +69,13 @@ class TestSynthCommand:
         assert code == 1
         assert "count" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_round_s_exits_1_before_writing(self, tmp_path, capsys, value):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--count", "1", "--round-s", value]) == 1
+        assert "round_s" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_profile_exits_2(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"professional": {"zone_dwell": [1.0]}}))
@@ -344,6 +351,13 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(corpus), "--out", str(out),
                      "--bandwidth", "0.05"]) == 0
         assert (out / "kde.csv").stat().st_size > 0
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_bandwidth_exits_1_before_writing(self, corpus, tmp_path, capsys, value):
+        out = tmp_path / "x"
+        assert main(["analyze", str(corpus), "--out", str(out), "--bandwidth", value]) == 1
+        assert "--bandwidth" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_round_with_one_input_sample_skips_only_mouse_features(self, tiny_session,
                                                                    tmp_path, caplog):

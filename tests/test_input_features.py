@@ -1,13 +1,10 @@
 """Key-hold intervals, held fractions, click stats, and mouse kinematics."""
-import math
-
 import pytest
 
 from etk.errors import EmptySupport, InsufficientData
 from etk.input_features import (
     FeatureRow,
     click_stats,
-    click_zone_distribution,
     fraction_held,
     key_hold_intervals,
     mouse_kinematics,
@@ -15,7 +12,6 @@ from etk.input_features import (
     write_feature_table,
 )
 from etk.model import Interval
-from etk.zones import default_zone_model
 from conftest import make_input
 
 
@@ -182,8 +178,6 @@ class TestMouseKinematics:
         kin = mouse_kinematics(samples, [Interval(0.0, 0.02)])
         assert kin.path_mean_px == pytest.approx(5.0, abs=1e-12)
         assert kin.vel_mean_px_s == pytest.approx(500.0, abs=1e-9)
-        assert kin.path_std_px == 0.0
-        assert kin.vel_std_px_s == 0.0
 
     def test_stationary_mouse_is_all_zero(self):
         samples = make_input([mk(i * 0.01, pos=(7.0, 7.0)) for i in range(100)])
@@ -198,13 +192,11 @@ class TestMouseKinematics:
     def test_window_tiling_and_stats(self):
         samples = make_input([mk(0.0, pos=(0.0, 0.0)), mk(0.5, pos=(10.0, 0.0)),
                               mk(1.0, pos=(10.0, 0.0)), mk(1.5, pos=(10.0, 5.0))])
-        kin = mouse_kinematics(samples, [Interval(0.0, 2.0)], window_s=1.0)
+        kin = mouse_kinematics(samples, [Interval(0.0, 2.0)])
         # Window [0,1): steps 10 + 0; window [1,2): step 5.
         assert kin.path_mean_px == pytest.approx(7.5, abs=1e-12)
-        assert kin.path_std_px == pytest.approx(math.sqrt(12.5), abs=1e-12)
         # Speeds 20, 0, 10 px/s.
         assert kin.vel_mean_px_s == pytest.approx(10.0, abs=1e-12)
-        assert kin.vel_std_px_s == pytest.approx(10.0, abs=1e-12)
 
     def test_steps_never_cross_alive_intervals(self):
         # A big jump between two alive intervals must not count as a step.
@@ -213,40 +205,6 @@ class TestMouseKinematics:
         kin = mouse_kinematics(samples, [Interval(0.0, 0.2), Interval(4.9, 5.2)])
         assert kin.path_mean_px == pytest.approx(1.0, abs=1e-12)
         assert kin.vel_mean_px_s == pytest.approx(10.0, abs=1e-9)
-
-
-class TestClickZoneDistribution:
-    def test_all_clicks_at_center(self):
-        on = lambda i: frozenset(("MOUSE1",)) if i in (3, 7) else frozenset()
-        samples = make_input([mk(i * 0.1, on(i), pos=(960.0, 540.0)) for i in range(10)])
-        dist = click_zone_distribution(samples, "MOUSE1", default_zone_model())
-        assert dist[0] == 1.0
-        assert sum(dist) == 1.0
-
-    def test_split_between_two_zones(self):
-        positions = {3: (960.0, 540.0), 7: (345.0, 815.0)}
-        samples = make_input([mk(i * 0.1,
-                                 frozenset(("MOUSE1",)) if i in positions else frozenset(),
-                                 pos=positions.get(i, (0.0, 0.0)))
-                              for i in range(10)])
-        dist = click_zone_distribution(samples, "MOUSE1", default_zone_model())
-        assert dist[0] == 0.5
-        assert dist[1] == 0.5
-
-    def test_onset_position_decides(self):
-        # Click starts on zone 1's center, then drags to zone 2: the
-        # onset wins.
-        samples = make_input([mk(0.0, (), pos=(0.0, 0.0)),
-                              mk(0.1, ("MOUSE1",), pos=(960.0, 540.0)),
-                              mk(0.2, ("MOUSE1",), pos=(345.0, 815.0)),
-                              mk(0.3, (), pos=(345.0, 815.0))])
-        dist = click_zone_distribution(samples, "MOUSE1", default_zone_model())
-        assert dist[0] == 1.0
-
-    def test_no_clicks_zero_vector(self):
-        dist = click_zone_distribution(cadence(10), "MOUSE1", default_zone_model())
-        assert set(dist) == {0.0}
-        assert len(dist) == 9
 
 
 class TestNominalPeriod:

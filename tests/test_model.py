@@ -18,6 +18,7 @@ from etk.model import (
     _Columns,
     validate_session,
 )
+from etk.preprocess import slice_by_intervals
 from etk.zones import WindowSeries, ZoneSequence
 from conftest import make_gaze, make_timeline
 
@@ -111,9 +112,8 @@ def test_too_fast_heartbeat_is_flagged(tiny_session):
 
 
 def test_interval_is_half_open():
-    iv = Interval(1.0, 2.0)
-    assert iv.contains(1.0) and not iv.contains(2.0)
-    assert iv.duration == 1.0
+    series = make_gaze([(1.0, 0.0, 0.0), (2.0, 0.0, 0.0)])
+    assert slice_by_intervals(series, [Interval(1.0, 2.0)])[0].t.tolist() == [1.0]
 
 
 def test_round_contains_is_closed():

@@ -1,5 +1,6 @@
 """Alive segments, gap interpolation, missingness, and BPM derivation."""
 import math
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -108,28 +109,28 @@ class TestInterpolateGaps:
     def test_short_gap_filled_on_the_analytic_line(self):
         points = [(0.0, 0.0, 0.0), (0.01, None, None), (0.02, None, None),
                   (0.05, 10.0, 20.0)]
-        repaired, report = interpolate_gaps(make_gaze(points))
+        repaired, filled = interpolate_gaps(make_gaze(points))
         assert repaired.valid.all()
         assert repaired.x[1] == pytest.approx(10.0 * 0.01 / 0.05, abs=1e-12)
         assert repaired.y[2] == pytest.approx(20.0 * 0.02 / 0.05, abs=1e-12)
-        assert report.interpolated_samples == 2
-        assert report.missing_samples == 2
+        assert filled == 2
+        assert missing_stats(make_gaze(points)).missing_samples == 2
 
     def test_long_gap_stays_invalid(self):
         points = [(0.0, 0.0, 0.0)]
         points += [(0.05 + i * 0.05, None, None) for i in range(4)]  # 0.15 s span
         points += [(0.30, 10.0, 10.0)]
-        repaired, report = interpolate_gaps(make_gaze(points))
+        repaired, filled = interpolate_gaps(make_gaze(points))
         assert int((~repaired.valid).sum()) == 4
-        assert report.interpolated_samples == 0
-        assert report.gap_histogram == {4: 1}
+        assert filled == 0
+        assert missing_stats(make_gaze(points)).gap_histogram == {4: 1}
 
     def test_boundary_gaps_never_extrapolated(self):
         points = [(0.0, None, None), (0.01, 1.0, 1.0), (0.02, None, None)]
-        repaired, report = interpolate_gaps(make_gaze(points))
+        repaired, filled = interpolate_gaps(make_gaze(points))
         assert not repaired.valid[0]
         assert not repaired.valid[2]
-        assert report.interpolated_samples == 0
+        assert filled == 0
 
     def test_six_consecutive_misses_fill_at_60hz_but_seven_do_not(self):
         def gap_series(k):
@@ -138,13 +139,13 @@ class TestInterpolateGaps:
             points += [((k + 1) / 60.0, 60.0, 60.0)]
             return make_gaze(points)
 
-        repaired6, report6 = interpolate_gaps(gap_series(6))
+        repaired6, filled6 = interpolate_gaps(gap_series(6))
         assert repaired6.valid.all()
-        assert report6.interpolated_samples == 6
+        assert filled6 == 6
 
-        repaired7, report7 = interpolate_gaps(gap_series(7))
+        repaired7, filled7 = interpolate_gaps(gap_series(7))
         assert int((~repaired7.valid).sum()) == 7
-        assert report7.interpolated_samples == 0
+        assert filled7 == 0
 
     def test_valid_samples_never_change(self):
         points = [(0.0, 3.0, 4.0), (0.01, None, None), (0.02, 5.0, 6.0)]
@@ -165,10 +166,10 @@ class TestInterpolateGaps:
                   (1.5, 2.0, 2.0)]
         source = make_gaze(points)
         before = missing_stats(source)
-        repaired, report = interpolate_gaps(source)
+        repaired, filled = interpolate_gaps(source)
         after = missing_stats(repaired)
         assert before.missing_fraction == (
-            after.missing_fraction + report.interpolated_samples / report.total_samples)
+            after.missing_fraction + filled / before.total_samples)
 
 
 class TestMissingStats:
@@ -206,6 +207,12 @@ class TestBeatsToBpm:
         beats = BeatSeries(beat_times=[1.0, 1.5, 2.0, 2.5, 3.0])
         for window_beats in (2, 4, 5):
             assert len(beats_to_bpm(beats, window_beats)) == len(beats) - window_beats + 1
+
+    def test_subnormal_interval_gives_inf_without_a_warning(self):
+        beats = BeatSeries(beat_times=[0.0, 5e-324])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert beats_to_bpm(beats, window_beats=2).tolist() == [math.inf]
 
 
 def per_beat_violations(times):

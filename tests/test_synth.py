@@ -18,7 +18,7 @@ from etk.synth import (
     generate_session,
     load_profiles,
 )
-from etk.zones import assign_zones, default_zone_model, zone_shares
+from etk.zones import assign_zones, default_zone_model
 from conftest import gaze_rows, input_rows
 
 
@@ -101,8 +101,13 @@ class TestTargets:
     def test_zone_dwell_recovered(self, synth_cohorts):
         pro, am = default_profiles()
         model = default_zone_model()
-        pro_share = zone_shares(assign_zones(synth_cohorts.sessions[0].gaze, model))
-        am_share = zone_shares(assign_zones(synth_cohorts.sessions[5].gaze, model))
+
+        def shares(session):
+            seq = assign_zones(session.gaze, model)
+            return np.bincount(seq.zones, minlength=seq.k + 1)[1:] / len(seq)
+
+        pro_share = shares(synth_cohorts.sessions[0])
+        am_share = shares(synth_cohorts.sessions[5])
         assert pro_share[0] == pytest.approx(pro.zone_dwell[0], abs=0.05)
         assert am_share[0] == pytest.approx(am.zone_dwell[0], abs=0.05)
         assert pro_share[0] > am_share[0]

@@ -22,7 +22,6 @@ from etk.zones import (
     write_zone_model_csv,
     write_heatmap_csv,
     write_heatmap_pgm,
-    zone_shares,
 )
 from conftest import make_gaze
 
@@ -220,15 +219,15 @@ class TestWindowDistributions:
 class TestAverageDistribution:
     def test_plain_mean(self):
         avg = average_distribution(np.array([(1.0, 0.0), (0.0, 1.0)]))
-        assert avg.probs == (0.5, 0.5)
+        assert avg == (0.5, 0.5)
 
     def test_single_window_identity(self):
         avg = average_distribution(np.array([(0.25, 0.75)]))
-        assert avg.probs == (0.25, 0.75)
+        assert avg == (0.25, 0.75)
 
     def test_idempotent_on_identical_windows(self):
         avg = average_distribution(np.array([(0.2, 0.8)] * 3))
-        assert avg.probs == pytest.approx((0.2, 0.8), abs=1e-15)
+        assert avg == pytest.approx((0.2, 0.8), abs=1e-15)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInput):
@@ -244,7 +243,7 @@ class TestAverageDistribution:
         with pytest.raises(DimensionMismatch):
             average_distribution(np.array([0.5, 0.5]))
 
-    def test_equals_zone_shares_when_windows_tile_data_once(self):
+    def test_equals_sample_shares_when_windows_tile_data_once(self):
         # Two back-to-back 15 s windows with equal sample counts cover
         # every sample exactly once; the window average must equal the
         # global share vector.
@@ -255,23 +254,8 @@ class TestAverageDistribution:
         windows = window_distributions(seq, window_s=15.0, hop_s=15.0)
         assert len(windows) == 2
         avg = average_distribution(windows.probs)
-        assert avg.probs == pytest.approx(zone_shares(seq), abs=1e-12)
-
-
-class TestZoneShares:
-    def test_counts_normalized(self):
-        seq = ZoneSequence(times=np.arange(4, dtype=float),
-                           zones=np.array([1, 1, 2, 9]), k=9)
-        shares = zone_shares(seq)
-        assert shares[0] == 0.5
-        assert shares[1] == 0.25
-        assert shares[8] == 0.25
-        assert math.fsum(shares) == pytest.approx(1.0, abs=1e-12)
-
-    def test_empty_raises(self):
-        seq = ZoneSequence(times=np.array([]), zones=np.array([], dtype=int), k=9)
-        with pytest.raises(EmptyInput):
-            zone_shares(seq)
+        shares = np.bincount(zones, minlength=10)[1:] / len(zones)
+        assert avg == pytest.approx(tuple(shares), abs=1e-12)
 
 
 class TestHeatmap:
@@ -290,13 +274,12 @@ class TestHeatmap:
         hm = heatmap_grid([], screen=(40, 20), cell_px=20)
         assert hm.total == 0
         assert hm.grid.sum() == 0
-        assert hm.normalized().sum() == 0.0
 
     def test_normalized_sums_to_one(self):
         rng = np.random.default_rng(2)
         points = list(zip(rng.uniform(0, 1920, 100), rng.uniform(0, 1080, 100)))
         hm = heatmap_grid(points, screen=(1920, 1080), cell_px=120)
-        assert math.fsum(hm.normalized().ravel()) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum((hm.grid / hm.total).ravel()) == pytest.approx(1.0, abs=1e-12)
 
     def test_pgm_output_shape(self, tmp_path):
         hm = heatmap_grid([(5.0, 5.0), (25.0, 5.0), (25.0, 5.0)],
