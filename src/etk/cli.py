@@ -430,9 +430,13 @@ def cmd_analyze(args) -> int:
         model = _parse_file(read_zone_model_csv, args.zones)
     if not (0 < args.window_s < math.inf and 0 < args.hop_s < math.inf):
         raise ValueError("--window-s and --hop-s must be positive and finite")
-    bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
+    try:
+        bandwidth = None if args.bandwidth == "auto" else float(args.bandwidth)
+    except ValueError:
+        bandwidth = math.nan
     if bandwidth is not None and not 0 < bandwidth < math.inf:
-        raise ValueError("--bandwidth must be positive and finite, or 'auto'")
+        raise ValueError(f"--bandwidth must be positive and finite, or 'auto', "
+                         f"got {args.bandwidth!r}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
 
@@ -491,7 +495,10 @@ def cmd_synth(args) -> int:
     if args.count == 0:
         return EXIT_OK
 
-    scenario = Scenario(rounds=args.rounds, round_s=args.round_s)
+    try:
+        scenario = Scenario(rounds=args.rounds, round_s=args.round_s)
+    except ValueError as e:
+        raise ValueError(f"--rounds {args.rounds} --round-s {args.round_s}: {e}") from None
     if Cohort.PROFESSIONAL in profiles and Cohort.AMATEUR in profiles:
         n_pro = round(args.count / 3)
     elif Cohort.PROFESSIONAL in profiles:

@@ -13,25 +13,36 @@ Formats (all UTF-8, `#`-prefixed comment lines ignored):
   ``kill <t> <killer> <victim>``, ``weapon_fire <t> <player>``.
 
 `gaze.csv` and `input.csv` hold nearly all the bytes of a session, so
-their parsers read the whole file and convert it a chunk of a few
-thousand rows at a time into columns (`GazeSeries`, `InputSeries`).
-Cells are converted with Python's `float`, so the accepted tokens are
-exactly those of the line-at-a-time parser that backs each of them.
-When the bulk path meets anything it does not accept, that line parser
-reruns over the file to report the failure as `ParseError` with the
-1-based line number and byte offset. `hrm.txt` and `demo.events` are
-small and parsed a line at a time. Writers emit a canonical form
-(shortest round-tripping numbers, keys in alphabet order, events
-sorted by time) so that write -> parse -> write is byte-identical.
+their parsers read the whole file and convert it into columns
+(`GazeSeries`, `InputSeries`) one chunk of about 64 KiB at a time, with
+one `np.loadtxt` call per chunk; each distinct `keys` cell of a chunk is
+mapped to its mask once. loadtxt reads an ASCII number exactly as
+`float` does, `nan`, `inf` and `1e999` included (the bulk path then
+refuses them as non-finite). A chunk holding a token that `float` takes
+and loadtxt does not, such as `1_0` or a non-ASCII digit, is converted
+again with `float` per cell. An empty gaze cell reads as NaN in a chunk
+without `n` or `N`. On every file the bulk path accepts, it gives the
+columns of the line-at-a-time parser behind it bit for bit.
+
+That line parser reruns over the whole file when a chunk has bad
+UTF-8, a U+001C..U+001F control, a wrong header or cell count, a bad,
+non-finite or non-increasing value, an unknown key, or an empty gaze
+cell beside an `n` or `N`. It accepts what it can and reports any
+failure as `ParseError` with the 1-based line number and byte offset.
+`hrm.txt` and `demo.events` are small and parsed a line at a time.
+
+Writers emit a canonical form (shortest round-tripping numbers, keys in
+alphabet order, events sorted by time) so that write -> parse -> write
+is byte-identical.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
+import re
 import sys
 from functools import partial
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +81,7 @@ INPUT_HEADER = "t,mouse_x,mouse_y,keys"
 # thousand rows) at a time, so the per-cell strings of a whole file
 # never exist at once.
 _CHUNK_BYTES = 1 << 16
-_EMPTY_AS_NAN = {"": "nan"}
+_EMPTY_CELL = re.compile(r",(?=[,\n])")  # the comma before each empty non-first cell
 
 # Canonical ordering of demo lines sharing a timestamp.
 _EVENT_RANK = {
@@ -148,12 +159,13 @@ class _Fallback(Exception):
     """The bulk path met input it leaves to the line parser to judge."""
 
 
-def _bulk_rows(data: bytes, header: str, ncols: int):
-    """Yield (cells, rows) for each chunk of data rows, cells flattened row-major.
+def _bulk_chunks(data: bytes, header: str):
+    """Yield the data rows of each chunk as text, each row ending in a newline.
 
-    Skips comment and blank lines and strips CR like `_iter_lines`.
-    Raises `_Fallback` on bad UTF-8, a wrong or missing header, or a
-    row without exactly `ncols` cells.
+    Drops comment lines and strips CR like `_iter_lines`; blank lines
+    after the first data row may remain. Raises `_Fallback` on bad
+    UTF-8, a wrong or missing header, or a U+001C..U+001F control, which
+    `np.loadtxt` strips around a number and `float` refuses.
     """
     saw_header = False
     pos = 0
@@ -165,66 +177,77 @@ def _bulk_rows(data: bytes, header: str, ncols: int):
         except UnicodeDecodeError:
             raise _Fallback from None
         pos = end
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
-        if "\r" in text:
-            lines = [line.rstrip("\r") for line in lines]
-        if "#" in text:
-            lines = [line for line in lines if line and not line.lstrip().startswith("#")]
-        elif "" in lines:
-            lines = [line for line in lines if line]
-        if not saw_header and lines:
-            if lines[0] != header:
+        if any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
+            raise _Fallback
+        if not text.endswith("\n"):
+            text += "\n"
+        if "\r" in text or "#" in text or text[0] == "\n":
+            lines = (line.rstrip("\r") for line in text.split("\n"))
+            text = "".join(f"{line}\n" for line in lines
+                           if line and not line.lstrip().startswith("#"))
+        if not saw_header and text:
+            first, _, text = text.partition("\n")
+            if first != header:
                 raise _Fallback
             saw_header = True
-            del lines[0]
-        if not lines:
-            continue
-        if set(map(str.count, lines, repeat(","))) != {ncols - 1}:
-            raise _Fallback
-        yield ",".join(lines).split(","), len(lines)
+            text = text.lstrip("\n")
+        if text:
+            yield text
     if not saw_header:
         raise _Fallback
 
 
-def _floats(cells, n: int) -> np.ndarray:
+def _loadtxt(text: str, ncols: int, converters: dict) -> np.ndarray:
+    """The (rows, ncols) cells of `text`, each float cell as `float` reads it."""
+    lines = text.split("\n")
     try:
-        return np.fromiter(map(float, cells), np.float64, n)
+        try:
+            cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                               converters=converters or None)
+        except ValueError:
+            # loadtxt refuses `1_0` and non-ASCII digits, which `float` takes.
+            cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                               converters=dict.fromkeys(range(ncols), float) | converters)
     except ValueError:
         raise _Fallback from None
+    # loadtxt skips blank lines, as `_iter_lines` does, and no other line.
+    if cells.shape != (len(lines) - lines.count(""), ncols):
+        raise _Fallback
+    return cells
 
 
-def _bulk_columns(data: bytes, header: str, ncols: int, convert) -> tuple:
+def _bulk_columns(data: bytes, header: str, convert) -> tuple:
     """Columns of a CSV whose first cell is a finite, strictly increasing time.
 
-    `convert(cells, n)` turns the other cells of a chunk of `n` rows
-    into its arrays. An empty file gives `()`.
+    `convert(text)` turns the rows of a chunk into its columns, time
+    first. An empty file gives `()`.
     """
     parts = []
     prev = -math.inf
-    for cells, n in _bulk_rows(data, header, ncols):
-        t = _floats(cells[0::ncols], n)
+    for text in _bulk_chunks(data, header):
+        columns = convert(text)
+        t = columns[0]
         if not (np.isfinite(t).all() and t[0] > prev and (t[1:] > t[:-1]).all()):
             raise _Fallback
         prev = t[-1]
-        parts.append((t, *convert(cells, n)))
+        parts.append(columns)
     return tuple(map(np.concatenate, zip(*parts)))
 
 
-def _gaze_cells(cells: list[str], n: int):
-    x_cells, y_cells = cells[1::3], cells[2::3]
-    valid = np.fromiter(map(bool, x_cells), bool, n) & np.fromiter(map(bool, y_cells), bool, n)
-    # Like the line parser, a row with either cell empty is a lost
-    # sample whose other cell is never judged: convert empties to
-    # NaN and overwrite the other cell with NaN too.
-    x = _floats(map(_EMPTY_AS_NAN.get, x_cells, x_cells), n)
-    y = _floats(map(_EMPTY_AS_NAN.get, y_cells, y_cells), n)
-    x[~valid] = math.nan
-    y[~valid] = math.nan
-    if not (np.isfinite(x[valid]).all() and np.isfinite(y[valid]).all()):
+def _gaze_chunk(text: str):
+    # Like the line parser, a row with an empty x or y is a lost sample
+    # whose other cell is never judged. Empty cells read as NaN, which
+    # nothing else gives in a chunk without `n` or `N` (so without a
+    # nan or inf token); in any other chunk they fail loadtxt.
+    lost_as_nan = "n" not in text and "N" not in text
+    if lost_as_nan:
+        text = _EMPTY_CELL.sub(",nan", text)
+    t, x, y = _loadtxt(text, 3, {}).T
+    lost = (np.isnan(x) | np.isnan(y)) & lost_as_nan
+    x[lost] = y[lost] = math.nan
+    if not (lost | np.isfinite(x) & np.isfinite(y)).all():
         raise _Fallback
-    return x, y, valid
+    return t, x, y, ~lost
 
 
 def _columns_lines(data: bytes, kind: str, header: str, row) -> tuple:
@@ -253,6 +276,7 @@ def _gaze_row(parts: list[str], lineno: int, offset: int):
 
 
 _gaze_columns_lines = partial(_columns_lines, kind="gaze", header=GAZE_HEADER, row=_gaze_row)
+_gaze_columns_bulk = partial(_bulk_columns, header=GAZE_HEADER, convert=_gaze_chunk)
 
 
 def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
@@ -264,23 +288,25 @@ def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
     """
     data = _read_bytes(source)
     try:
-        columns = _bulk_columns(data, GAZE_HEADER, 3, _gaze_cells)
+        columns = _gaze_columns_bulk(data)
     except _Fallback:
         columns = _gaze_columns_lines(data)
     return GazeSeries(*columns, nominal_rate_hz=rate_hz, screen=screen)
 
 
-def _input_cells(cells: list[str], n: int):
-    mx = _floats(cells[1::4], n)
-    my = _floats(cells[2::4], n)
+class _KeyMasks(dict):
+    """The mask of each distinct `keys` cell, computed once."""
+
+    def __missing__(self, cell: str) -> int:
+        mask = self[cell] = key_mask(cell.split("+") if cell else ())
+        return mask
+
+
+def _input_chunk(text: str):
+    t, mx, my, keys = _loadtxt(text, 4, {3: _KeyMasks().__getitem__}).T
     if not (np.isfinite(mx).all() and np.isfinite(my).all()):
         raise _Fallback
-    key_cells = cells[3::4]
-    try:
-        masks = {cell: key_mask(cell.split("+") if cell else ()) for cell in set(key_cells)}
-    except ValueError:
-        raise _Fallback from None
-    return mx, my, np.fromiter(map(masks.__getitem__, key_cells), np.uint32, n)
+    return t, mx, my, keys.astype(np.uint32)
 
 
 def _input_row(parts: list[str], lineno: int, offset: int):
@@ -293,13 +319,14 @@ def _input_row(parts: list[str], lineno: int, offset: int):
 
 
 _input_columns_lines = partial(_columns_lines, kind="input", header=INPUT_HEADER, row=_input_row)
+_input_columns_bulk = partial(_bulk_columns, header=INPUT_HEADER, convert=_input_chunk)
 
 
 def parse_input_log(source) -> InputSeries:
     """Parse an input CSV into sampled key/mouse state columns."""
     data = _read_bytes(source)
     try:
-        columns = _bulk_columns(data, INPUT_HEADER, 4, _input_cells)
+        columns = _input_columns_bulk(data)
     except _Fallback:
         columns = _input_columns_lines(data)
     return InputSeries(*columns)

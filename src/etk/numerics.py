@@ -206,10 +206,17 @@ def kde_evaluate(model: KdeModel, x: float) -> float:
 
 
 def kde_curve(model: KdeModel, points: int = KDE_GRID_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    """Density on a uniform grid spanning min-3h to max+3h."""
+    """Density on a uniform grid spanning min-3h to max+3h.
+
+    Raises `DegenerateData` when the grid or a density is not finite,
+    as when h is near the largest or smallest positive float.
+    """
     s = np.asarray(model.samples, dtype=float)
     h = model.bandwidth
-    xs = np.linspace(s.min() - 3.0 * h, s.max() + 3.0 * h, points)
-    z = (xs[:, None] - s[None, :]) / h
-    dens = np.exp(-0.5 * z * z).sum(axis=1) / (len(s) * h * math.sqrt(2.0 * math.pi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs = np.linspace(s.min() - 3.0 * h, s.max() + 3.0 * h, points)
+        z = (xs[:, None] - s[None, :]) / h
+        dens = np.exp(-0.5 * z * z).sum(axis=1) / (len(s) * h * math.sqrt(2.0 * math.pi))
+    if not (np.isfinite(xs).all() and np.isfinite(dens).all()):
+        raise DegenerateData(f"bandwidth {h!r} gives a non-finite density curve")
     return xs, dens

@@ -40,6 +40,9 @@ from .rng import Rng
 from .zones import default_zone_model
 
 DEFAULT_INPUT_RATE_HZ = 100.0
+# Most samples of one stream a synthetic session may hold: 5.6 h of input
+# at 100 Hz, 31 times the 640 s sessions of the longest benchmark corpus.
+MAX_SESSION_SAMPLES = 2_000_000
 
 # Shared (cohort-independent) input process settings. The forward-key
 # base process and the standalone-click process are identical across
@@ -120,7 +123,12 @@ class CohortProfile:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Match structure to generate: `rounds` back-to-back rounds."""
+    """Match structure to generate: `rounds` back-to-back rounds.
+
+    Each round spans at least one sample of every stream, and a session
+    holds at most MAX_SESSION_SAMPLES samples of each, so a scenario
+    that cannot be generated is refused before anything is allocated.
+    """
     rounds: int = 12
     round_s: float = 40.0
 
@@ -129,6 +137,14 @@ class Scenario:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
         if not 0.0 < self.round_s < math.inf:
             raise ValueError(f"round_s must be positive and finite, got {self.round_s}")
+        min_rate, max_rate = sorted((DEFAULT_GAZE_RATE_HZ, DEFAULT_INPUT_RATE_HZ))
+        if self.round_s * min_rate < 1.0:
+            raise ValueError(f"round_s {self.round_s} is shorter than one {min_rate:g} Hz sample")
+        # Each round holds a sample, so too many rounds is refused before
+        # `total_s`, a float that overflows for huge `rounds`, is formed.
+        if self.rounds > MAX_SESSION_SAMPLES or self.total_s * max_rate > MAX_SESSION_SAMPLES:
+            raise ValueError(f"{self.rounds} rounds of {self.round_s} s hold more than "
+                             f"{MAX_SESSION_SAMPLES} samples of a {max_rate:g} Hz stream")
 
     @property
     def total_s(self) -> float:
@@ -247,10 +263,9 @@ def _generate_timeline(rng: Rng, scenario: Scenario, player_id: str) -> MatchTim
 
 
 def _generate_gaze(rng_zone: Rng, rng_noise: Rng, rng_missing: Rng,
-                   profile: CohortProfile, total_s: float, rate_hz: float,
-                   screen: tuple[int, int]) -> GazeSeries:
-    n = int(round(total_s * rate_hz))
-    times = np.arange(n) / rate_hz
+                   profile: CohortProfile, total_s: float) -> GazeSeries:
+    n = int(round(total_s * DEFAULT_GAZE_RATE_HZ))
+    times = np.arange(n) / DEFAULT_GAZE_RATE_HZ
 
     # Markov zone chain: redraw when the persistence coin fails.
     redraw = rng_zone.random_block(n) >= profile.dwell_persistence
@@ -265,7 +280,7 @@ def _generate_gaze(rng_zone: Rng, rng_noise: Rng, rng_missing: Rng,
     if len(profile.zone_dwell) != len(centers):
         raise InvalidProfile(
             f"zone_dwell has {len(profile.zone_dwell)} entries, zone model has {len(centers)}")
-    w, h = screen
+    w, h = DEFAULT_SCREEN
     x = centers[chain, 0] + profile.gaze_noise_px * rng_noise.normal_block(n)
     y = centers[chain, 1] + profile.gaze_noise_px * rng_noise.normal_block(n)
     x = np.round(np.clip(x, 0.0, w), 2)
@@ -274,12 +289,12 @@ def _generate_gaze(rng_zone: Rng, rng_noise: Rng, rng_missing: Rng,
     invalid = _missing_mask(rng_missing, n, profile.missing_rate)
     x[invalid] = np.nan
     y[invalid] = np.nan
-    return GazeSeries(times, x, y, ~invalid, nominal_rate_hz=rate_hz, screen=screen)
+    return GazeSeries(times, x, y, ~invalid)
 
 
 def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
-                    total_s: float, rate_hz: float,
-                    screen: tuple[int, int]) -> InputSeries:
+                    total_s: float) -> InputSeries:
+    rate_hz = DEFAULT_INPUT_RATE_HZ
     n = int(round(total_s * rate_hz))
     times = np.arange(n) / rate_hz
 
@@ -307,7 +322,7 @@ def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
     keys = (a * key_mask(["A"]) | d * key_mask(["D"]) | w * key_mask(["W"])
             | m1 * key_mask(["MOUSE1"])).astype(np.uint32)
 
-    width, height = screen
+    width, height = DEFAULT_SCREEN
     mx = np.clip(960.0 + np.cumsum(rng_mouse.normal_block(n) * 6.0), 0.0, width)
     my = np.clip(540.0 + np.cumsum(rng_mouse.normal_block(n) * 4.0), 0.0, height)
     mx = np.round(mx, 2)
@@ -339,9 +354,7 @@ def generate_session(profile: CohortProfile, scenario: Scenario, seed: int,
     r_hrm = Rng(base.child_seed(6))
 
     timeline = _generate_timeline(r_timeline, scenario, meta.player_id)
-    gaze = _generate_gaze(r_zone, r_noise, r_missing, profile,
-                          scenario.total_s, DEFAULT_GAZE_RATE_HZ, DEFAULT_SCREEN)
-    input_samples = _generate_input(r_keys, r_mouse, profile,
-                                    scenario.total_s, DEFAULT_INPUT_RATE_HZ, DEFAULT_SCREEN)
+    gaze = _generate_gaze(r_zone, r_noise, r_missing, profile, scenario.total_s)
+    input_samples = _generate_input(r_keys, r_mouse, profile, scenario.total_s)
     hrm = _generate_beats(r_hrm, profile, scenario.total_s)
     return assemble_session(meta, gaze, input_samples, timeline, hrm)

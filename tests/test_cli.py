@@ -76,6 +76,19 @@ class TestSynthCommand:
         assert "round_s" in capsys.readouterr().err
         assert not out.exists()
 
+    # Each is refused by `Scenario` before anything is allocated: a round
+    # shorter than one gaze sample, or far more samples than a session holds.
+    @pytest.mark.parametrize("flags", [["--round-s", "1e-9"], ["--round-s", "0.01"],
+                                       ["--round-s", "1e7"], ["--rounds", "10000000000"],
+                                       ["--rounds", str(10 ** 400)]],
+                             ids=["tiny-round", "short-round", "huge-round", "many-rounds",
+                                  "overflowing-rounds"])
+    def test_unusable_scenario_exits_1_before_writing(self, tmp_path, capsys, flags):
+        out = tmp_path / "x"
+        assert main(["synth", "--out", str(out), "--count", "1", *flags]) == 1
+        assert flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_profile_exits_2(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"professional": {"zone_dwell": [1.0]}}))
@@ -352,12 +365,19 @@ class TestAnalyzeCommand:
                      "--bandwidth", "0.05"]) == 0
         assert (out / "kde.csv").stat().st_size > 0
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "abc"])
     def test_non_finite_bandwidth_exits_1_before_writing(self, corpus, tmp_path, capsys, value):
         out = tmp_path / "x"
         assert main(["analyze", str(corpus), "--out", str(out), "--bandwidth", value]) == 1
         assert "--bandwidth" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e308", "1e-320"])
+    def test_bandwidth_without_a_finite_curve_skips_kde(self, corpus, tmp_path, caplog, value):
+        out = tmp_path / "run"
+        assert main(["analyze", str(corpus), "--out", str(out), "--bandwidth", value]) == 0
+        assert (out / "kde.csv").read_text() == "cohort,feature,x,density\n"
+        assert "kde professional/" in caplog.text and "non-finite" in caplog.text
 
     def test_round_with_one_input_sample_skips_only_mouse_features(self, tiny_session,
                                                                    tmp_path, caplog):

@@ -317,6 +317,12 @@ class TestKde:
         with pytest.raises(ValueError):
             fit_kde([], bandwidth=1.0)
 
+    @pytest.mark.parametrize("bandwidth", [1e308, 1e-320])
+    def test_curve_that_is_not_finite_rejected(self, bandwidth):
+        # 1e308 overflows the grid's end; 1e-320 the density at a sample.
+        with pytest.raises(DegenerateData, match="non-finite"):
+            kde_curve(fit_kde([0.0, 2.0], bandwidth=bandwidth))
+
     def test_nonpositive_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             KdeModel(samples=(1.0,), bandwidth=0.0)
