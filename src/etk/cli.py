@@ -492,13 +492,13 @@ def cmd_synth(args) -> int:
     else:
         pro, am = default_profiles()
         profiles = {Cohort.PROFESSIONAL: pro, Cohort.AMATEUR: am}
-    if args.count == 0:
-        return EXIT_OK
-
     try:
         scenario = Scenario(rounds=args.rounds, round_s=args.round_s)
     except ValueError as e:
         raise ValueError(f"--rounds {args.rounds} --round-s {args.round_s}: {e}") from None
+    if args.count == 0:
+        return EXIT_OK
+
     if Cohort.PROFESSIONAL in profiles and Cohort.AMATEUR in profiles:
         n_pro = round(args.count / 3)
     elif Cohort.PROFESSIONAL in profiles:

@@ -66,7 +66,7 @@ from .model import (
     key_names,
     validate_session,
 )
-from .textio import _fmt_column, _write_text, fmt_num
+from .textio import _byte_cells, _fmt_cells, _join_rows, _write_text, fmt_num
 
 GAZE_FILE = "gaze.csv"
 INPUT_FILE = "input.csv"
@@ -405,10 +405,10 @@ def parse_demo_events(source) -> MatchTimeline:
         raise ParseError(kind, open_round[2], open_round[3],
                          f"round {open_round[0]} never ends")
 
-    timeline_probe = MatchTimeline(rounds=rounds, events=[])
+    outside = MatchTimeline(rounds=rounds, events=[]).outside_rounds([e.t for _, _, e in events])
     spawned = {e.subject for _, _, e in events if e.kind is EventKind.SPAWN}
-    for lineno, offset, e in events:
-        if timeline_probe.round_containing(e.t) is None:
+    for (lineno, offset, e), out in zip(events, outside.tolist()):
+        if out:
             raise ParseError(kind, lineno, offset,
                              f"{e.kind.value} at t={fmt_num(e.t)} lies outside every round")
         if e.subject not in spawned:
@@ -437,23 +437,22 @@ def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: InputSer
 # Writers (canonical form)
 
 def write_gaze_csv(series: GazeSeries, path) -> None:
-    xs, ys = _fmt_column(series.x), _fmt_column(series.y)
-    for i in np.flatnonzero(~series.valid).tolist():
-        xs[i] = ys[i] = ""
-    rows = map(",".join, zip(_fmt_column(series.t), xs, ys))
-    _write_text(path, "\n".join([GAZE_HEADER, *rows]) + "\n")
+    xs, ys = _fmt_cells(series.x), _fmt_cells(series.y)
+    lost = ~series.valid
+    xs[lost] = ys[lost] = 0  # empty cells
+    _write_text(path, [GAZE_HEADER + "\n", _join_rows([_fmt_cells(series.t), xs, ys])])
 
 
 def write_input_csv(samples: InputSeries, path) -> None:
-    masks = samples.keys.tolist()
-    names = {mask: "+".join(key_names(mask)) for mask in set(masks)}
-    rows = map(",".join, zip(_fmt_column(samples.t), _fmt_column(samples.mouse_x),
-                             _fmt_column(samples.mouse_y), map(names.__getitem__, masks)))
-    _write_text(path, "\n".join([INPUT_HEADER, *rows]) + "\n")
+    masks, inverse = np.unique(samples.keys, return_inverse=True)
+    names = _byte_cells(["+".join(key_names(mask)) for mask in masks.tolist()])
+    columns = [_fmt_cells(samples.t), _fmt_cells(samples.mouse_x), _fmt_cells(samples.mouse_y),
+               names.take(inverse, axis=0)]
+    _write_text(path, [INPUT_HEADER + "\n", _join_rows(columns)])
 
 
 def write_hrm_txt(beats: BeatSeries, path) -> None:
-    _write_text(path, "".join(text + "\n" for text in _fmt_column(beats.beat_times)))
+    _write_text(path, _join_rows([_fmt_cells(beats.beat_times)]))
 
 
 def _demo_lines(timeline: MatchTimeline) -> list[str]:

@@ -215,6 +215,24 @@ class MatchTimeline:
                 return r
         return None
 
+    def outside_rounds(self, times) -> np.ndarray:
+        """Whether `round_containing(t) is None`, for each of `times`, without a scan per time.
+
+        A time lies in some round exactly when the latest end among the
+        rounds starting at or before it is at or after it, so one search
+        over the starts, sorted, and a running max of their ends decide it
+        for unsorted, overlapping or reversed rounds alike.
+        """
+        t = np.asarray(times, dtype=np.float64)
+        if not self.rounds:
+            return np.ones(t.shape, dtype=bool)
+        starts = np.array([r.start_t for r in self.rounds], dtype=np.float64)
+        order = np.argsort(starts, kind="stable")
+        # fmax skips a NaN end, which closes no round.
+        reach = np.fmax.accumulate(np.array([r.end_t for r in self.rounds], np.float64)[order])
+        i = np.searchsorted(starts[order], t, side="right") - 1
+        return (i < 0) | ~(reach[i] >= t)  # i = -1 reads the last entry; masked by i < 0
+
     def spawned_players(self) -> set[str]:
         return {e.subject for e in self.events if e.kind is EventKind.SPAWN}
 
@@ -328,9 +346,10 @@ def _validate_timeline(timeline: MatchTimeline, out: list[Violation]) -> None:
         seen_idx.add(r.index)
 
     spawned = timeline.spawned_players()
+    outside = timeline.outside_rounds([e.t for e in timeline.events]).tolist()
     for i, e in enumerate(timeline.events):
         loc = f"timeline.events[{i}]"
-        if timeline.round_containing(e.t) is None:
+        if outside[i]:
             out.append(Violation(loc, f"{e.kind.value} at t={e.t} lies outside every round"))
         if e.kind is EventKind.KILL:
             if e.object is None:

@@ -64,6 +64,13 @@ class TestSynthCommand:
         assert main(["synth", "--out", str(out), "--count", "0"]) == 0
         assert not out.exists()
 
+    def test_count_zero_still_checks_the_scenario(self, tmp_path, capsys):
+        out = tmp_path / "c0"
+        assert main(["synth", "--out", str(out), "--count", "0", "--round-s", "1e-9"]) == 1
+        err = capsys.readouterr().err
+        assert "--rounds" in err and "--round-s" in err
+        assert not out.exists()
+
     def test_negative_count_rejected(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "x"), "--count", "-2"])
         assert code == 1

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etk.model import (
     BeatSeries,
@@ -13,6 +14,7 @@ from etk.model import (
     GazeSeries,
     InputSeries,
     Interval,
+    MatchTimeline,
     Round,
     Session,
     _Columns,
@@ -146,3 +148,41 @@ def test_every_session_stream_is_columnar():
     for name in ("gaze", "input", "hrm"):
         types = typing.get_args(hints[name]) or (hints[name],)
         assert all(issubclass(t, _Columns) for t in types if t is not type(None)), name
+
+
+# Times on a coarse grid, so that events often sit exactly on a round's
+# start or end, with the non-finite values a hand-built timeline can hold.
+_grid_times = st.one_of(st.integers(-2, 24).map(lambda i: i / 2),
+                        st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")]))
+
+
+def _scan_outside(timeline, times):
+    """The oracle: a linear `round_containing` scan per time."""
+    return [timeline.round_containing(t) is None for t in times]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_grid_times, _grid_times), max_size=8),
+       st.lists(_grid_times, max_size=30))
+def test_outside_rounds_matches_the_linear_scan(bounds, times):
+    """Unsorted, overlapping, zero-length and reversed rounds; events at
+    a start or an end, in gaps, before the first and after the last."""
+    timeline = MatchTimeline(rounds=[Round(i + 1, a, b) for i, (a, b) in enumerate(bounds)],
+                             events=[])
+    assert timeline.outside_rounds(times).tolist() == _scan_outside(timeline, times)
+
+
+def test_outside_rounds_named_cases():
+    rounds = [Round(1, 10.0, 20.0), Round(2, 0.0, 5.0),     # unsorted, gap (5, 10)
+              Round(3, 2.0, 30.0),                          # overlaps both
+              Round(4, 40.0, 40.0), Round(5, 50.0, 45.0),   # zero-length, reversed
+              Round(6, 55.0, float("nan")), Round(7, 60.0, 70.0)]
+    timeline = MatchTimeline(rounds=rounds, events=[])
+    times = [-1.0, 0.0, 5.0, 7.5, 10.0, 20.0, 30.0, 35.0, 40.0, 47.0, 50.0, 45.0,
+             57.0, 65.0, 71.0]
+    expected = _scan_outside(timeline, times)
+    assert expected == [True, False, False, False, False, False, False, True, False,
+                        True, True, True, True, False, True]
+    assert timeline.outside_rounds(times).tolist() == expected
+    assert MatchTimeline(rounds=[], events=[]).outside_rounds([0.0]).tolist() == [True]
+    assert timeline.outside_rounds([]).tolist() == []
