@@ -59,6 +59,8 @@ from .rng import Rng
 from .synth import CohortProfile, Scenario, default_profiles, generate_session, load_profiles
 from .textio import _fmt_column, _fmt_distinct, _write_text, fmt_num
 from .zones import (
+    DEFAULT_HOP_S,
+    DEFAULT_WINDOW_S,
     MAX_WINDOWS,
     WindowSeries,
     ZoneModel,
@@ -551,8 +553,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out", required=True, help="artifact output directory")
     p_an.add_argument("--zones", default="default",
                       help="zone model CSV path, or 'default'")
-    p_an.add_argument("--window-s", type=float, default=15.0, dest="window_s")
-    p_an.add_argument("--hop-s", type=float, default=1.0, dest="hop_s")
+    p_an.add_argument("--window-s", type=float, default=DEFAULT_WINDOW_S, dest="window_s")
+    p_an.add_argument("--hop-s", type=float, default=DEFAULT_HOP_S, dest="hop_s")
     p_an.add_argument("--bandwidth", default="auto",
                       help="KDE bandwidth value, or 'auto' for Silverman")
     p_an.add_argument("--jobs", type=int, default=1)

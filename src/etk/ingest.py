@@ -30,6 +30,10 @@ non-finite or non-increasing value, an unknown key, or an empty gaze
 cell beside an `n` or `N`. It accepts what it can and reports any
 failure as `ParseError` with the 1-based line number and byte offset.
 `hrm.txt` and `demo.events` are small and parsed a line at a time.
+Their parsers check syntax (arity, numbers, known tags) and round
+pairing, then run `model._validate_hrm` or `_validate_timeline` on what
+they built and raise its violation that comes first in the file at the
+line of the beat, event or round (its `round_start`) it names.
 
 Writers emit a canonical form (shortest round-tripping numbers, keys in
 alphabet order, events sorted by time) so that write -> parse -> write
@@ -58,10 +62,11 @@ from .model import (
     GazeSeries,
     InputSeries,
     MatchTimeline,
-    MIN_BEAT_INTERVAL_S,
     PlayerMeta,
     Round,
     Session,
+    _validate_hrm,
+    _validate_timeline,
     key_mask,
     key_names,
     validate_session,
@@ -83,15 +88,13 @@ INPUT_HEADER = "t,mouse_x,mouse_y,keys"
 _CHUNK_BYTES = 1 << 16
 _EMPTY_CELL = re.compile(r",(?=[,\n])")  # the comma before each empty non-first cell
 
-# Canonical ordering of demo lines sharing a timestamp.
-_EVENT_RANK = {
-    "round_end": 0,
-    "round_start": 1,
-    "spawn": 2,
-    "weapon_fire": 3,
-    "kill": 4,
-    "death": 5,
+# What follows the tag of each demo line, as a wrong arity error states
+# it, in the canonical order of demo lines sharing a timestamp.
+_EVENT_ARGS = {
+    "round_end": "<t> <index>", "round_start": "<t> <index>", "spawn": "<t> <player>",
+    "weapon_fire": "<t> <player>", "kill": "<t> <killer> <victim>", "death": "<t> <player>",
 }
+_EVENT_RANK = {tag: rank for rank, tag in enumerate(_EVENT_ARGS)}
 
 
 def _read_bytes(source) -> bytes:
@@ -332,31 +335,42 @@ def parse_input_log(source) -> InputSeries:
     return InputSeries(*columns)
 
 
+def _raise_first_violation(kind: str, validate, value, lines: dict) -> None:
+    """Raise the violation `validate(value, out)` finds that comes first in the file.
+
+    `lines[column][i]` starts with the (lineno, offset) of the line that
+    gave entry i of `column`, which a violation names as `column[i]`;
+    other violations, such as "timeline has no rounds", are left to
+    `assemble_session`.
+    """
+    out: list = []
+    validate(value, out)
+    located = []
+    for v in out:
+        column, _, index = v.location.partition("[")
+        if index and column in lines:
+            located.append((lines[column][int(index[:-1])][:2], v.message))
+    if located:
+        (lineno, offset), message = min(located, key=lambda item: item[0])
+        raise ParseError(kind, lineno, offset, message)
+
+
 def parse_hrm_log(source) -> BeatSeries:
     """Parse heart-beat timestamps, one per line."""
-    kind = "hrm"
-    beats: list[float] = []
-    prev_t = -math.inf
-    for lineno, offset, text in _iter_lines(source, kind):
-        t = _parse_float(text.strip(), kind, lineno, offset, "beat time")
-        if t <= prev_t:
-            raise ParseError(kind, lineno, offset,
-                             f"beat time {t} is not increasing (previous {prev_t})")
-        if beats and t - prev_t <= MIN_BEAT_INTERVAL_S:
-            raise ParseError(kind, lineno, offset,
-                             f"inter-beat interval {t - prev_t:.4f}s implies pulse above 240 bpm")
-        prev_t = t
-        beats.append(t)
-    return BeatSeries(beat_times=beats)
+    lines = list(_iter_lines(source, "hrm"))
+    beats = BeatSeries([_parse_float(text.strip(), "hrm", lineno, offset, "beat time")
+                        for lineno, offset, text in lines])
+    _raise_first_violation("hrm", _validate_hrm, beats, {"hrm.beat_times": lines})
+    return beats
 
 
 def parse_demo_events(source) -> MatchTimeline:
     """Parse a demo event export into an ordered, validated timeline."""
     kind = "demo"
     rounds: list[Round] = []
-    open_round: tuple[int, float, int, int] | None = None  # (index, start_t, lineno, offset)
-    events: list[tuple[int, int, GameEvent]] = []
-    seen_idx: set[int] = set()
+    open_round: tuple[int, int, int, float] | None = None  # (lineno, offset, index, start_t)
+    events: list[GameEvent] = []
+    lines: dict[str, list[tuple]] = {"timeline.rounds": [], "timeline.events": []}
 
     for lineno, offset, text in _iter_lines(source, kind):
         parts = text.split()
@@ -364,62 +378,34 @@ def parse_demo_events(source) -> MatchTimeline:
             raise ParseError(kind, lineno, offset, f"malformed event line {text!r}")
         tag = parts[0]
         t = _parse_float(parts[1], kind, lineno, offset, "timestamp")
+        if tag not in _EVENT_ARGS:
+            raise ParseError(kind, lineno, offset, f"unknown event kind {tag!r}")
+        if len(parts) != 2 + _EVENT_ARGS[tag].count(" "):
+            raise ParseError(kind, lineno, offset, f"{tag} takes {_EVENT_ARGS[tag]}")
 
         if tag == "round_start":
-            if len(parts) != 3:
-                raise ParseError(kind, lineno, offset, "round_start takes <t> <index>")
             idx = _parse_int(parts[2], kind, lineno, offset, "round index")
             if open_round is not None:
                 raise ParseError(kind, lineno, offset,
-                                 f"round {idx} starts while round {open_round[0]} is still open")
-            if idx in seen_idx:
-                raise ParseError(kind, lineno, offset, f"duplicate round index {idx}")
-            if rounds and t < rounds[-1].end_t:
-                raise ParseError(kind, lineno, offset,
-                                 f"round {idx} starts at {t}, overlapping the previous round")
-            open_round = (idx, t, lineno, offset)
-            seen_idx.add(idx)
+                                 f"round {idx} starts while round {open_round[2]} is still open")
+            open_round = (lineno, offset, idx, t)
         elif tag == "round_end":
-            if len(parts) != 3:
-                raise ParseError(kind, lineno, offset, "round_end takes <t> <index>")
             idx = _parse_int(parts[2], kind, lineno, offset, "round index")
-            if open_round is None or open_round[0] != idx:
+            if open_round is None or open_round[2] != idx:
                 raise ParseError(kind, lineno, offset, f"round_end {idx} without matching round_start")
-            if t <= open_round[1]:
-                raise ParseError(kind, lineno, offset,
-                                 f"round {idx} ends at {t}, before its start {open_round[1]}")
-            rounds.append(Round(index=idx, start_t=open_round[1], end_t=t))
+            rounds.append(Round(index=idx, start_t=open_round[3], end_t=t))
+            lines["timeline.rounds"].append(open_round)
             open_round = None
-        elif tag in ("spawn", "death", "weapon_fire"):
-            if len(parts) != 3:
-                raise ParseError(kind, lineno, offset, f"{tag} takes <t> <player>")
-            events.append((lineno, offset, GameEvent(t, EventKind(tag), parts[2])))
-        elif tag == "kill":
-            if len(parts) != 4:
-                raise ParseError(kind, lineno, offset, "kill takes <t> <killer> <victim>")
-            events.append((lineno, offset, GameEvent(t, EventKind.KILL, parts[2], parts[3])))
         else:
-            raise ParseError(kind, lineno, offset, f"unknown event kind {tag!r}")
+            events.append(GameEvent(t, EventKind(tag), *parts[2:]))
+            lines["timeline.events"].append((lineno, offset))
 
     if open_round is not None:
-        raise ParseError(kind, open_round[2], open_round[3],
-                         f"round {open_round[0]} never ends")
+        raise ParseError(kind, open_round[0], open_round[1], f"round {open_round[2]} never ends")
 
-    outside = MatchTimeline(rounds=rounds, events=[]).outside_rounds([e.t for _, _, e in events])
-    spawned = {e.subject for _, _, e in events if e.kind is EventKind.SPAWN}
-    for (lineno, offset, e), out in zip(events, outside.tolist()):
-        if out:
-            raise ParseError(kind, lineno, offset,
-                             f"{e.kind.value} at t={fmt_num(e.t)} lies outside every round")
-        if e.subject not in spawned:
-            raise ParseError(kind, lineno, offset, f"player {e.subject!r} never spawns")
-        if e.object is not None and e.object not in spawned:
-            raise ParseError(kind, lineno, offset, f"player {e.object!r} never spawns")
-
+    _raise_first_violation(kind, _validate_timeline, MatchTimeline(rounds, events), lines)
     ordered = sorted(
-        (e for _, _, e in events),
-        key=lambda e: (e.t, _EVENT_RANK[e.kind.value], e.subject, e.object or ""),
-    )
+        events, key=lambda e: (e.t, _EVENT_RANK[e.kind.value], e.subject, e.object or ""))
     return MatchTimeline(rounds=sorted(rounds, key=lambda r: r.start_t), events=ordered)
 
 

@@ -525,6 +525,21 @@ class TestInputErrors:
         assert main(["ingest", str(broken)]) == 2
         assert str(broken / "meta.json") in capsys.readouterr().err
 
+    def test_player_id_with_comma_exits_3(self, corpus, tmp_path, capsys):
+        """A comma in a player id would shift the cells of every CSV row naming it."""
+        root = tmp_path / "comma"
+        for name in ("pro01", "am02", "am03"):
+            shutil.copytree(corpus / name, root / name)
+        meta = json.loads((root / "pro01" / "meta.json").read_text())
+        meta["player_id"] = "pro,01"
+        (root / "pro01" / "meta.json").write_text(json.dumps(meta))
+        demo = root / "pro01" / "demo.events"
+        demo.write_text(demo.read_text().replace(" pro01", " pro,01"))
+        out = tmp_path / "run"
+        assert main(["analyze", str(root), "--out", str(out)]) == 3
+        assert "meta.player_id" in capsys.readouterr().err
+        assert not (out / "windows.csv").exists()
+
     def test_duplicate_player_id_exits_3_naming_both(self, corpus, tmp_path, capsys):
         root = tmp_path / "dup"
         for name in ("pro01", "am02", "am03"):

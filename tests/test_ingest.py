@@ -86,6 +86,7 @@ def test_parse_input_unknown_key_rejected():
 
 GAZE = b"t,x,y\n"
 INPUT = b"t,mouse_x,mouse_y,keys\n"
+DEMO = b"round_start 0 1\nspawn 0 p1\nround_end 40 1\n"
 # (parser, data, kind, line, byte_offset, message): every field of the error.
 PARSE_ERRORS = [
     (parse_gaze_log, b"", "gaze", 1, 0, "empty file: missing header"),
@@ -119,6 +120,25 @@ PARSE_ERRORS = [
     (parse_input_log, INPUT + b"0,1,2,W++A\n", "input", 2, 23, "unknown key token ''"),
     (parse_input_log, INPUT + b"0,1,2,w\n", "input", 2, 23, "unknown key token 'w'"),
     (parse_input_log, INPUT + b"0,x,2,XYZZY\n", "input", 2, 23, "malformed mouse_x 'x'"),
+    # The demo and hrm rules are the validator's, raised at the line of
+    # the round (its round_start), event or beat they name; a syntax
+    # error anywhere comes first.
+    (parse_hrm_log, b"1.0\n0.9\n", "hrm", 2, 4, "beat time 0.9 not increasing (previous 1.0)"),
+    (parse_hrm_log, b"1.0\n1.1\n", "hrm", 2, 4,
+     "inter-beat interval 0.1000s implies pulse above 240 bpm"),
+    (parse_hrm_log, b"1.0\n0.9\nx\n", "hrm", 3, 8, "malformed beat time 'x'"),
+    (parse_demo_events, b"round_start 5 1\nspawn 5 p1\nround_end 5 1\n", "demo", 1, 0,
+     "round 1 ends at 5.0 before it starts at 5.0"),
+    (parse_demo_events, DEMO + b"round_start 30 2\nround_end 70 2\n", "demo", 4, 42,
+     "round 2 overlaps the previous round"),
+    (parse_demo_events, DEMO + b"round_start 40 1\nround_end 50 1\n", "demo", 4, 42,
+     "duplicate round index 1"),
+    (parse_demo_events, DEMO + b"death 50 p1\n", "demo", 4, 42,
+     "death at t=50.0 lies outside every round"),
+    (parse_demo_events, b"round_start 0 1\nspawn 0 p1\nkill 5 ghost p1\nround_end 40 1\n",
+     "demo", 3, 27, "player 'ghost' never spawns"),
+    (parse_demo_events, DEMO + b"death 50 p1\nround_start 9 1\n", "demo", 5, 54,
+     "round 1 never ends"),
 ]
 
 

@@ -15,6 +15,7 @@ from etk.model import (
     InputSeries,
     Interval,
     MatchTimeline,
+    PlayerMeta,
     Round,
     Session,
     _Columns,
@@ -53,6 +54,22 @@ def test_event_outside_rounds_is_flagged(tiny_session):
                       timeline=timeline, hrm=None)
     violations = validate_session(session)
     assert any("outside every round" in v.message for v in violations)
+
+
+@pytest.mark.parametrize("player_id", ["pro,01", ",", "p\x00", "p\x1f1", "\t"])
+def test_player_id_with_comma_or_control_is_flagged(tiny_session, player_id):
+    meta = PlayerMeta(player_id, tiny_session.meta.cohort, tiny_session.meta.n)
+    violations = validate_session(Session(meta, tiny_session.gaze, tiny_session.input,
+                                          tiny_session.timeline, tiny_session.hrm))
+    assert "meta.player_id" in [v.location for v in violations]
+
+
+@pytest.mark.parametrize("player_id", ["pro01", "p-1", "p.1", "pro\u00e9", "p\x7f"])
+def test_player_id_without_comma_or_control_is_not_flagged(tiny_session, player_id):
+    meta = PlayerMeta(player_id, tiny_session.meta.cohort, tiny_session.meta.n)
+    violations = validate_session(Session(meta, tiny_session.gaze, tiny_session.input,
+                                          tiny_session.timeline, tiny_session.hrm))
+    assert "meta.player_id" not in [v.location for v in violations]
 
 
 def test_out_of_bounds_valid_gaze_is_flagged(tiny_session):
