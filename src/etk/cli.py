@@ -21,7 +21,7 @@ import shutil
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ from .preprocess import (
 )
 from .rng import Rng
 from .synth import CohortProfile, Scenario, default_profiles, generate_session, load_profiles
-from .textio import _fmt_column, _fmt_distinct, _write_text, fmt_num
+from .textio import _byte_cells, _fmt_cells, _join_rows, _write_text
 from .zones import (
     DEFAULT_HOP_S,
     DEFAULT_WINDOW_S,
@@ -328,65 +328,61 @@ def _derive_sessions(dirs: list[Path], derive, jobs: int) -> list[_SessionDerive
         pool.shutdown(cancel_futures=True)
 
 
-def _window_blocks(derived: list[_SessionDerived], kind: str, columns):
-    """Lines `<kind>player_id,cohort,round,window_index,<columns>`, one per window.
+def _window_blocks(derived: list[_SessionDerived], kind: list[str], columns):
+    """CSV rows `<kind>,player_id,cohort,round,window_index,<columns>`, one per window.
 
-    `columns(d, rows)` returns the formatted columns for a slice of a
-    session's windows. Each block holds _CHUNK_ROWS lines, so only one
-    block's strings are alive at once, not the whole file's.
+    `columns(d, rows)` gives the float columns of a slice of a session's
+    windows as a matrix. Each block holds _CHUNK_ROWS rows, so only one
+    block's cells are alive at once, not the whole file's.
     """
     for d in derived:
         for lo in range(0, len(d.windows), _CHUNK_ROWS):
             rows = slice(lo, lo + _CHUNK_ROWS)
-            yield "\n".join(map(",".join, zip(
-                repeat(f"{kind}{d.meta.player_id},{d.meta.cohort.value}"),
-                map(str, d.window_round[rows].tolist()),
-                map(str, d.windows.index[rows].tolist()), *columns(d, rows)))) + "\n"
+            ids = np.column_stack((d.window_round[rows], d.windows.index[rows]))
+            yield _join_rows([*kind, d.meta.player_id, d.meta.cohort.value,
+                              *_fmt_cells(ids), *_fmt_cells(columns(d, rows))])
+
+
+def _player_cells(derived: list[_SessionDerived]) -> list[np.ndarray]:
+    """The player_id and cohort cells of each session."""
+    return [_byte_cells([d.meta.player_id for d in derived]),
+            _byte_cells([d.meta.cohort.value for d in derived])]
 
 
 def _write_windows_csv(path: Path, derived: list[_SessionDerived], k: int) -> None:
     header = "player_id,cohort,round,window_index,window_start," + \
         ",".join(f"p{i}" for i in range(1, k + 1))
-    blocks = _window_blocks(derived, "", lambda d, rows: (
-        _fmt_column(d.windows.start[rows]), *_fmt_distinct(d.windows.probs[rows])))
+    blocks = _window_blocks(derived, [], lambda d, rows: np.column_stack(
+        (d.windows.start[rows], d.windows.probs[rows])))
     _write_text(path, chain([header + "\n"], blocks))
 
 
 def _write_averages_csv(path: Path, derived: list[_SessionDerived], k: int) -> None:
     header = "player_id,cohort," + ",".join(f"p{i}" for i in range(1, k + 1))
-    lines = [header]
-    for d in derived:
-        if d.averaged is None:
-            continue
-        lines.append(f"{d.meta.player_id},{d.meta.cohort.value},"
-                     + ",".join(fmt_num(p) for p in d.averaged))
-    _write_text(path, "\n".join(lines) + "\n")
+    averaged = [d for d in derived if d.averaged is not None]
+    probs = np.reshape([d.averaged for d in averaged], (-1, k))
+    _write_text(path, [header + "\n", _join_rows([*_player_cells(averaged), *_fmt_cells(probs)])])
 
 
 def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> None:
-    vectors = np.concatenate([d.windows.probs for d in derived])
-    model = fit_pca(vectors)
+    model = fit_pca(np.concatenate([d.windows.probs for d in derived]))
 
-    cols = ",".join(f"v{i}" for i in range(1, k + 1))
-    lines = [f"row,{cols}"]
-    lines.append("mean," + ",".join(fmt_num(v) for v in model.mean))
-    for i, comp in enumerate(model.components, start=1):
-        lines.append(f"component_{i}," + ",".join(fmt_num(v) for v in comp))
-    lines.append("explained_variance," + ",".join(fmt_num(v) for v in model.explained_variance))
-    lines.append("explained_ratio," + ",".join(fmt_num(v) for v in model.explained_ratio))
-    _write_text(out_dir / "pca_model.csv", "\n".join(lines) + "\n")
-
-    def pcs(d, rows):
-        # Windows with equal probabilities project to equal rows.
-        return _fmt_distinct(project(model, d.windows.probs[rows], dims=2))
+    header = "row," + ",".join(f"v{i}" for i in range(1, k + 1))
+    labels = ["mean", *(f"component_{i}" for i in range(1, len(model.components) + 1)),
+              "explained_variance", "explained_ratio"]
+    values = np.vstack((model.mean, model.components, model.explained_variance,
+                        model.explained_ratio))
+    _write_text(out_dir / "pca_model.csv",
+                [header + "\n", _join_rows([_byte_cells(labels), *_fmt_cells(values)])])
 
     averaged = [d for d in derived if d.averaged is not None]
     xy = project(model, [d.averaged for d in averaged], dims=2)
-    averages = (f"average,{d.meta.player_id},{d.meta.cohort.value},,,{x},{y}\n" for d, x, y in
-                zip(averaged, _fmt_column(xy[:, 0]), _fmt_column(xy[:, 1])))
+    averages = _join_rows(["average", *_player_cells(averaged), "", "", *_fmt_cells(xy)])
     _write_text(out_dir / "pca_projections.csv", chain(
         ["kind,player_id,cohort,round,window_index,pc1,pc2\n"],
-        _window_blocks(derived, "window,", pcs), averages))
+        _window_blocks(derived, ["window"], lambda d, rows: project(
+            model, d.windows.probs[rows], dims=2)),
+        [averages]))
 
 
 def _write_missing_json(path: Path, derived: list[_SessionDerived]) -> None:
@@ -407,7 +403,7 @@ def _write_heatmaps(out_dir: Path, derived: list[_SessionDerived],
 
 
 def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: float | None) -> None:
-    lines = ["cohort,feature,x,density"]
+    blocks = ["cohort,feature,x,density\n"]
     for cohort in Cohort:
         for feature in KDE_FEATURES:
             values = [r.value for d in derived if d.meta.cohort is cohort
@@ -419,9 +415,8 @@ def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: float 
             except EtkError as e:
                 log.warning("kde %s/%s skipped: %s", cohort.value, feature, e)
                 continue
-            for x, dv in zip(xs, dens):
-                lines.append(f"{cohort.value},{feature},{fmt_num(x)},{fmt_num(dv)}")
-    _write_text(path, "\n".join(lines) + "\n")
+            blocks.append(_join_rows([cohort.value, feature, *_fmt_cells(np.column_stack((xs, dens)))]))
+    _write_text(path, blocks)
 
 
 def cmd_analyze(args) -> int:

@@ -1,6 +1,6 @@
 """Parsers and writers for the four session capture formats.
 
-Formats (all UTF-8, `#`-prefixed comment lines ignored):
+Formats (all UTF-8; whitespace-only and `#`-prefixed comment lines ignored):
 
 * ``gaze.csv``    — header ``t,x,y``; one row per gaze sample; an empty
   ``x,y`` pair marks a sample the tracker lost.
@@ -105,7 +105,7 @@ def _read_bytes(source) -> bytes:
 
 
 def _iter_lines(source, kind: str):
-    """Yield (lineno, byte_offset, stripped_text) skipping blanks and comments."""
+    """Yield (lineno, byte_offset, stripped_text), skipping whitespace-only and comment lines."""
     offset = 0
     for lineno, raw in enumerate(io.BytesIO(_read_bytes(source)), start=1):
         line_offset = offset
@@ -115,7 +115,7 @@ def _iter_lines(source, kind: str):
         except UnicodeDecodeError as e:
             raise ParseError(kind, lineno, line_offset, f"invalid UTF-8: {e}") from None
         text = text.rstrip("\r\n")
-        if not text or text.lstrip().startswith("#"):
+        if text.lstrip()[:1] in ("", "#"):
             continue
         yield lineno, line_offset, text
 
@@ -165,10 +165,10 @@ class _Fallback(Exception):
 def _bulk_chunks(data: bytes, header: str):
     """Yield the data rows of each chunk as text, each row ending in a newline.
 
-    Drops comment lines and strips CR like `_iter_lines`; blank lines
-    after the first data row may remain. Raises `_Fallback` on bad
-    UTF-8, a wrong or missing header, or a U+001C..U+001F control, which
-    `np.loadtxt` strips around a number and `float` refuses.
+    Drops comment lines and strips CR like `_iter_lines`; later blank
+    lines may remain (`_loadtxt` falls back on one of whitespace). Raises
+    `_Fallback` on bad UTF-8, a wrong or missing header, or a U+001C..U+001F
+    control, which `np.loadtxt` strips around a number and `float` refuses.
     """
     saw_header = False
     pos = 0
@@ -423,10 +423,9 @@ def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: InputSer
 # Writers (canonical form)
 
 def write_gaze_csv(series: GazeSeries, path) -> None:
-    xs, ys = _fmt_cells(series.x), _fmt_cells(series.y)
-    lost = ~series.valid
-    xs[lost] = ys[lost] = 0  # empty cells
-    _write_text(path, [GAZE_HEADER + "\n", _join_rows([_fmt_cells(series.t), xs, ys])])
+    xy = _fmt_cells(np.column_stack((series.x, series.y)))
+    xy[:, ~series.valid] = 0  # empty cells
+    _write_text(path, [GAZE_HEADER + "\n", _join_rows([_fmt_cells(series.t), *xy])])
 
 
 def write_input_csv(samples: InputSeries, path) -> None:

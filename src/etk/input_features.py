@@ -15,7 +15,7 @@ import numpy as np
 from .errors import EmptySupport, InsufficientData
 from .model import DEFAULT_INPUT_PERIOD_S, InputSeries, Interval, key_mask, true_runs
 from .preprocess import slice_by_intervals
-from .textio import _write_text, fmt_num
+from .textio import _byte_cells, _fmt_cells, _join_rows, _write_text
 
 MOUSE1 = "MOUSE1"
 KINEMATICS_WINDOW_S = 1.0
@@ -164,7 +164,7 @@ class FeatureRow:
 
 
 def write_feature_table(rows: list[FeatureRow], path) -> None:
-    lines = ["player_id,cohort,round,feature,value"]
-    for r in rows:
-        lines.append(f"{r.player_id},{r.cohort},{r.round_index},{r.feature},{fmt_num(r.value)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, ["player_id,cohort,round,feature,value\n", _join_rows([
+        _byte_cells([r.player_id for r in rows]), _byte_cells([r.cohort for r in rows]),
+        _fmt_cells(np.array([r.round_index for r in rows], np.int64)),
+        _byte_cells([r.feature for r in rows]), _fmt_cells(np.array([r.value for r in rows], float))])])

@@ -20,6 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 DEFAULT_SCREEN = (1920, 1080)
+MAX_SCREEN_PX = 16384  # the widest screen side accepted; a 16K display is 15360 x 8640
 DEFAULT_GAZE_RATE_HZ = 60.0
 DEFAULT_INPUT_PERIOD_S = 0.01
 
@@ -300,8 +301,8 @@ def _validate_gaze(gaze: GazeSeries, out: list[Violation]) -> None:
         out.append(Violation("gaze.nominal_rate_hz",
                              f"rate must be positive, got {gaze.nominal_rate_hz}"))
     w, h = gaze.screen
-    if w <= 0 or h <= 0:
-        out.append(Violation("gaze.screen", f"screen dims must be positive, got {gaze.screen}"))
+    if not (0 < w <= MAX_SCREEN_PX and 0 < h <= MAX_SCREEN_PX):  # sizes the heatmap
+        out.append(Violation("gaze.screen", f"screen dims {gaze.screen} outside 1..{MAX_SCREEN_PX}"))
     t, x, y, valid = gaze.t, gaze.x, gaze.y, gaze.valid
     nonfinite = valid & ~(np.isfinite(x) & np.isfinite(y))
     outside = valid & ~nonfinite & ~((0 <= x) & (x <= w) & (0 <= y) & (y <= h))

@@ -2,15 +2,15 @@
 
 Numbers are written in their shortest round-tripping form: integral
 values below 1e15 without a decimal point, everything else as `repr`.
-The column kernels give the same strings as `fmt_num` on each entry.
 
-The capture writers format whole columns into NUL-padded byte matrices
-(`_fmt_cells`) and join them into rows with one mask (`_join_rows`), so
-no Python string is built per cell. A value with at most three decimals
-and a magnitude below 1e12, as synth's coordinates, input times and
-beat times are, is assembled from digit tables; its text is the one
-`repr` gives, because no shorter decimal lies within one ulp of it (see
-`_fmt_cells`). Every other value is formatted by `_fmt_column`.
+Every CSV row is built here, a block of rows at a time, with no Python
+string per cell: `_fmt_cells` formats a whole array of numbers into
+NUL-padded byte cells, `_byte_cells` takes text cells as their UTF-8
+bytes, and `_join_rows` adds the commas and newlines and drops every
+NUL with one mask. A number with at most three decimals and a magnitude
+below 1e12 is assembled from digit tables; every other one is formatted
+by `_fmt_column` once per distinct value, which pays where values
+repeat, as window probabilities do.
 """
 from __future__ import annotations
 
@@ -50,15 +50,18 @@ _MINUS = np.frombuffer(b"\0-", np.uint16)[0]
 
 
 def _byte_cells(texts: list[str]) -> np.ndarray:
-    """ASCII strings as a uint8 matrix, one NUL-padded row each."""
-    cells = np.array(texts, dtype="S")
+    """Each text's UTF-8 bytes (no NUL among them) as a uint8 matrix, one NUL-padded row each."""
+    cells = np.array([text.encode() for text in texts], dtype="S")
     return cells.view(np.uint8).reshape(len(cells), cells.itemsize)
 
 
-def _fmt_cells(column: np.ndarray) -> np.ndarray:
-    """`fmt_num` of each entry of a float column, as NUL-padded uint8 rows.
+def _fmt_cells(values: np.ndarray) -> np.ndarray:
+    """`fmt_num` of each entry of a float array (`str` of an integer one) as NUL-padded bytes.
 
-    An entry v is decimal when q = rint(v * 1000) is below 1e15 in
+    An (n,) array gives an (n, width) matrix of cells, and an (n, c) one
+    a (c, n, width) stack of them, one per column.
+
+    A float entry v is decimal when q = rint(v * 1000) is below 1e15 in
     magnitude and q / 1000 == v. Its text is built from q: "-" only when
     q < 0 (so -0.0 is "0"), the digits of |q| // 1000, and the
     thousandths without trailing zeros. That is `fmt_num(v)`:
@@ -70,19 +73,24 @@ def _fmt_cells(column: np.ndarray) -> np.ndarray:
     0.001 <= |v| < 1e16, and an integral v gets no fraction, as from
     `str(int(v))`. Every other entry (NaN, inf, integral values of
     1e12 and more, values with more decimals such as a 60 Hz time grid)
-    is formatted by `_fmt_column`.
+    is formatted by `_fmt_column` once per distinct value: values that
+    compare equal format alike (every NaN is "nan").
     """
-    v = np.asarray(column, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        q = np.rint(v * 1000.0)
-    decimal = (np.abs(q) < 1e15) & (q / 1000.0 == v)
-    signed = q[decimal]
-    thousandths = np.abs(signed).astype(np.int64)
-    whole = thousandths // 1000
+    flat = np.ravel(values)
+    if flat.dtype.kind in "iu":  # as uint64, |-2**63| is exact too
+        decimal, negative, fraction = np.full(len(flat), True), flat < 0, 0
+        whole = np.abs(flat).astype(np.uint64)
+    else:
+        flat = flat.astype(np.float64, copy=False)
+        with np.errstate(over="ignore"):
+            q = np.rint(flat * 1000.0)
+        decimal = (np.abs(q) < 1e15) & (q / 1000.0 == flat)
+        negative = q[decimal] < 0
+        whole, fraction = np.divmod(np.abs(q[decimal]).astype(np.int64), 1000)
     pairs = (len(str(whole.max(initial=0))) + 1) // 2
-    cells = np.empty((len(signed), pairs + 3), np.uint16)
-    cells[:, 0] = (signed < 0) * _MINUS
-    cells[:, -2:] = _THOUSANDTHS.take(thousandths - whole * 1000, axis=0)
+    cells = np.empty((len(whole), pairs + 3), np.uint16)
+    cells[:, 0] = negative * _MINUS
+    cells[:, -2:] = _THOUSANDTHS.take(fraction, axis=0)
     # A digit shows when the value reaches its place; 0 shows its units digit.
     reach = np.maximum(whole, 1)
     rest = whole
@@ -90,38 +98,32 @@ def _fmt_cells(column: np.ndarray) -> np.ndarray:
         place = 100 ** (pairs - j)  # the place value of this pair's last digit
         high = rest // 100
         shown = 100 * (reach >= place) + 100 * (reach >= 10 * place)
-        cells[:, j] = _PAIRS.take(rest - high * 100 + shown)
+        cells[:, j] = _PAIRS.take((rest - high * 100).astype(np.int64) + shown)
         rest = high
     cells = cells.view(np.uint8)
-    if decimal.all():
-        return cells
-    other = _byte_cells(_fmt_column(v[~decimal]))
-    out = np.zeros((len(v), max(cells.shape[1], other.shape[1])), np.uint8)
-    out[decimal, :cells.shape[1]] = cells
-    out[~decimal, :other.shape[1]] = other
-    return out
+    if not decimal.all():
+        # `inverse` is flat under numpy 1 and 2 alike, as `flat` is 1-D.
+        distinct, inverse = np.unique(flat[~decimal], return_inverse=True)
+        other = _byte_cells(_fmt_column(distinct))
+        out = np.zeros((len(flat), max(cells.shape[1], other.shape[1])), np.uint8)
+        out[decimal, :cells.shape[1]] = cells
+        out[~decimal, :other.shape[1]] = other.take(inverse, axis=0)
+        cells = out
+    return np.moveaxis(cells.reshape(*np.shape(values), cells.shape[1]), 0, -2)
 
 
-def _join_rows(columns: list[np.ndarray]) -> bytes:
-    """CSV rows of byte-cell columns: "," between cells, "\n" after each row, NULs dropped."""
-    comma = np.full((len(columns[0]), 1), ord(","), np.uint8)
-    rows = np.concatenate([part for cells in columns for part in (cells, comma)], axis=1)
-    rows[:, -1] = ord("\n")
-    return rows[rows != 0].tobytes()
+def _join_rows(columns: list) -> bytes:
+    """CSV rows of byte-cell columns: "," between cells, "\n" after each row, NULs dropped.
 
-
-def _fmt_distinct(matrix: np.ndarray) -> list[list[str]]:
-    """`_fmt_column` of each column of a 2-D float matrix, as a list of columns.
-
-    Each distinct value is formatted once and its text spread to every
-    cell that holds it. Values that compare equal format alike (0.0 and
-    -0.0 are both "0", every NaN is "nan"), so merging them is exact.
-    It pays where values repeat, as window probabilities do.
+    A str column is that text cell in every row; not every column is one.
     """
-    values, inverse = np.unique(matrix, return_inverse=True)
-    texts = np.array(_fmt_column(values), dtype=object)
-    # numpy 2.x returns `inverse` in the input's shape, numpy 1.x flat.
-    return texts.take(inverse.reshape(matrix.shape)).T.tolist()
+    rows = next(len(cells) for cells in columns if not isinstance(cells, str))
+    columns = [np.repeat(_byte_cells([c]), rows, axis=0) if isinstance(c, str) else c
+               for c in columns]
+    comma = np.full((rows, 1), ord(","), np.uint8)
+    out = np.concatenate([part for cells in columns for part in (cells, comma)], axis=1)
+    out[:, -1] = ord("\n")
+    return out[out != 0].tobytes()
 
 
 def _write_text(path, text) -> None:

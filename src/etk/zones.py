@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyInput, ParseError, TooManyWindows
 from .ingest import _csv_rows, _parse_float, _parse_int
 from .model import GazeSeries, _Columns
-from .textio import _write_text, fmt_num
+from .textio import _byte_cells, _fmt_cells, _join_rows, _write_text, fmt_num
 
 DEFAULT_WINDOW_S = 15.0
 DEFAULT_HOP_S = 1.0
@@ -255,10 +255,9 @@ def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX
 # Exports
 
 def write_zone_model_csv(model: ZoneModel, path) -> None:
-    lines = [_ZONES_HEADER]
-    for i, ((x, y), label) in enumerate(zip(model.centers, model.labels), start=1):
-        lines.append(f"{i},{label},{fmt_num(x)},{fmt_num(y)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, [_ZONES_HEADER + "\n", _join_rows([
+        _fmt_cells(np.arange(1, model.k + 1)), _byte_cells(list(model.labels)),
+        *_fmt_cells(model.centers_array())])])
 
 
 def read_zone_model_csv(path) -> ZoneModel:
@@ -271,6 +270,9 @@ def read_zone_model_csv(path) -> ZoneModel:
         if idx != len(centers) + 1:
             raise ParseError("zones", lineno, offset,
                              f"zone index {idx} out of order (expected {len(centers) + 1})")
+        if any(c < " " for c in parts[1]):  # like a player id, a label is a CSV cell
+            raise ParseError("zones", lineno, offset,
+                             f"zone label {parts[1]!r} holds a control character")
         if parts[1] in labels:
             raise ParseError("zones", lineno, offset, f"duplicate zone label {parts[1]!r}")
         if (x, y) in centers:
@@ -284,8 +286,7 @@ def read_zone_model_csv(path) -> ZoneModel:
 
 
 def write_heatmap_csv(hm: Heatmap, path) -> None:
-    rows = hm.grid.astype(np.int64).tolist()
-    _write_text(path, "".join(",".join(map(str, row)) + "\n" for row in rows))
+    _write_text(path, _join_rows(list(_fmt_cells(hm.grid.astype(np.int64)))))
 
 
 _PGM_LINE = 70    # plain PGM lines should not exceed 70 characters

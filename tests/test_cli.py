@@ -352,6 +352,8 @@ class TestAnalyzeCommand:
         ("two,b,1,0", "malformed zone index 'two'"),
         ("2,a,1,0", "duplicate zone label 'a'"),
         ("2,b,960,540", "duplicate zone center (960, 540)"),
+        ("2,b\x00,1,0", "zone label 'b\\x00' holds a control character"),
+        ("2,\tb,1,0", "zone label '\\tb' holds a control character"),
     ])
     def test_bad_zone_row_exits_2_naming_line(self, corpus, tmp_path, capsys, row, message):
         zones = tmp_path / "bad.csv"
@@ -524,6 +526,19 @@ class TestInputErrors:
         (broken / "meta.json").write_text("[1, 2]\n")
         assert main(["ingest", str(broken)]) == 2
         assert str(broken / "meta.json") in capsys.readouterr().err
+
+    def test_oversized_screen_exits_3_before_any_artifact(self, corpus, tmp_path, capsys):
+        """A screen side above 16384 px is refused, not allocated as a heatmap grid."""
+        root = tmp_path / "huge"
+        for name in ("pro01", "am02"):
+            shutil.copytree(corpus / name, root / name)
+        meta = json.loads((root / "am02" / "meta.json").read_text())
+        meta["screen"] = [1000000000, 1000000000]
+        (root / "am02" / "meta.json").write_text(json.dumps(meta))
+        out = tmp_path / "run"
+        assert main(["analyze", str(root), "--out", str(out)]) == 3
+        assert "gaze.screen" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_player_id_with_comma_exits_3(self, corpus, tmp_path, capsys):
         """A comma in a player id would shift the cells of every CSV row naming it."""

@@ -19,6 +19,7 @@ from etk.ingest import (
 )
 from etk.model import Cohort, EventKind, InputSeries, PlayerMeta
 from etk.textio import _fmt_column, fmt_num
+from etk.zones import read_zone_model_csv
 from conftest import gaze_rows, input_rows
 
 
@@ -62,6 +63,23 @@ def test_parse_gaze_wrong_header_rejected():
 def test_parse_gaze_comments_and_blanks_skipped():
     series = parse_gaze_log(b"# capture v1\nt,x,y\n\n0.0,1,2\n# trailing\n")
     assert len(series) == 1
+
+
+def test_whitespace_only_lines_are_blank_in_every_format():
+    """A line of spaces or tabs is skipped like an empty line, before a header too."""
+    assert parse_hrm_log(b"1.0\n  \n2.0\n\t\n").beat_times.tolist() == [1.0, 2.0]
+    demo = b"round_start 0 1\nspawn 0 p1\nround_end 40 1\n"
+    assert parse_demo_events(b"\t\n" + demo.replace(b"\n", b"\n \t \n", 1)) == \
+        parse_demo_events(demo)
+    gaze = b"t,x,y\n0,1,2\n0.5,,\n"
+    assert gaze_rows(parse_gaze_log(b"  \n" + gaze.replace(b"2\n", b"2\n\t \r\n"))) == \
+        gaze_rows(parse_gaze_log(gaze))
+    samples = b"t,mouse_x,mouse_y,keys\n0,1,2,W\n0.5,1,2,\n"
+    assert input_rows(parse_input_log(samples.replace(b"W\n", b"W\n   \n"))) == \
+        input_rows(parse_input_log(samples))
+    zones = b"k,label,x,y\n1,a,960,540\n2,b,100,100\n"
+    assert read_zone_model_csv(b" \n" + zones.replace(b"540\n", b"540\n\t\n")) == \
+        read_zone_model_csv(zones)
 
 
 def test_parse_gaze_byte_offset_points_at_row():

@@ -72,6 +72,16 @@ def test_player_id_without_comma_or_control_is_not_flagged(tiny_session, player_
     assert "meta.player_id" not in [v.location for v in violations]
 
 
+@pytest.mark.parametrize("screen,flagged", [
+    ((16384, 16384), False), ((15360, 8640), False), ((16385, 1080), True),
+    ((1920, 16385), True), ((10**9, 10**9), True), ((0, 1080), True), ((1920, -1), True),
+])
+def test_screen_sides_outside_1_to_16384_are_flagged(tiny_session, screen, flagged):
+    gaze = make_gaze([(0.0, 1.0, 2.0)], screen=screen)
+    session = Session(tiny_session.meta, gaze, InputSeries(), tiny_session.timeline, None)
+    assert ("gaze.screen" in [v.location for v in validate_session(session)]) == flagged
+
+
 def test_out_of_bounds_valid_gaze_is_flagged(tiny_session):
     gaze = make_gaze([(0.0, 5000.0, 540.0)])
     session = Session(meta=tiny_session.meta, gaze=gaze, input=InputSeries(),

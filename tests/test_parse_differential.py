@@ -134,13 +134,13 @@ GAZE_EXAMPLES = [
     (b"0,-nan,\n0.5,,1\n", False), (b"0,1e999,5\n", False), (b"0,1e999,\n", False),
     (b"0,,abc\n", False), (b"0,1_0,\xd9\xa1\n0.5,,\n", True), (b"0,\x1c7,5\n", False),
     (b"0,1\r2,5\n", False), (b"0,1\x002,5\n", False), (b"   \n", False), (b"0,5,5,\n", False),
-    (b"\n\n", True),
+    (b"\n\n", True), (b"0,1,2\n \t\n0.5,,\n", False),
 ]
 INPUT_EXAMPLES = [
     (b"0,1,2,W,x\n", False), (b"0,1,2\n", False), (b"0,1\r2,3,W\n", False),
     (b"0,1,2,W\x00\n", False), (b"0,-nan,2,W\n", False), (b"0,1e999,2,\n", False),
     (b"0,1_0,\xd9\xa1,A+D\n", True), (b"0,1,2,W\n0.5,\x1c7,2,\n", False), (b"   \n", False),
-    (b"\n\n", True),
+    (b"\n\n", True), (b"0,1,2,W\n\t  \r\n0.5,1,2,\n", False),
 ]
 
 

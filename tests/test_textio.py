@@ -1,19 +1,21 @@
 """The formatting kernels against per-cell formatting.
 
-`_fmt_distinct` formats each distinct value of a matrix once and spreads
-the texts back. It must give exactly the strings `_fmt_column` gives for
-each column, whatever the values repeat, their signs or their kind.
-`column_by_column_windows_csv` is the `windows.csv` writer from before
-the kernel, kept as the oracle of `cli._write_windows_csv`.
+`_fmt_cells` builds decimal cells from digit tables and formats every
+other distinct value of an array once, spreading the text back; each of
+its cells must read as `fmt_num` of the entry (`_fmt_column` of each
+column of a matrix), whatever the values repeat, their signs or their
+kind, and an integer cell as `str` of the entry.
 
-`_fmt_cells` builds decimal cells from digit tables and leaves the rest
-to `_fmt_column`; each of its rows must read as `fmt_num` of the entry.
-`join_gaze_csv`, `join_input_csv` and `join_hrm_txt` are the capture
-writers from before it, one Python string per cell, kept as the oracles
-of the `ingest` writers. A source scan keeps `_write_text` the only
-function in etk that writes a file.
+Each CSV writer is checked byte for byte against the writer it replaced,
+one Python string per cell, kept here as its oracle: `join_gaze_csv`,
+`join_input_csv` and `join_hrm_txt` for the `ingest` writers, and the
+`*_oracle` functions for `windows.csv`, `averages.csv`, `pca_model.csv`,
+`pca_projections.csv`, `kde.csv`, `features.csv` and `zones.csv`. A
+source scan keeps `_write_text` the only function in etk that writes a
+file, and another keeps `_fmt_column` inside `textio`.
 """
 import ast
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +23,19 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import etk
-from etk.cli import _SessionDerived, _write_windows_csv
+import etk.errors
+from etk import cli
+from etk.cli import (KDE_FEATURES, _SessionDerived, _write_averages_csv, _write_kde_csv,
+                     _write_pca_csvs, _write_windows_csv)
 from etk.ingest import (GAZE_HEADER, INPUT_HEADER, write_gaze_csv, write_hrm_txt,
                         write_input_csv)
+from etk.input_features import FeatureRow, write_feature_table
 from etk.model import BeatSeries, Cohort, GazeSeries, InputSeries, PlayerMeta, key_names
+from etk.numerics import fit_kde, fit_pca, kde_curve, project
 from etk.synth import Scenario, default_profiles, generate_session
-from etk.textio import _fmt_cells, _fmt_column, _fmt_distinct, _join_rows, _write_text, fmt_num
-from etk.zones import WindowSeries, ZoneSequence, window_distributions
+from etk.textio import _byte_cells, _fmt_cells, _fmt_column, _join_rows, _write_text, fmt_num
+from etk.zones import (WindowSeries, ZoneModel, ZoneSequence, average_distribution,
+                       default_zone_model, window_distributions, write_zone_model_csv)
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 0.5, 1 / 3, 2 / 3, 1e15, -1e15,
            np.nextafter(1e15, 0), np.nextafter(-1e15, 0), np.nextafter(1e15, np.inf),
@@ -39,6 +47,17 @@ def by_column(matrix):
     return [_fmt_column(matrix[:, j]) for j in range(matrix.shape[1])]
 
 
+def cell_texts(cells):
+    """The text of each row of a NUL-padded byte-cell matrix."""
+    return [bytes(row[row != 0]).decode() for row in cells]
+
+
+def cell_columns(stack):
+    """The texts of each (n, width) cell matrix of a (k, n, width) stack."""
+    assert stack.dtype == np.uint8 and stack.ndim == 3
+    return [cell_texts(cells) for cells in stack]
+
+
 cells = st.one_of(st.sampled_from(SPECIAL), st.floats(),
                   st.integers(-2**60, 2**60).map(float),
                   st.integers(0, 40).map(lambda c: c / 37))
@@ -47,27 +66,29 @@ cells = st.one_of(st.sampled_from(SPECIAL), st.floats(),
 @settings(max_examples=300, deadline=None)
 @given(st.lists(cells, min_size=1, max_size=16), st.integers(0, 200),
        st.sampled_from([1, 2, 9]), st.integers(0, 2**32 - 1))
-def test_distinct_matches_column_formatting(pool, n, k, seed):
+def test_matrix_cells_match_column_formatting(pool, n, k, seed):
     """Cells drawn from a small pool, so values repeat within and across columns."""
     picks = np.random.default_rng(seed).integers(0, len(pool), (n, k))
     matrix = np.array(pool, dtype=float)[picks]
-    assert _fmt_distinct(matrix) == by_column(matrix)
+    assert cell_columns(_fmt_cells(matrix)) == by_column(matrix)
 
 
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(0, 8), st.sampled_from([1, 2, 9])),
               elements=cells))
-def test_distinct_matches_column_formatting_on_any_matrix(matrix):
-    assert _fmt_distinct(matrix) == by_column(matrix)
+def test_matrix_cells_match_column_formatting_on_any_matrix(matrix):
+    assert cell_columns(_fmt_cells(matrix)) == by_column(matrix)
 
 
 def test_special_values_and_shapes():
     special = np.array(SPECIAL)
     for matrix in (special.reshape(-1, 1), np.tile(special, (9, 1)).T,
                    np.resize(special, (7, 9)), np.empty((0, 9)), np.empty((0, 1))):
-        assert _fmt_distinct(matrix) == by_column(matrix)
-    assert _fmt_distinct(np.array([[0.0, -0.0], [-0.0, 0.0]])) == [["0", "0"], ["0", "0"]]
-    assert _fmt_distinct(np.empty((0, 3))) == [[], [], []]
+        cells = _fmt_cells(matrix)
+        assert cells.shape[:2] == matrix.shape[::-1]
+        assert cell_columns(cells) == by_column(matrix)
+    assert cell_columns(_fmt_cells(np.array([[0.0, -0.0], [-0.0, 0.0]]))) == [["0", "0"], ["0", "0"]]
+    assert cell_columns(_fmt_cells(np.empty((0, 3)))) == [[], [], []]
 
 
 def test_flat_inverse_of_numpy_1(monkeypatch):
@@ -80,13 +101,27 @@ def test_flat_inverse_of_numpy_1(monkeypatch):
 
     monkeypatch.setattr(np, "unique", flat_unique)
     matrix = np.resize(np.array(SPECIAL), (7, 9))
-    assert _fmt_distinct(matrix) == by_column(matrix)
+    assert cell_columns(_fmt_cells(matrix)) == by_column(matrix)
 
 
 def test_strided_block_of_a_larger_matrix():
     matrix = np.arange(60, dtype=float).reshape(12, 5) / 7
     block = matrix[3:11:2, 1:]
-    assert _fmt_distinct(block) == by_column(block)
+    assert cell_columns(_fmt_cells(block)) == by_column(block)
+
+
+def test_integer_cells_are_exact_digits():
+    ints = [0, 7, -7, 10, 99, -100, 10**12, 10**15 + 1, 2**53 + 1, 2**63 - 1, -2**63]
+    for dtype in (np.int64, np.int32, np.uint64):
+        values = [v for v in ints if np.iinfo(dtype).min <= v <= np.iinfo(dtype).max]
+        assert cell_texts(_fmt_cells(np.array(values, dtype))) == list(map(str, values))
+    assert cell_texts(_fmt_cells(np.array([2**64 - 1], np.uint64))) == [str(2**64 - 1)]
+    assert cell_columns(_fmt_cells(np.arange(6).reshape(3, 2))) == [["0", "2", "4"], ["1", "3", "5"]]
+
+
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=30))
+def test_integer_cells_match_str(values):
+    assert cell_texts(_fmt_cells(np.array(values, np.int64))) == list(map(str, values))
 
 
 def column_by_column_windows_csv(derived, k):
@@ -103,15 +138,23 @@ def column_by_column_windows_csv(derived, k):
 
 
 def derived_session(player_id, cohort, seconds, seed, k=9):
-    """A session whose windows come from a random 60 Hz zone track."""
+    """A session whose windows come from a random 60 Hz zone track.
+
+    Its feature rows cover three rounds of two KDE features and one
+    other feature, with values that repeat, have three decimals or more.
+    """
     rng = np.random.default_rng(seed)
     times = np.arange(0.0, seconds, 1 / 60)
     seq = ZoneSequence(times, rng.integers(1, k + 1, len(times)), k, span=(0.0, seconds))
     windows = window_distributions(seq, window_s=5.0, hop_s=0.02)
+    values = iter(rng.choice([0.25, 1 / 3, 0.0, 0.125, 12.5, 1e-7], 9) + rng.integers(0, 2, 9))
+    feature_rows = [FeatureRow(player_id, cohort.value, r, f, next(values)) for r in (1, 2, 3)
+                    for f in (*KDE_FEATURES, "clicks_per_minute")]
     return _SessionDerived(
         meta=PlayerMeta(player_id, cohort, 1), screen=(1920, 1080), missing={},
         windows=windows, window_round=np.arange(len(windows), dtype=np.int64) // 1000,
-        averaged=None, feature_rows=[], heat_points=np.empty((0, 2)), warnings=[])
+        averaged=average_distribution(windows.probs) if len(windows) else None,
+        feature_rows=feature_rows, heat_points=np.empty((0, 2)), warnings=[])
 
 
 def test_windows_csv_matches_column_by_column_writer(tmp_path):
@@ -122,6 +165,17 @@ def test_windows_csv_matches_column_by_column_writer(tmp_path):
     path = tmp_path / "windows.csv"
     _write_windows_csv(path, derived, 9)
     assert path.read_text() == column_by_column_windows_csv(derived, 9)
+
+
+def test_windows_csv_keeps_the_digits_of_huge_round_indices(tmp_path):
+    """A round index is an integer cell: 2**53 + 1 and -2**63 are not rounded as floats."""
+    d = derived_session("\u00e1m01", Cohort.AMATEUR, 12.0, 1)
+    rounds = np.resize(np.array([2**53 + 1, 10**15, -2**63, 2**63 - 1], np.int64), len(d.windows))
+    derived = [replace(d, window_round=rounds)]
+    _write_windows_csv(tmp_path / "windows.csv", derived, 9)
+    assert (tmp_path / "windows.csv").read_text() == column_by_column_windows_csv(derived, 9)
+    _write_pca_csvs(tmp_path, derived, 9)
+    assert (tmp_path / "pca_projections.csv").read_text() == pca_csvs_oracle(derived, 9)[1]
 
 
 def test_windows_csv_without_windows(tmp_path):
@@ -137,11 +191,6 @@ def test_windows_csv_without_windows(tmp_path):
 
 # ---------------------------------------------------------------------------
 # `_fmt_cells` and the capture writers
-
-def cell_texts(cells):
-    """The text of each row of a NUL-padded byte-cell matrix."""
-    return [bytes(row[row != 0]).decode() for row in cells]
-
 
 def _around(x):
     """Values within a few ulps of x, and x plus a few thousandths."""
@@ -186,6 +235,14 @@ def test_join_rows():
     assert _join_rows(cells) == b"1,0\n-0.25,2e-07\n"
     assert _join_rows([np.zeros((2, 3), np.uint8)]) == b"\n\n"
     assert _join_rows([_fmt_cells(np.empty(0))] * 2) == b""
+
+
+def test_join_rows_of_text_cells_and_blocks():
+    block = _fmt_cells(np.array([[1.0, 0.5], [-2.0, 1 / 3]]))
+    assert _join_rows(["k", _byte_cells(["\u00e1m", ""]), *block]) == \
+        "k,\u00e1m,1,0.5\nk,,-2,0.3333333333333333\n".encode()
+    assert _join_rows(["k", _byte_cells([]), *_fmt_cells(np.empty((0, 2)))]) == b""
+    assert _byte_cells(["R\u00e1dar", ""]).tolist() == [list(b"R\xc3\xa1dar"), [0] * 6]
 
 
 def test_write_text_takes_str_and_bytes(tmp_path):
@@ -256,6 +313,155 @@ def test_writers_match_join_writers_on_any_columns(tmp_path_factory, rows):
     assert_writers_match(tmp_path_factory.mktemp("w"), gaze, samples, BeatSeries(y))
 
 
+# ---------------------------------------------------------------------------
+# The table writers against the writers they replaced
+
+def averages_csv_oracle(derived, k):
+    lines = ["player_id,cohort," + ",".join(f"p{i}" for i in range(1, k + 1))]
+    for d in derived:
+        if d.averaged is None:
+            continue
+        lines.append(f"{d.meta.player_id},{d.meta.cohort.value},"
+                     + ",".join(fmt_num(p) for p in d.averaged))
+    return "\n".join(lines) + "\n"
+
+
+def pca_csvs_oracle(derived, k):
+    """(pca_model.csv, pca_projections.csv), each window projected on its own."""
+    model = fit_pca(np.concatenate([d.windows.probs for d in derived]))
+    cols = ",".join(f"v{i}" for i in range(1, k + 1))
+    lines = [f"row,{cols}", "mean," + ",".join(fmt_num(v) for v in model.mean)]
+    for i, comp in enumerate(model.components, start=1):
+        lines.append(f"component_{i}," + ",".join(fmt_num(v) for v in comp))
+    lines.append("explained_variance," + ",".join(fmt_num(v) for v in model.explained_variance))
+    lines.append("explained_ratio," + ",".join(fmt_num(v) for v in model.explained_ratio))
+    rows = ["kind,player_id,cohort,round,window_index,pc1,pc2"]
+    for d in derived:
+        for i, probs in enumerate(d.windows.probs):
+            x, y = project(model, probs, dims=2)
+            rows.append(f"window,{d.meta.player_id},{d.meta.cohort.value},{d.window_round[i]},"
+                        f"{d.windows.index[i]},{fmt_num(x)},{fmt_num(y)}")
+    for d in derived:
+        if d.averaged is not None:
+            x, y = project(model, np.array(d.averaged), dims=2)
+            rows.append(f"average,{d.meta.player_id},{d.meta.cohort.value},,,"
+                        f"{fmt_num(x)},{fmt_num(y)}")
+    return "\n".join(lines) + "\n", "\n".join(rows) + "\n"
+
+
+def kde_csv_oracle(derived, bandwidth):
+    lines = ["cohort,feature,x,density"]
+    for cohort in Cohort:
+        for feature in KDE_FEATURES:
+            values = [r.value for d in derived if d.meta.cohort is cohort
+                      for r in d.feature_rows if r.feature == feature]
+            if len(values) < 2:
+                continue
+            try:
+                xs, dens = kde_curve(fit_kde(values, bandwidth))
+            except etk.errors.EtkError:
+                continue
+            for x, dv in zip(xs, dens):
+                lines.append(f"{cohort.value},{feature},{fmt_num(x)},{fmt_num(dv)}")
+    return "\n".join(lines) + "\n"
+
+
+def features_csv_oracle(rows):
+    lines = ["player_id,cohort,round,feature,value"]
+    for r in rows:
+        lines.append(f"{r.player_id},{r.cohort},{r.round_index},{r.feature},{fmt_num(r.value)}")
+    return "\n".join(lines) + "\n"
+
+
+def zones_csv_oracle(model):
+    lines = ["k,label,x,y"]
+    for i, ((x, y), label) in enumerate(zip(model.centers, model.labels), start=1):
+        lines.append(f"{i},{label},{fmt_num(x)},{fmt_num(y)}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_table_writers_match(out, derived, k):
+    """Every pooled table of `derived` equals its oracle; PCA only where it fits."""
+    _write_averages_csv(out / "averages.csv", derived, k)
+    assert (out / "averages.csv").read_bytes() == averages_csv_oracle(derived, k).encode()
+    for bandwidth in (None, 0.05, 1e-320):
+        _write_kde_csv(out / "kde.csv", derived, bandwidth)
+        assert (out / "kde.csv").read_bytes() == kde_csv_oracle(derived, bandwidth).encode()
+    rows = [r for d in derived for r in d.feature_rows]
+    write_feature_table(rows, out / "features.csv")
+    assert (out / "features.csv").read_bytes() == features_csv_oracle(rows).encode()
+    if sum(len(d.windows) for d in derived) >= 2:
+        _write_pca_csvs(out, derived, k)
+        model_csv, projections_csv = pca_csvs_oracle(derived, k)
+        assert (out / "pca_model.csv").read_bytes() == model_csv.encode()
+        assert (out / "pca_projections.csv").read_bytes() == projections_csv.encode()
+
+
+def test_table_writers_match_oracles_on_non_ascii_ids(tmp_path):
+    derived = [derived_session("\u00e1m03", Cohort.AMATEUR, 100.0, 1),   # > 4096 windows
+               derived_session("am02", Cohort.AMATEUR, 4.0, 2),           # no window
+               derived_session("pr\u00f601", Cohort.PROFESSIONAL, 30.0, 3),
+               derived_session("pro\u4e8c", Cohort.PROFESSIONAL, 12.0, 4)]
+    assert derived[1].averaged is None and len(derived[0].windows) > cli._CHUNK_ROWS
+    assert_table_writers_match(tmp_path, derived, 9)
+    lines = (tmp_path / "pca_projections.csv").read_text().splitlines()
+    assert lines[-1].startswith("average,pro\u4e8c,professional,,,")
+    assert not any(line.startswith("average,am02,") for line in lines)
+
+
+def test_table_writers_match_oracles_on_header_only_output(tmp_path):
+    """No window and no feature row: averages, kde and features hold only their header.
+
+    PCA needs two windows and a zone model one center, so `pca_model.csv`,
+    `pca_projections.csv` and `zones.csv` always hold a row.
+    """
+    derived = [derived_session("\u00e1m03", Cohort.AMATEUR, 4.0, 1),
+               derived_session("pro01", Cohort.PROFESSIONAL, 4.0, 2)]
+    for d in derived:
+        d.feature_rows.clear()
+    assert_table_writers_match(tmp_path, derived, 9)
+    for name, header in (("averages.csv", "player_id,cohort,p1,p2,p3,p4,p5,p6,p7,p8,p9\n"),
+                         ("kde.csv", "cohort,feature,x,density\n"),
+                         ("features.csv", "player_id,cohort,round,feature,value\n")):
+        assert (tmp_path / name).read_text() == header
+    assert_table_writers_match(tmp_path, [], 2)
+
+
+ids = st.sampled_from(["pro01", "\u00e1m03", "pr\u00f6", "p\u4e8c", "p\x7f"])
+labels = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=","
+                               ).filter(lambda c: c >= " "), max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(ids, st.sampled_from(["amateur", "professional"]),
+                          st.integers(-2**63, 2**63 - 1), st.sampled_from(KDE_FEATURES), numbers),
+                max_size=20))
+def test_features_csv_matches_oracle_on_any_rows(tmp_path_factory, rows):
+    rows = [FeatureRow(*row) for row in rows]
+    path = tmp_path_factory.mktemp("f") / "features.csv"
+    write_feature_table(rows, path)
+    assert path.read_bytes() == features_csv_oracle(rows).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(labels, numbers, numbers), min_size=1, max_size=12,
+                unique_by=(lambda z: z[0], lambda z: (z[1], z[2]))))
+def test_zones_csv_matches_oracle_on_any_labels(tmp_path_factory, zones):
+    model = ZoneModel(centers=tuple((x, y) for _, x, y in zones),
+                      labels=tuple(label for label, _, _ in zones))
+    path = tmp_path_factory.mktemp("z") / "zones.csv"
+    write_zone_model_csv(model, path)
+    assert path.read_bytes() == zones_csv_oracle(model).encode()
+
+
+def test_zones_csv_matches_oracle_on_the_default_and_non_ascii_models(tmp_path):
+    for model in (default_zone_model(),
+                  ZoneModel(centers=((960.0, 540.0), (-0.5, 1e-7), (2 / 3, 1e15)),
+                            labels=("R\u00e1dar", "", "\u00e1m \u4e8c & \u00e9"))):
+        write_zone_model_csv(model, tmp_path / "zones.csv")
+        assert (tmp_path / "zones.csv").read_bytes() == zones_csv_oracle(model).encode()
+
+
 def _creates_file(call: ast.Call) -> bool:
     """Whether a call opens a file for writing, writes a path or renames over one."""
     func = call.func
@@ -280,4 +486,16 @@ def test_only_textio_writes_files():
         tree = ast.parse(path.read_text())
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and _creates_file(node)]
+    assert offenders == []
+
+
+def test_only_textio_formats_cells():
+    """No module but `textio` formats a float column into per-cell strings."""
+    offenders = []
+    for path in sorted(Path(etk.__file__).parent.glob("*.py")):
+        if path.name != "textio.py":
+            tree = ast.parse(path.read_text())
+            offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, (ast.Name, ast.alias))
+                          and getattr(node, "id", getattr(node, "name", None)) == "_fmt_column"]
     assert offenders == []
