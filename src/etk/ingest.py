@@ -153,9 +153,12 @@ def _parse_float(tok: str, kind: str, lineno: int, offset: int, what: str) -> fl
 
 def _parse_int(tok: str, kind: str, lineno: int, offset: int, what: str) -> int:
     try:
-        return int(tok)
+        v = int(tok)
     except ValueError:
         raise ParseError(kind, lineno, offset, f"malformed {what} {tok!r}") from None
+    if not -(1 << 63) <= v < 1 << 63:  # indices are held as int64 downstream
+        raise ParseError(kind, lineno, offset, f"{what} {tok!r} does not fit in 64 bits")
+    return v
 
 
 class _Fallback(Exception):

@@ -39,7 +39,11 @@ def nominal_period(samples: InputSeries) -> float:
     """Median inter-sample spacing, or the 10 ms default when undecidable."""
     if len(samples) < 2:
         return DEFAULT_INPUT_PERIOD_S
-    return float(np.median(np.diff(samples.t)))
+    # np.median's value without np.median, which imports numpy.ma (~17 ms).
+    d = np.diff(samples.t)
+    k = len(d) // 2
+    mid = np.partition(d, (k - 1, k))
+    return float(mid[k] if len(d) % 2 else (mid[k - 1] + mid[k]) / 2)
 
 
 def key_hold_intervals(samples: InputSeries, key: str,

@@ -201,60 +201,72 @@ def load_profiles(path) -> dict[Cohort, CohortProfile]:
 
 
 def _two_state_runs(rng: Rng, n: int, on_fraction: float,
-                    mean_on_samples: float) -> list[tuple[int, int]]:
-    """ON runs [start, end) of a two-state renewal process over n slots.
+                    mean_on_samples: float) -> tuple[np.ndarray, np.ndarray]:
+    """ON runs [starts[i], ends[i]) of a two-state renewal process over n slots.
 
     Run lengths are geometric with the given ON mean; the OFF mean is
-    set so the long-run ON fraction equals `on_fraction`.
+    set so the long-run ON fraction equals `on_fraction`. One draw picks
+    the first state, then each run takes one draw, except on a side
+    whose success probability is 1: its runs last one slot.
     """
     if on_fraction <= 0.0 or n == 0:
-        return []
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
     if on_fraction >= 1.0:
-        return [(0, n)]
+        return np.zeros(1, np.int64), np.full(1, n, np.int64)
     mean_off = mean_on_samples * (1.0 - on_fraction) / on_fraction
-    p_on = min(1.0, 1.0 / mean_on_samples)
-    p_off = min(1.0, 1.0 / mean_off)
-    runs: list[tuple[int, int]] = []
-    pos = 0
-    state_on = rng.random() < on_fraction
+    on_first = rng.random_block(1)[0] < on_fraction
+    # Runs alternate sides: `means[j]` is the mean of the runs at positions 2k + j.
+    means = (mean_on_samples, mean_off) if on_first else (mean_off, mean_on_samples)
+    p = [min(1.0, 1.0 / m) for m in means]
+    drawing = [j for j in (0, 1) if p[j] < 1.0]
+    pair_mean = sum(max(1.0, m) for m in means)
+    parts, pos = [], 0
     while pos < n:
-        length = rng.geometric(p_on if state_on else p_off)
-        if state_on:
-            runs.append((pos, min(pos + length, n)))
-        pos += length
-        state_on = not state_on
-    return runs
+        # Three standard deviations past the expected count: a second block is rare.
+        expected = (n - pos) / pair_mean
+        pairs = int(expected + 3.0 * math.sqrt(expected)) + 1
+        u = rng.random_block(pairs * len(drawing)).reshape(pairs, len(drawing))
+        lengths = np.ones((pairs, 2))
+        with np.errstate(all="ignore"):  # p near 0 gives an endless run, cut to n below
+            for col, j in enumerate(drawing):
+                lengths[:, j] += np.floor(np.log1p(-u[:, col]) / np.log1p(-p[j]))
+        ends = pos + np.cumsum(np.fmin(lengths.ravel(), n).astype(np.int64))
+        keep = min(int(np.searchsorted(ends, n)) + 1, len(ends))  # through the first end >= n
+        # Give back all but the draws of the kept runs: (keep + 1 - j) // 2 sit at 2k + j.
+        rng.rewind(u.size - sum((keep + 1 - j) // 2 for j in drawing))
+        parts.append(ends[:keep])
+        pos = int(ends[keep - 1])
+    ends = np.concatenate(parts)
+    starts = np.concatenate(([0], ends[:-1]))
+    first_on = 0 if on_first else 1
+    return starts[first_on::2], np.minimum(ends[first_on::2], n)
 
 
-def _runs_to_mask(runs: list[tuple[int, int]], n: int) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    for start, end in runs:
-        mask[start:end] = True
-    return mask
-
-
-def _missing_mask(rng: Rng, n: int, missing_rate: float) -> np.ndarray:
-    """Invalid-sample mask with geometric runs averaging a few samples."""
-    return _runs_to_mask(_two_state_runs(rng, n, missing_rate, MISSING_RUN_MEAN_SAMPLES), n)
+def _runs_to_mask(starts: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
+    """Mask of n slots, True inside each of the disjoint runs [starts[i], ends[i])."""
+    depth = np.cumsum(np.bincount(starts, minlength=n + 1) - np.bincount(ends, minlength=n + 1))
+    return depth[:n] > 0
 
 
 def _generate_timeline(rng: Rng, scenario: Scenario, player_id: str) -> MatchTimeline:
     """Rounds plus spawn/kill/death events for the player and two bots."""
     rounds: list[Round] = []
     events: list[GameEvent] = []
-    for i in range(scenario.rounds):
+    # Two draws per round: whether the player dies, then when.
+    draws = rng.random_block(2 * scenario.rounds).reshape(-1, 2).tolist()
+    for i, (dies, u) in enumerate(draws):
         start = i * scenario.round_s
         end = (i + 1) * scenario.round_s
         rounds.append(Round(index=i + 1, start_t=start, end_t=end))
         events.append(GameEvent(start, EventKind.SPAWN, player_id))
         events.append(GameEvent(start, EventKind.SPAWN, "bot_a"))
         events.append(GameEvent(start, EventKind.SPAWN, "bot_b"))
-        if rng.random() < DEATH_PROB:
-            death_t = start + rng.uniform(0.6, 0.95) * scenario.round_s
+        if dies < DEATH_PROB:
+            death_t = start + (0.6 + (0.95 - 0.6) * u) * scenario.round_s
             events.append(GameEvent(death_t, EventKind.KILL, "bot_a", player_id))
             events.append(GameEvent(death_t, EventKind.DEATH, player_id))
         else:
-            kill_t = start + rng.uniform(0.3, 0.8) * scenario.round_s
+            kill_t = start + (0.3 + (0.8 - 0.3) * u) * scenario.round_s
             fire_t = max(start, kill_t - 0.1)
             events.append(GameEvent(fire_t, EventKind.WEAPON_FIRE, player_id))
             events.append(GameEvent(kill_t, EventKind.KILL, player_id, "bot_a"))
@@ -286,7 +298,8 @@ def _generate_gaze(rng_zone: Rng, rng_noise: Rng, rng_missing: Rng,
     x = np.round(np.clip(x, 0.0, w), 2)
     y = np.round(np.clip(y, 0.0, h), 2)
 
-    invalid = _missing_mask(rng_missing, n, profile.missing_rate)
+    invalid = _runs_to_mask(
+        *_two_state_runs(rng_missing, n, profile.missing_rate, MISSING_RUN_MEAN_SAMPLES), n)
     x[invalid] = np.nan
     y[invalid] = np.nan
     return GazeSeries(times, x, y, ~invalid)
@@ -298,21 +311,17 @@ def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
     n = int(round(total_s * rate_hz))
     times = np.arange(n) / rate_hz
 
-    ad_runs = _two_state_runs(rng_keys, n, profile.ad_hold_rate, AD_MEAN_HOLD_S * rate_hz)
-    a = np.zeros(n, dtype=bool)
-    d = np.zeros(n, dtype=bool)
-    for start, end in ad_runs:
-        if rng_keys.random() < 0.5:
-            a[start:end] = True
-        else:
-            d[start:end] = True
+    starts, ends = _two_state_runs(rng_keys, n, profile.ad_hold_rate, AD_MEAN_HOLD_S * rate_hz)
+    held_a = rng_keys.random_block(len(starts)) < 0.5  # each run holds A, else D
+    a = _runs_to_mask(starts[held_a], ends[held_a], n)
+    d = _runs_to_mask(starts[~held_a], ends[~held_a], n)
 
     overlay = _runs_to_mask(
-        _two_state_runs(rng_keys, n, profile.w_m1_rate, WM1_MEAN_HOLD_S * rate_hz), n)
+        *_two_state_runs(rng_keys, n, profile.w_m1_rate, WM1_MEAN_HOLD_S * rate_hz), n)
     w_base = _runs_to_mask(
-        _two_state_runs(rng_keys, n, W_BASE_RATE, W_BASE_MEAN_HOLD_S * rate_hz), n)
+        *_two_state_runs(rng_keys, n, W_BASE_RATE, W_BASE_MEAN_HOLD_S * rate_hz), n)
     clicks = _runs_to_mask(
-        _two_state_runs(rng_keys, n, CLICK_RATE, CLICK_MEAN_HOLD_S * rate_hz), n)
+        *_two_state_runs(rng_keys, n, CLICK_RATE, CLICK_MEAN_HOLD_S * rate_hz), n)
 
     w = w_base | overlay
     # Standalone clicks never coincide with W, so W+MOUSE1 time is
@@ -333,25 +342,23 @@ def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
 
 def _generate_beats(rng: Rng, profile: CohortProfile, total_s: float) -> BeatSeries:
     ibi = 60.0 / profile.bpm_base
-    beats: list[float] = []
-    t = ibi * (0.5 + 0.5 * rng.random())
-    while t < total_s - 0.1:
-        beats.append(round(t, 3))
-        t += ibi * (1.0 + BPM_JITTER * (rng.random() - 0.5))
-    return BeatSeries(beat_times=beats)
+    end = total_s - 0.1
+    # Each step is at least ibi * (1 - BPM_JITTER/2), so `count` steps pass `end`.
+    count = int(max(end, 0.0) / (ibi * (1.0 - BPM_JITTER / 2))) + 2
+    u = rng.random_block(1 + count)
+    steps = ibi * (1.0 + BPM_JITTER * (u[1:] - 0.5))
+    t = np.cumsum(np.concatenate(([ibi * (0.5 + 0.5 * u[0])], steps)))  # sums left to right
+    beats = int(np.searchsorted(t, end))  # each beat draws the step after it
+    rng.rewind(count - beats)
+    return BeatSeries(beat_times=[round(x, 3) for x in t[:beats].tolist()])
 
 
 def generate_session(profile: CohortProfile, scenario: Scenario, seed: int,
                      meta: PlayerMeta) -> Session:
     """One full synthetic session, deterministic in (profile, scenario, seed)."""
     base = Rng(seed)
-    r_timeline = Rng(base.child_seed(0))
-    r_zone = Rng(base.child_seed(1))
-    r_noise = Rng(base.child_seed(2))
-    r_missing = Rng(base.child_seed(3))
-    r_keys = Rng(base.child_seed(4))
-    r_mouse = Rng(base.child_seed(5))
-    r_hrm = Rng(base.child_seed(6))
+    r_timeline, r_zone, r_noise, r_missing, r_keys, r_mouse, r_hrm = (
+        Rng(base.child_seed(k)) for k in range(7))
 
     timeline = _generate_timeline(r_timeline, scenario, meta.player_id)
     gaze = _generate_gaze(r_zone, r_noise, r_missing, profile, scenario.total_s)

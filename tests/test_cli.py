@@ -119,6 +119,25 @@ class TestSynthCommand:
         assert "invalid profile" in err
         assert "gaze_noise_px" in err
 
+    @pytest.mark.parametrize("field", ["missing_rate", "ad_hold_rate"])
+    def test_subnormal_profile_rate_exits_0(self, tmp_path, field):
+        """A rate of 5e-324 makes the OFF runs endless: the channel never turns on."""
+        from etk.synth import default_profiles
+        raw = default_profiles()[0].to_dict()
+        raw[field] = 5e-324
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"professional": raw}))
+        out = tmp_path / "y"
+        assert main(["synth", "--out", str(out), "--count", "1", "--rounds", "2",
+                     "--round-s", "20", "--profile", str(profile)]) == 0
+        column = {"missing_rate": 1, "ad_hold_rate": 3}[field]
+        rows = (out / "pro01" / ("gaze.csv" if field == "missing_rate" else "input.csv"))
+        cells = [line.split(",") for line in rows.read_text().splitlines()[1:]]
+        if field == "missing_rate":
+            assert all(c[column] for c in cells)
+        else:
+            assert not any(k in c[column].split("+") for c in cells for k in ("A", "D"))
+
     def test_reused_out_drops_stale_sessions_only(self, tmp_path):
         args = ["--rounds", "2", "--round-s", "30"]
         reused, fresh = tmp_path / "reused", tmp_path / "fresh"
@@ -539,6 +558,23 @@ class TestInputErrors:
         assert main(["analyze", str(root), "--out", str(out)]) == 3
         assert "gaze.screen" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_round_index_beyond_int64_exits_2(self, corpus, tmp_path, capsys):
+        root = tmp_path / "corpus"
+        for player in ("pro01", "am02"):
+            shutil.copytree(corpus / player, root / player)
+        demo = root / "am02" / "demo.events"
+        lines = demo.read_text().splitlines()
+        for i, line in enumerate(lines):
+            tag, t, *rest = line.split()
+            if tag in ("round_start", "round_end") and rest == ["1"]:
+                lines[i] = f"{tag} {t} 10000000000000000000"
+        demo.write_text("\n".join(lines) + "\n")
+        lineno = lines.index(next(x for x in lines if x.startswith("round_start"))) + 1
+        assert main(["analyze", str(root), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: demo: line {lineno} (byte ")
+        assert "10000000000000000000" in err
 
     def test_player_id_with_comma_exits_3(self, corpus, tmp_path, capsys):
         """A comma in a player id would shift the cells of every CSV row naming it."""

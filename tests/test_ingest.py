@@ -145,6 +145,10 @@ PARSE_ERRORS = [
     (parse_hrm_log, b"1.0\n1.1\n", "hrm", 2, 4,
      "inter-beat interval 0.1000s implies pulse above 240 bpm"),
     (parse_hrm_log, b"1.0\n0.9\nx\n", "hrm", 3, 8, "malformed beat time 'x'"),
+    (parse_demo_events, b"round_start 0 9223372036854775808\n", "demo", 1, 0,
+     "round index '9223372036854775808' does not fit in 64 bits"),
+    (parse_demo_events, DEMO + b"round_start 50 2\nround_end 60 -9223372036854775809\n",
+     "demo", 5, 59, "round index '-9223372036854775809' does not fit in 64 bits"),
     (parse_demo_events, b"round_start 5 1\nspawn 5 p1\nround_end 5 1\n", "demo", 1, 0,
      "round 1 ends at 5.0 before it starts at 5.0"),
     (parse_demo_events, DEMO + b"round_start 30 2\nround_end 70 2\n", "demo", 4, 42,
@@ -199,6 +203,13 @@ def test_parse_demo_twelve_rounds():
         lines.append(f"round_end {(i + 1) * 40} {i + 1}")
     timeline = parse_demo_events("\n".join(lines).encode())
     assert len(timeline.rounds) == 12
+
+
+def test_parse_demo_round_index_spans_int64():
+    lo, hi = -(1 << 63), (1 << 63) - 1
+    text = (f"round_start 0 {lo}\nspawn 0 p1\nround_end 40 {lo}\n"
+            f"round_start 40 {hi}\nround_end 80 {hi}\n")
+    assert [r.index for r in parse_demo_events(text.encode()).rounds] == [lo, hi]
 
 
 def test_parse_demo_event_outside_round_rejected():

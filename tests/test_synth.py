@@ -115,14 +115,13 @@ class TestTargets:
     def test_two_state_runs_hit_the_on_fraction(self):
         n = 200_000
         for target, mean_run in ((0.3, 80.0), (0.04, 60.0), (0.12, 60.0)):
-            runs = _two_state_runs(Rng(5), n, target, mean_run)
-            mask = _runs_to_mask(runs, n)
+            mask = _runs_to_mask(*_two_state_runs(Rng(5), n, target, mean_run), n)
             assert mask.mean() == pytest.approx(target, abs=0.04)
 
     def test_two_state_runs_extremes(self):
-        assert _two_state_runs(Rng(1), 100, 0.0, 10.0) == []
-        runs = _two_state_runs(Rng(1), 100, 1.0, 10.0)
-        assert _runs_to_mask(runs, 100).all()
+        starts, ends = _two_state_runs(Rng(1), 100, 0.0, 10.0)
+        assert len(starts) == len(ends) == 0
+        assert _runs_to_mask(*_two_state_runs(Rng(1), 100, 1.0, 10.0), 100).all()
 
 
 class TestProfiles:
