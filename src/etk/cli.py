@@ -45,7 +45,7 @@ from .input_features import (
     nominal_period,
     write_feature_table,
 )
-from .model import Cohort, InputSeries, Interval, PlayerMeta, Session
+from .model import Cohort, InputSeries, Interval, PlayerMeta
 from .numerics import fit_kde, fit_pca, kde_curve, project
 from .preprocess import (
     beats_to_bpm,
@@ -57,7 +57,7 @@ from .preprocess import (
 )
 from .rng import Rng
 from .synth import CohortProfile, Scenario, default_profiles, generate_session, load_profiles
-from .textio import _byte_cells, _fmt_cells, _join_rows, _write_text
+from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text
 from .zones import (
     DEFAULT_HOP_S,
     DEFAULT_WINDOW_S,
@@ -87,7 +87,6 @@ KDE_FEATURES = ("ad_hold_fraction", "w_m1_fraction")
 ANALYZE_FILES = ("manifest.json", "missing.json", "windows.csv", "averages.csv", "zones.csv",
                  "features.csv", "kde.csv", "pca_model.csv", "pca_projections.csv",
                  *(f"heatmap_{c.value}.{ext}" for c in Cohort for ext in ("csv", "pgm")))
-_CHUNK_ROWS = 4096    # window rows formatted at a time when writing CSVs
 
 
 def _configure_logging() -> None:
@@ -138,8 +137,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> 
 # ---------------------------------------------------------------------------
 # ingest
 
-def _session_summary(session: Session) -> dict:
+def _session_summary(directory: Path) -> dict:
+    """The summary of one session directory; its session is dropped on return."""
+    session = read_session_dir(directory)
+    log.info("ingested %s: %d rounds", directory, len(session.timeline.rounds))
     return {
+        "directory": str(directory),
         "player_id": session.meta.player_id,
         "cohort": session.meta.cohort.value,
         "rounds": len(session.timeline.rounds),
@@ -153,11 +156,7 @@ def _session_summary(session: Session) -> dict:
 
 def cmd_ingest(args) -> int:
     dirs = _expand_session_dirs(args.paths)
-    summaries = []
-    for d in dirs:
-        session = read_session_dir(d)
-        log.info("ingested %s: %d rounds", d, len(session.timeline.rounds))
-        summaries.append({"directory": str(d), **_session_summary(session)})
+    summaries = [_session_summary(d) for d in dirs]
     payload = json.dumps(summaries, indent=2, sort_keys=True)
     print(payload)
     if args.out:
@@ -332,12 +331,11 @@ def _window_blocks(derived: list[_SessionDerived], kind: list[str], columns):
     """CSV rows `<kind>,player_id,cohort,round,window_index,<columns>`, one per window.
 
     `columns(d, rows)` gives the float columns of a slice of a session's
-    windows as a matrix. Each block holds _CHUNK_ROWS rows, so only one
-    block's cells are alive at once, not the whole file's.
+    windows as a matrix. Each block holds the rows of one `_row_blocks`
+    slice, so only one block's cells are alive at once, not the whole file's.
     """
     for d in derived:
-        for lo in range(0, len(d.windows), _CHUNK_ROWS):
-            rows = slice(lo, lo + _CHUNK_ROWS)
+        for rows in _row_blocks(len(d.windows)):
             ids = np.column_stack((d.window_round[rows], d.windows.index[rows]))
             yield _join_rows([*kind, d.meta.player_id, d.meta.cohort.value,
                               *_fmt_cells(ids), *_fmt_cells(columns(d, rows))])
@@ -517,9 +515,10 @@ def cmd_synth(args) -> int:
         else:
             cohort, prefix = Cohort.AMATEUR, "am"
         meta = PlayerMeta(player_id=f"{prefix}{i + 1:02d}", cohort=cohort, n=i + 1)
-        session = generate_session(profiles[cohort], scenario,
-                                   seed=master.child_seed(i), meta=meta)
-        write_session_dir(session, out_dir / meta.player_id)
+        # Not bound to a name, so no session outlives its writing.
+        write_session_dir(generate_session(profiles[cohort], scenario,
+                                           seed=master.child_seed(i), meta=meta),
+                          out_dir / meta.player_id)
         log.info("synthesized %s (%s)", meta.player_id, cohort.value)
 
     _write_manifest(out_dir, "synth",

@@ -71,7 +71,7 @@ from .model import (
     key_names,
     validate_session,
 )
-from .textio import _byte_cells, _fmt_cells, _join_rows, _write_text, fmt_num
+from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text, fmt_num
 
 GAZE_FILE = "gaze.csv"
 INPUT_FILE = "input.csv"
@@ -423,24 +423,33 @@ def assemble_session(meta: PlayerMeta, gaze: GazeSeries, input_samples: InputSer
 
 
 # ---------------------------------------------------------------------------
-# Writers (canonical form)
+# Writers (canonical form), a `_row_blocks` block of rows at a time, so
+# their memory does not grow with the session
 
 def write_gaze_csv(series: GazeSeries, path) -> None:
-    xy = _fmt_cells(np.column_stack((series.x, series.y)))
-    xy[:, ~series.valid] = 0  # empty cells
-    _write_text(path, [GAZE_HEADER + "\n", _join_rows([_fmt_cells(series.t), *xy])])
+    def blocks():
+        yield GAZE_HEADER + "\n"
+        for rows in _row_blocks(len(series)):
+            xy = _fmt_cells(np.column_stack((series.x[rows], series.y[rows])))
+            xy[:, ~series.valid[rows]] = 0  # empty cells
+            yield _join_rows([_fmt_cells(series.t[rows]), *xy])
+    _write_text(path, blocks())
 
 
 def write_input_csv(samples: InputSeries, path) -> None:
-    masks, inverse = np.unique(samples.keys, return_inverse=True)
-    names = _byte_cells(["+".join(key_names(mask)) for mask in masks.tolist()])
-    columns = [_fmt_cells(samples.t), _fmt_cells(samples.mouse_x), _fmt_cells(samples.mouse_y),
-               names.take(inverse, axis=0)]
-    _write_text(path, [INPUT_HEADER + "\n", _join_rows(columns)])
+    def blocks():
+        yield INPUT_HEADER + "\n"
+        for rows in _row_blocks(len(samples)):
+            masks, inverse = np.unique(samples.keys[rows], return_inverse=True)
+            names = _byte_cells(["+".join(key_names(mask)) for mask in masks.tolist()])
+            yield _join_rows([_fmt_cells(samples.t[rows]), _fmt_cells(samples.mouse_x[rows]),
+                              _fmt_cells(samples.mouse_y[rows]), names.take(inverse, axis=0)])
+    _write_text(path, blocks())
 
 
 def write_hrm_txt(beats: BeatSeries, path) -> None:
-    _write_text(path, _join_rows([_fmt_cells(beats.beat_times)]))
+    _write_text(path, (_join_rows([_fmt_cells(beats.beat_times[rows])])
+                       for rows in _row_blocks(len(beats))))
 
 
 def _demo_lines(timeline: MatchTimeline) -> list[str]:

@@ -144,9 +144,11 @@ def mouse_kinematics(samples: InputSeries, alive: list[Interval]) -> MouseKinema
             continue
         n_bins = max(1, math.ceil((iv.end_t - iv.start_t) / KINEMATICS_WINDOW_S))
         # math.hypot, not np.hypot: they differ in the last bit on some inputs.
-        step = np.array(list(map(math.hypot, np.diff(seg.mouse_x).tolist(),
-                                 np.diff(seg.mouse_y).tolist())))
-        speeds.append(step / np.diff(seg.t))
+        # A step or speed beyond the largest float is the IEEE infinity.
+        with np.errstate(over="ignore"):
+            step = np.array(list(map(math.hypot, np.diff(seg.mouse_x).tolist(),
+                                     np.diff(seg.mouse_y).tolist())))
+            speeds.append(step / np.diff(seg.t))
         bins = np.minimum(((seg.t[:-1] - iv.start_t) / KINEMATICS_WINDOW_S).astype(np.int64),
                           n_bins - 1)
         # bincount adds each bin's steps in sample order.

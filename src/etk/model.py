@@ -301,11 +301,14 @@ def _validate_gaze(gaze: GazeSeries, out: list[Violation]) -> None:
         out.append(Violation("gaze.nominal_rate_hz",
                              f"rate must be positive, got {gaze.nominal_rate_hz}"))
     w, h = gaze.screen
-    if not (0 < w <= MAX_SCREEN_PX and 0 < h <= MAX_SCREEN_PX):  # sizes the heatmap
+    screen_ok = 0 < w <= MAX_SCREEN_PX and 0 < h <= MAX_SCREEN_PX  # sizes the heatmap
+    if not screen_ok:
         out.append(Violation("gaze.screen", f"screen dims {gaze.screen} outside 1..{MAX_SCREEN_PX}"))
     t, x, y, valid = gaze.t, gaze.x, gaze.y, gaze.valid
     nonfinite = valid & ~(np.isfinite(x) & np.isfinite(y))
-    outside = valid & ~nonfinite & ~((0 <= x) & (x <= w) & (0 <= y) & (y <= h))
+    # A refused screen judges no point: a side such as 10**400 compares with no float.
+    outside = valid & ~nonfinite & ~((0 <= x) & (x <= w) & (0 <= y) & (y <= h)) \
+        if screen_ok else np.zeros(len(t), bool)
     _report_flagged(out, "gaze.samples", [
         (t < 0, lambda i: f"negative timestamp {float(t[i])}"),
         _not_increasing(t, "timestamp"),

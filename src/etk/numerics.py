@@ -160,6 +160,21 @@ def dominant_coordinate(component, dominance_ratio: float = DOMINANCE_RATIO):
     return top + 1, float(c[top])
 
 
+def _quartiles(x: np.ndarray) -> list[np.float64]:
+    """`np.percentile(x, [75, 25])` of a NaN-free x, bit for bit.
+
+    `np.percentile` imports numpy.ma (~17 ms) through `np.unique`. This
+    is its linear method step by step: the same partition, then each
+    quartile interpolated between its two neighbouring order statistics,
+    from the upper one when the weight t is at least 0.5.
+    """
+    at = (len(x) - 1) * np.array([0.75, 0.25])
+    lo = np.floor(at).astype(np.intp)
+    part = np.partition(x, sorted({0, -1, *lo.tolist(), *(lo + 1).tolist()}))
+    return [b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+            for a, b, t in zip(part[lo], part[lo + 1], at - lo)]
+
+
 def silverman_bandwidth(samples) -> float:
     """Silverman's rule: 0.9 * min(std, IQR/1.34) * n^(-1/5).
 
@@ -172,7 +187,7 @@ def silverman_bandwidth(samples) -> float:
     std = float(x.std(ddof=1))
     if std == 0.0:
         raise DegenerateData("samples have zero spread")
-    q75, q25 = np.percentile(x, [75.0, 25.0])
+    q75, q25 = _quartiles(x)
     iqr = float(q75 - q25)
     scale = min(std, iqr / 1.34) if iqr > 0.0 else std
     return 0.9 * scale * x.size ** (-0.2)

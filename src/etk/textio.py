@@ -10,7 +10,9 @@ bytes, and `_join_rows` adds the commas and newlines and drops every
 NUL with one mask. A number with at most three decimals and a magnitude
 below 1e12 is assembled from digit tables; every other one is formatted
 by `_fmt_column` once per distinct value, which pays where values
-repeat, as window probabilities do.
+repeat, as window probabilities do. Writers of long tables format
+`_CHUNK_ROWS` rows at a time (`_row_blocks`), so their memory does not
+grow with the row count.
 """
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ import os
 from pathlib import Path
 
 import numpy as np
+
+_CHUNK_ROWS = 4096    # rows formatted at a time by every long CSV writer
 
 
 def fmt_num(v: float) -> str:
@@ -124,6 +128,11 @@ def _join_rows(columns: list) -> bytes:
     out = np.concatenate([part for cells in columns for part in (cells, comma)], axis=1)
     out[:, -1] = ord("\n")
     return out[out != 0].tobytes()
+
+
+def _row_blocks(n: int):
+    """Slices of `_CHUNK_ROWS` consecutive rows covering `range(n)`, in order."""
+    return (slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS))
 
 
 def _write_text(path, text) -> None:

@@ -175,7 +175,8 @@ def _window_starts(span_start: float, span_end: float, window_s: float,
                              f"exceed the limit of {MAX_WINDOWS}")
     n = max(0, int(estimate)) + 2
     while True:
-        starts = span_start + np.arange(n) * hop_s
+        with np.errstate(over="ignore"):  # an infinite start lies past the span
+            starts = span_start + np.arange(n) * hop_s
         over = starts + window_s > limit
         if over[-1]:
             return starts[:int(np.argmax(over))]

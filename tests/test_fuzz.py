@@ -6,10 +6,14 @@ or raises `ParseError`; `read_meta_json` may also raise `AssemblyError`
 valid files with bytes inserted, deleted or replaced, so the fuzz gets
 past the headers. Zone models are also built from rows that repeat
 labels and centers, which byte mutations seldom reach.
-The CLI fuzz damages one or two files of a small corpus and checks that
-`main` returns one of the documented exit codes instead of raising.
+The CLI fuzz damages one or two files of a small corpus, one way being
+to put a well-formed extreme number (such as 2**63, 10**400, 5e-324 or
+nan) in place of a numeric token, and may give `analyze` an extreme
+numeric flag; it checks that `main` returns one of the documented exit
+codes instead of raising.
 """
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -154,6 +158,12 @@ def small_corpus(tmp_path_factory) -> Path:
 
 
 FILES = ["meta.json", "gaze.csv", "input.csv", "hrm.txt", "demo.events"]
+EXTREMES = [str(2**63), str(-2**63), "1" + "0" * 400, "1e308", "5e-324", "-0.0", "nan", "inf"]
+JSON_SPELLING = {"nan": "NaN", "inf": "Infinity"}   # what `json` reads as these floats
+# A number standing alone: a round index, a time, a cell, a JSON value; not
+# the digits of "pro01" or "MOUSE1".
+NUMBER = re.compile(rb"(?<![\w.+-])[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
+NUMERIC_FLAGS = ["--window-s", "--hop-s", "--bandwidth", "--jobs", "--seed"]
 
 
 @st.composite
@@ -161,7 +171,8 @@ def corruption(draw):
     """(session, file, action, argument) for one damaged file."""
     session = draw(st.sampled_from(["pro01", "am02"]))
     name = draw(st.sampled_from(FILES))
-    action = draw(st.sampled_from(["delete", "truncate", "mutate", "replace", "append"]))
+    action = draw(st.sampled_from(["delete", "truncate", "mutate", "replace", "append",
+                                   "extreme"]))
     if action == "truncate":
         arg = draw(st.floats(0, 1))
     elif action == "mutate":
@@ -172,6 +183,8 @@ def corruption(draw):
     elif action == "append":
         arg = draw(st.sampled_from([b"1e999,1,1\n", b"0,0,0\n", b"nan\n", b"kill\n",
                                     b"round_start 5 1\n", b"\xff\xfe\n", b",,,,\n"]))
+    elif action == "extreme":
+        arg = (draw(st.floats(0, 1)), draw(st.sampled_from(EXTREMES)))
     else:
         arg = None
     return session, name, action, arg
@@ -190,16 +203,33 @@ def _damage(path: Path, action, arg) -> None:
             data[min(int(where * len(data)), len(data) - 1)] = byte
     elif action == "replace":
         data = bytearray(arg)
+    elif action == "extreme":
+        where, value = arg
+        numbers = list(NUMBER.finditer(data))
+        if numbers:
+            token = numbers[min(int(where * len(numbers)), len(numbers) - 1)]
+            if path.name == "meta.json":
+                value = JSON_SPELLING.get(value, value)
+            data[token.start():token.end()] = value.encode()
     else:
         data += arg
     path.write_bytes(bytes(data))
 
 
-@settings(max_examples=40, deadline=None,
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as e:   # argparse refuses a malformed flag with status 2
+        return e.code
+
+
+@settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(damage=st.lists(corruption(), min_size=1, max_size=2),
-       jobs=st.sampled_from(["1", "2"]))
-def test_cli_exits_with_a_documented_code(small_corpus, capsys, damage, jobs):
+@given(damage=st.lists(corruption(), max_size=2),
+       jobs=st.sampled_from(["1", "2"]),
+       flag=st.lists(st.tuples(st.sampled_from(NUMERIC_FLAGS), st.sampled_from(EXTREMES))
+                     .map("=".join), max_size=1))
+def test_cli_exits_with_a_documented_code(small_corpus, capsys, damage, jobs, flag):
     with tempfile.TemporaryDirectory() as d:
         root = Path(d) / "corpus"
         for session in ("pro01", "am02"):
@@ -209,6 +239,6 @@ def test_cli_exits_with_a_documented_code(small_corpus, capsys, damage, jobs):
             if path.exists():
                 _damage(path, action, arg)
         for argv in (["ingest", str(root)],
-                     ["analyze", str(root), "--out", str(Path(d) / "out"), "--jobs", jobs]):
-            assert main(argv) in EXIT_CODES
+                     ["analyze", str(root), "--out", str(Path(d) / "out"), "--jobs", jobs, *flag]):
+            assert _exit_code(argv) in EXIT_CODES
     capsys.readouterr()

@@ -1,4 +1,5 @@
 """Key-hold intervals, held fractions, click stats, and mouse kinematics."""
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +198,13 @@ class TestMouseKinematics:
     def test_single_sample_rejected(self):
         with pytest.raises(InsufficientData):
             mouse_kinematics(make_input([mk(0.0)]), [Interval(0.0, 1.0)])
+
+    def test_overflowing_steps_are_infinite_without_a_warning(self):
+        """Finite positions whose step or speed exceeds every float give IEEE infinities."""
+        samples = make_input([mk(0.0, pos=(0.0, 0.0)), mk(0.01, pos=(1e308, 0.0)),
+                              mk(0.02, pos=(-1e308, 0.0))])
+        kin = mouse_kinematics(samples, [Interval(0.0, 1.0)])
+        assert kin.path_mean_px == math.inf and kin.vel_mean_px_s == math.inf
 
     def test_window_tiling_and_stats(self):
         samples = make_input([mk(0.0, pos=(0.0, 0.0)), mk(0.5, pos=(10.0, 0.0)),

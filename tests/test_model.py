@@ -75,6 +75,7 @@ def test_player_id_without_comma_or_control_is_not_flagged(tiny_session, player_
 @pytest.mark.parametrize("screen,flagged", [
     ((16384, 16384), False), ((15360, 8640), False), ((16385, 1080), True),
     ((1920, 16385), True), ((10**9, 10**9), True), ((0, 1080), True), ((1920, -1), True),
+    ((10**400, 1080), True), ((1920, -10**400), True),   # beyond every float
 ])
 def test_screen_sides_outside_1_to_16384_are_flagged(tiny_session, screen, flagged):
     gaze = make_gaze([(0.0, 1.0, 2.0)], screen=screen)

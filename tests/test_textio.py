@@ -10,21 +10,25 @@ Each CSV writer is checked byte for byte against the writer it replaced,
 one Python string per cell, kept here as its oracle: `join_gaze_csv`,
 `join_input_csv` and `join_hrm_txt` for the `ingest` writers, and the
 `*_oracle` functions for `windows.csv`, `averages.csv`, `pca_model.csv`,
-`pca_projections.csv`, `kde.csv`, `features.csv` and `zones.csv`. A
-source scan keeps `_write_text` the only function in etk that writes a
-file, and another keeps `_fmt_column` inside `textio`.
+`pca_projections.csv`, `kde.csv`, `features.csv` and `zones.csv`. The
+`ingest` writers, which format `_CHUNK_ROWS` rows at a time, are also
+checked against the whole-file writers they replaced (`whole_*`), and
+their traced memory must not grow with the row count. A source scan
+keeps `_write_text` the only function in etk that writes a file, and
+another keeps `_fmt_column` inside `textio`.
 """
 import ast
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import etk
 import etk.errors
-from etk import cli
 from etk.cli import (KDE_FEATURES, _SessionDerived, _write_averages_csv, _write_kde_csv,
                      _write_pca_csvs, _write_windows_csv)
 from etk.ingest import (GAZE_HEADER, INPUT_HEADER, write_gaze_csv, write_hrm_txt,
@@ -33,7 +37,8 @@ from etk.input_features import FeatureRow, write_feature_table
 from etk.model import BeatSeries, Cohort, GazeSeries, InputSeries, PlayerMeta, key_names
 from etk.numerics import fit_kde, fit_pca, kde_curve, project
 from etk.synth import Scenario, default_profiles, generate_session
-from etk.textio import _byte_cells, _fmt_cells, _fmt_column, _join_rows, _write_text, fmt_num
+from etk.textio import (_CHUNK_ROWS, _byte_cells, _fmt_cells, _fmt_column, _join_rows,
+                        _write_text, fmt_num)
 from etk.zones import (WindowSeries, ZoneModel, ZoneSequence, average_distribution,
                        default_zone_model, window_distributions, write_zone_model_csv)
 
@@ -313,6 +318,77 @@ def test_writers_match_join_writers_on_any_columns(tmp_path_factory, rows):
     assert_writers_match(tmp_path_factory.mktemp("w"), gaze, samples, BeatSeries(y))
 
 
+def whole_gaze_csv(series):
+    """`write_gaze_csv` as it was before blocks: the whole file in one pass."""
+    xy = _fmt_cells(np.column_stack((series.x, series.y)))
+    xy[:, ~series.valid] = 0
+    return (GAZE_HEADER + "\n").encode() + _join_rows([_fmt_cells(series.t), *xy])
+
+
+def whole_input_csv(samples):
+    masks, inverse = np.unique(samples.keys, return_inverse=True)
+    names = _byte_cells(["+".join(key_names(mask)) for mask in masks.tolist()])
+    columns = [_fmt_cells(samples.t), _fmt_cells(samples.mouse_x), _fmt_cells(samples.mouse_y),
+               names.take(inverse, axis=0)]
+    return (INPUT_HEADER + "\n").encode() + _join_rows(columns)
+
+
+def whole_hrm_txt(beats):
+    return _join_rows([_fmt_cells(beats.beat_times)])
+
+
+def block_columns(n, seed=0):
+    """(gaze, input, beats) of n rows on a 60 Hz time grid.
+
+    Coordinates have two decimals, except in the third block of rows,
+    where no value has three decimals or fewer (as no time has where i/60
+    is not a multiple of 0.05); the second block of gaze is all lost.
+    """
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) / 60
+    x, y = rng.integers(0, 192_000, n) / 100, rng.integers(0, 108_000, n) / 100
+    third = np.arange(n)[2 * _CHUNK_ROWS:3 * _CHUNK_ROWS]
+    x[third], y[third] = np.pi * (third + 1), np.e * (third + 1)
+    valid = rng.random(n) > 0.1
+    valid[_CHUNK_ROWS:2 * _CHUNK_ROWS] = False
+    keys = rng.choice(np.array([0, 1, 3, 1 << 16], np.uint32), n)
+    return GazeSeries(t, x, y, valid), InputSeries(t, x, y, keys), BeatSeries(t)
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7])
+def test_block_writers_match_whole_file_writers(tmp_path, n):
+    gaze, samples, beats = block_columns(n)
+    for write, whole, value in ((write_gaze_csv, whole_gaze_csv, gaze),
+                                (write_input_csv, whole_input_csv, samples),
+                                (write_hrm_txt, whole_hrm_txt, beats)):
+        path = tmp_path / write.__name__
+        write(value, path)
+        assert path.read_bytes() == whole(value)
+    if n > 3 * _CHUNK_ROWS:
+        lines = (tmp_path / "write_gaze_csv").read_text().splitlines()[1:]
+        assert all(line.endswith(",,") for line in lines[_CHUNK_ROWS:2 * _CHUNK_ROWS])
+        q = np.rint(gaze.x[2 * _CHUNK_ROWS:3 * _CHUNK_ROWS] * 1000)
+        assert not (q / 1000 == gaze.x[2 * _CHUNK_ROWS:3 * _CHUNK_ROWS]).any()
+
+
+def traced_peak(write, value, path):
+    """Bytes `write(value, path)` allocates at its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        write(value, path)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_does_not_grow_with_rows(tmp_path):
+    for write, pick in ((write_gaze_csv, 0), (write_input_csv, 1), (write_hrm_txt, 2)):
+        small, large = (traced_peak(write, block_columns(n)[pick], tmp_path / "f")
+                        for n in (40_000, 400_000))
+        assert large < 2 * small, (write.__name__, small, large)
+
+
 # ---------------------------------------------------------------------------
 # The table writers against the writers they replaced
 
@@ -402,7 +478,7 @@ def test_table_writers_match_oracles_on_non_ascii_ids(tmp_path):
                derived_session("am02", Cohort.AMATEUR, 4.0, 2),           # no window
                derived_session("pr\u00f601", Cohort.PROFESSIONAL, 30.0, 3),
                derived_session("pro\u4e8c", Cohort.PROFESSIONAL, 12.0, 4)]
-    assert derived[1].averaged is None and len(derived[0].windows) > cli._CHUNK_ROWS
+    assert derived[1].averaged is None and len(derived[0].windows) > _CHUNK_ROWS
     assert_table_writers_match(tmp_path, derived, 9)
     lines = (tmp_path / "pca_projections.csv").read_text().splitlines()
     assert lines[-1].startswith("average,pro\u4e8c,professional,,,")

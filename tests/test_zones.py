@@ -195,6 +195,11 @@ class TestWindowDistributions:
         with pytest.raises(ValueError, match="finite"):
             window_distributions(self.make_seq(20.0), window_s=window_s, hop_s=hop_s)
 
+    def test_hop_near_the_largest_float_places_one_window(self):
+        """Later starts overflow to infinity, past the span, without a warning."""
+        windows = window_distributions(self.make_seq(20.0), window_s=15.0, hop_s=1e308)
+        assert windows.index.tolist() == [0] and windows.start.tolist() == [0.0]
+
     def test_window_count_above_cap_is_refused_before_allocating(self):
         seq = self.make_seq(20.0)
         with pytest.raises(TooManyWindows, match=str(MAX_WINDOWS)):
