@@ -163,6 +163,7 @@ JSON_SPELLING = {"nan": "NaN", "inf": "Infinity"}   # what `json` reads as these
 # A number standing alone: a round index, a time, a cell, a JSON value; not
 # the digits of "pro01" or "MOUSE1".
 NUMBER = re.compile(rb"(?<![\w.+-])[-+]?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
+# `--jobs` at 2**63 still starts at most one worker per session: two here.
 NUMERIC_FLAGS = ["--window-s", "--hop-s", "--bandwidth", "--jobs", "--seed"]
 
 
