@@ -11,7 +11,6 @@ error, 4 degenerate analysis input. `ETK_LOG` sets log verbosity.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -97,6 +96,10 @@ def _configure_logging() -> None:
 
 
 def _sha256(path: Path) -> str:
+    # Imported here: hashlib maps OpenSSL's libcrypto, about 3.4 MB of RSS,
+    # which `synth` without --profile never needs and which `ingest` and
+    # `analyze` then map only after their parse.
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(65536), b""):

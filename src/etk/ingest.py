@@ -13,10 +13,13 @@ Formats (all UTF-8; whitespace-only and `#`-prefixed comment lines ignored):
   ``kill <t> <killer> <victim>``, ``weapon_fire <t> <player>``.
 
 `gaze.csv` and `input.csv` hold nearly all the bytes of a session, so
-their parsers read the whole file and convert it into columns
-(`GazeSeries`, `InputSeries`) one chunk of about 64 KiB at a time, with
-one `np.loadtxt` call per chunk; each distinct `keys` cell of a chunk is
-mapped to its mask once. loadtxt reads an ASCII number exactly as
+their parsers read the whole file and convert it one chunk of about
+64 KiB at a time, with one `np.loadtxt` call per chunk; each distinct
+`keys` cell of a chunk is mapped to its mask once. Each chunk is copied
+into columns allocated once for the whole file, one entry per line, and
+their filled prefixes are marked read-only, so `GazeSeries` and
+`InputSeries` keep them without a copy: a parse peaks near the bytes of
+its columns plus one chunk. loadtxt reads an ASCII number exactly as
 `float` does, `nan`, `inf` and `1e999` included (the bulk path then
 refuses them as non-finite). A chunk holding a token that `float` takes
 and loadtxt does not, such as `1_0` or a non-ASCII digit, is converted
@@ -65,6 +68,7 @@ from .model import (
     PlayerMeta,
     Round,
     Session,
+    _read_only,
     _validate_hrm,
     _validate_timeline,
     key_mask,
@@ -226,9 +230,14 @@ def _bulk_columns(data: bytes, header: str, convert) -> tuple:
     """Columns of a CSV whose first cell is a finite, strictly increasing time.
 
     `convert(text)` turns the rows of a chunk into its columns, time
-    first. An empty file gives `()`.
+    first. Each column is allocated once, with one entry per line of the
+    file and the dtype of the first chunk's, and each chunk is copied
+    into place; the filled prefixes come back read-only, so a series
+    keeps them without a copy. An empty file gives `()`.
     """
-    parts = []
+    lines = data.count(b"\n") + 1
+    out: tuple = ()
+    n = 0
     prev = -math.inf
     for text in _bulk_chunks(data, header):
         columns = convert(text)
@@ -236,8 +245,11 @@ def _bulk_columns(data: bytes, header: str, convert) -> tuple:
         if not (np.isfinite(t).all() and t[0] > prev and (t[1:] > t[:-1]).all()):
             raise _Fallback
         prev = t[-1]
-        parts.append(columns)
-    return tuple(map(np.concatenate, zip(*parts)))
+        out = out or tuple(np.empty(lines, c.dtype) for c in columns)
+        for column, part in zip(out, columns):
+            column[n:n + len(t)] = part
+        n += len(t)
+    return _read_only(*(column[:n] for column in out))
 
 
 def _gaze_chunk(text: str):

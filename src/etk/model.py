@@ -98,6 +98,13 @@ def _frozen_column(values, dtype, ndim: int = 1) -> np.ndarray:
     return a
 
 
+def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`columns`, each marked read-only, so that `_frozen_column` keeps it without a copy."""
+    for column in columns:
+        column.setflags(write=False)
+    return columns
+
+
 class _Columns:
     """Equal-length read-only columns, one entry per sample in time order.
 

@@ -34,6 +34,7 @@ from .model import (
     PlayerMeta,
     Round,
     Session,
+    _read_only,
     key_mask,
 )
 from .rng import Rng
@@ -302,7 +303,7 @@ def _generate_gaze(rng_zone: Rng, rng_noise: Rng, rng_missing: Rng,
         *_two_state_runs(rng_missing, n, profile.missing_rate, MISSING_RUN_MEAN_SAMPLES), n)
     x[invalid] = np.nan
     y[invalid] = np.nan
-    return GazeSeries(times, x, y, ~invalid)
+    return GazeSeries(*_read_only(times, x, y, ~invalid))
 
 
 def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
@@ -337,7 +338,7 @@ def _generate_input(rng_keys: Rng, rng_mouse: Rng, profile: CohortProfile,
     mx = np.round(mx, 2)
     my = np.round(my, 2)
 
-    return InputSeries(times, mx, my, keys)
+    return InputSeries(*_read_only(times, mx, my, keys))
 
 
 def _generate_beats(rng: Rng, profile: CohortProfile, total_s: float) -> BeatSeries:

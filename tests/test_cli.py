@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: exit codes, artifacts, and determinism."""
+import hashlib
 import json
 import os
 import shutil
@@ -162,6 +163,28 @@ class TestSynthCommand:
                      "--rounds", "2", "--round-s", "30"]) == 0
         for name in ("pro01", "am02", "am03"):
             assert tree_bytes(again / name) == tree_bytes(corpus / name)
+
+    def test_synth_does_not_load_openssl(self, tmp_path):
+        """hashlib maps libcrypto (~3.4 MB RSS); only a manifest digest may import it."""
+        code = ("import sys\n"
+                "from etk.cli import main\n"
+                "out = sys.argv[1]\n"
+                "assert main(['synth', '--out', out + '/c', '--count', '2', '--rounds', '2',\n"
+                "             '--round-s', '20']) == 0\n"
+                "assert '_hashlib' not in sys.modules, '_hashlib was imported'\n"
+                "assert main(['ingest', out + '/c', '--out', out + '/i']) == 0\n"
+                "assert main(['analyze', out + '/c', '--out', out + '/a']) == 0\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(etk.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        for run in ("i", "a"):
+            inputs = json.loads((tmp_path / run / "manifest.json").read_text())["inputs"]
+            assert set(inputs) == {str(tmp_path / "c" / n) for n in ("pro01", "am02")}
+            for directory, digests in inputs.items():
+                assert digests == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                   for p in Path(directory).iterdir()}
 
 
 class TestIngestCommand:

@@ -1,4 +1,6 @@
 """Parser and writer behavior for the four capture formats."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,7 @@ from etk.ingest import (
     write_input_csv,
     write_session_dir,
 )
-from etk.model import Cohort, EventKind, InputSeries, PlayerMeta
+from etk.model import Cohort, EventKind, GazeSeries, InputSeries, PlayerMeta
 from etk.textio import _fmt_column, fmt_num
 from etk.zones import read_zone_model_csv
 from conftest import gaze_rows, input_rows
@@ -332,3 +334,29 @@ def test_gaze_write_parse_write_is_byte_identical(tmp_path_factory, rows):
                 max_size=20))
 def test_column_formatting_matches_fmt_num(values):
     assert _fmt_column(np.array(values, dtype=float)) == [fmt_num(v) for v in values]
+
+
+def parse_peak_ratio(parse, data: bytes) -> float:
+    """Peak bytes `parse(data)` allocates, under tracemalloc, over its column bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        series = parse(data)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return peak / sum(getattr(series, name).nbytes for name in series._COLUMNS)
+
+
+def test_parse_memory_stays_near_column_bytes(tmp_path):
+    """The bulk parsers fill each column in place: no chunk matrices pile up, no second copy."""
+    n = 400_000
+    rng = np.random.default_rng(7)
+    t = np.arange(n) / 60
+    x, y = rng.integers(0, 192_000, n) / 100, rng.integers(0, 108_000, n) / 100
+    keys = rng.choice(np.array([0, 1, 3, 1 << 16], np.uint32), n)
+    write_gaze_csv(GazeSeries(t, x, y, rng.random(n) > 0.05), tmp_path / "gaze.csv")
+    write_input_csv(InputSeries(t, x, y, keys), tmp_path / "input.csv")
+    for parse, name in ((parse_gaze_log, "gaze.csv"), (parse_input_log, "input.csv")):
+        ratio = parse_peak_ratio(parse, (tmp_path / name).read_bytes())
+        assert ratio < 1.25, (parse.__name__, ratio)

@@ -12,10 +12,12 @@ U+001C..U+001F control around a number.
 from unittest.mock import patch
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from etk import ingest
 from etk.errors import ParseError
+from etk.model import _frozen_column
 
 GAZE_DTYPES = (np.float64, np.float64, np.float64, np.bool_)
 INPUT_DTYPES = (np.float64, np.float64, np.float64, np.uint32)
@@ -177,3 +179,52 @@ def test_input_bulk_parser_matches_line_parser(case, chunk_bytes):
         if benign:
             ingest._input_columns_bulk(data)
     assert got == outcome(ingest._input_columns_lines, data, INPUT_DTYPES)
+
+
+# ---------------------------------------------------------------------------
+# Edge files at the bulk path's allocation bound (one entry per line)
+
+HEADERS = {"gaze": b"t,x,y", "input": b"t,mouse_x,mouse_y,keys"}
+PARSERS = {"gaze": (ingest._gaze_columns_bulk, ingest._gaze_columns_lines, GAZE_DTYPES),
+           "input": (ingest._input_columns_bulk, ingest._input_columns_lines, INPUT_DTYPES)}
+
+
+def data_rows(kind: str, n: int) -> list[bytes]:
+    """n valid rows at 60 Hz; every seventh gaze sample is lost."""
+    rows = []
+    for i in range(n):
+        xy = "," if kind == "gaze" and i % 7 == 3 else f"{i % 1920}.25,{i % 1080}"
+        keys = "," + ("", "W", "A+D")[i % 3] if kind == "input" else ""
+        rows.append(f"{i / 60!r},{xy}{keys}".encode())
+    return rows
+
+
+def edge_file(kind: str, case: str) -> bytes:
+    header = HEADERS[kind]
+    if case == "header_only":
+        return header + b"\n"
+    if case == "no_final_newline":
+        return b"\n".join([header, *data_rows(kind, 5000)])
+    if case == "trailing_blank_and_comments":
+        return b"\n".join([header, *data_rows(kind, 5000)]) + b"\n\n# end\n  # note\n\n"
+    if case == "crlf":
+        return b"\r\n".join([header, *data_rows(kind, 5000)]) + b"\r\n"
+    # the last chunk, and more than one chunk's worth, is all comments
+    comments = (b"# " + b"c" * 98 + b"\n") * (2 * ingest._CHUNK_BYTES // 100)
+    return b"\n".join([header, *data_rows(kind, 5000)]) + b"\n" + comments
+
+
+@pytest.mark.parametrize("case", ["no_final_newline", "header_only",
+                                  "trailing_blank_and_comments", "crlf", "comment_tail"])
+@pytest.mark.parametrize("kind", ["gaze", "input"])
+def test_bulk_parser_fills_read_only_columns_like_line_parser(kind, case):
+    bulk, lines, dtypes = PARSERS[kind]
+    data = edge_file(kind, case)
+    columns = bulk(data)  # never falls back on these valid files
+    expected = lines(data)
+    assert len(expected[0]) == (0 if case == "header_only" else 5000)
+    assert (tuple(np.asarray(c, dtype=d).tobytes() for c, d in zip(columns or expected, dtypes))
+            == tuple(np.asarray(c, dtype=d).tobytes() for c, d in zip(expected, dtypes)))
+    for column in columns:
+        assert not column.flags.writeable
+        assert _frozen_column(column, column.dtype) is column
