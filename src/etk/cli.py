@@ -11,10 +11,13 @@ error, 4 degenerate analysis input. `ETK_LOG` sets log verbosity.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import logging
 import math
 import os
+import pickle
 import re
 import shutil
 import sys
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -75,6 +79,10 @@ from .zones import (
 )
 
 log = logging.getLogger("etk")
+
+# Frozen at exit, the ~22k objects that numpy and etk create at import are
+# skipped by the teardown collections (about 30 ms); no run ever sees a freeze.
+atexit.register(gc.freeze)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -285,7 +293,8 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float,
 def _pool_sessions(dirs: list[Path], results) -> list[_SessionDerived]:
     """The derived sessions of `dirs`, taken from `results` in input order.
 
-    Each session's warnings are logged as it is taken. A player_id seen
+    A result that is an exception is raised when it is taken. Each
+    session's warnings are logged as it is taken. A player_id seen
     twice, or a pooled window total above MAX_WINDOWS, is refused as
     soon as the session that causes it is taken.
     """
@@ -293,6 +302,8 @@ def _pool_sessions(dirs: list[Path], results) -> list[_SessionDerived]:
     first_dir: dict[str, Path] = {}
     pooled = 0
     for d, session in zip(dirs, results):
+        if isinstance(session, Exception):
+            raise session
         for warning in session.warnings:
             log.warning("%s", warning)
         other = first_dir.setdefault(session.meta.player_id, d)
@@ -307,27 +318,65 @@ def _pool_sessions(dirs: list[Path], results) -> list[_SessionDerived]:
 
 
 def _derive_sessions(dirs: list[Path], derive, jobs: int) -> list[_SessionDerived]:
-    """`derive` of each directory, pooled: serially, or in up to `jobs` processes.
+    """`derive` of each directory, pooled: serially, or in up to `jobs` forked workers.
 
-    Workers are forked, not spawned: a spawned worker would import numpy
-    and etk again (about 0.2 s each). The executor forks all its workers
-    before it starts its manager thread, and numpy's OpenBLAS stops its
-    thread in its own fork handler, so no other thread runs when this
-    process forks. A failure cancels the sessions not yet started; the
-    pool is shut down before the error propagates.
+    Worker k derives the static share `dirs[k::workers]` in order and stops at
+    its first failure; down its pipe go a `+` as each session begins, so a dead
+    worker's error names its session, then one pickle of its results. Forked,
+    it shares this process's numpy and etk instead of importing them (0.2 s);
+    OpenBLAS stops its threads at fork, so no other thread runs then. Static
+    shares may leave one worker the longer sessions but need no executor, whose
+    modules and threads cost each run about 30 ms and 1.5 MB. The parent derives
+    nothing itself and reaps every worker on every path.
     """
     workers = min(jobs, len(dirs))
     if workers == 1:
         return _pool_sessions(dirs, map(derive, dirs))
-    # Imported here: the import costs every other command about 1 MB and 20 ms.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pool = ProcessPoolExecutor(max_workers=workers,
-                               mp_context=multiprocessing.get_context("fork"))
+    import signal  # imported here: about 1.3 ms, which only a run with workers needs
+    pids, pipes, shares = [], [], []
     try:
-        return _pool_sessions(dirs, pool.map(derive, dirs))
+        for k in range(workers):
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as out:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _derive_share(dirs[k::workers], derive, out)
+        for k, pipe in enumerate(pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
+            pids[k] = 0  # reaped
+            begun = re.match(rb"\+*", data).end()
+            if code:
+                how = f"signal {signal.Signals(-code).name}" if code < 0 else f"status {code}"
+                raise EtkError(f"the worker deriving {dirs[k::workers][max(begun - 1, 0)]} "
+                               f"ended by {how}")
+            shares.append(pickle.loads(memoryview(data)[begun:]))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+    return _pool_sessions(dirs, (shares[i % workers][i // workers] for i in range(len(dirs))))
+
+
+def _derive_share(dirs: list[Path], derive, out) -> NoReturn:
+    """A forked worker's life; it leaves by `os._exit`, never into the parent's stack."""
+    code, results = 1, []
+    try:
+        for d in dirs:
+            os.write(out.fileno(), b"+")  # unbuffered: `out` holds nothing yet
+            try:
+                results.append(derive(d))
+            except Exception as e:  # the parent raises it in input order
+                results.append(e)
+                break
+        pickle.dump(results, out, pickle.HIGHEST_PROTOCOL)
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _window_blocks(derived: list[_SessionDerived], kind: list[str], columns):

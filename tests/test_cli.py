@@ -1,18 +1,21 @@
 """End-to-end CLI behavior: exit codes, artifacts, and determinism."""
+import gc
 import hashlib
 import json
 import os
+import pickle
 import shutil
+import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import etk
+from etk import cli
 from etk.cli import main
 from etk.ingest import write_session_dir
 
@@ -47,6 +50,32 @@ def corpus(tmp_path_factory) -> Path:
 def tree_bytes(root: Path, skip=()) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(root.iterdir())
             if p.is_file() and p.name not in skip}
+
+
+def _child_env() -> dict:
+    """The environment of a child `python` that imports this checkout's etk."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(etk.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    env.pop("ETK_LOG", None)
+    return env
+
+
+_derive_session = cli._derive_session
+
+
+class _InWorker:
+    """`_derive_session`, except in a worker process deriving session `name`,
+    which first kills itself with SIGKILL (`kill`) or sleeps for a minute."""
+
+    def __init__(self, name: str, kill: bool):
+        self.name, self.kill, self.parent = name, kill, os.getpid()
+
+    def __call__(self, directory: Path, **kwargs):
+        if directory.name == self.name and os.getpid() != self.parent:
+            if self.kill:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)
+        return _derive_session(directory, **kwargs)
 
 
 class TestSynthCommand:
@@ -174,8 +203,7 @@ class TestSynthCommand:
                 "assert '_hashlib' not in sys.modules, '_hashlib was imported'\n"
                 "assert main(['ingest', out + '/c', '--out', out + '/i']) == 0\n"
                 "assert main(['analyze', out + '/c', '--out', out + '/a']) == 0\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(etk.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+        env = _child_env()
         proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -201,6 +229,14 @@ class TestIngestCommand:
         assert main(["ingest", str(corpus)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert [s["player_id"] for s in payload] == ["am02", "am03", "pro01"]
+
+    def test_piped_summary_is_complete(self, corpus, capsys):
+        assert main(["ingest", str(corpus)]) == 0
+        in_process = json.loads(capsys.readouterr().out)
+        proc = subprocess.run([sys.executable, "-m", "etk.cli", "ingest", str(corpus)],
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == in_process
 
     def test_out_writes_summary_and_manifest(self, corpus, tmp_path, capsys):
         out = tmp_path / "report"
@@ -279,24 +315,67 @@ class TestAnalyzeCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs,pools", [("1", []), ("64", [(3, "fork")])])
-    def test_pool_never_outnumbers_sessions(self, corpus, tmp_path, monkeypatch, jobs, pools):
-        started = []
+    @pytest.mark.parametrize("jobs,forks", [("1", 0), ("64", 3)])
+    def test_pool_never_outnumbers_sessions(self, corpus, tmp_path, monkeypatch, jobs, forks):
+        parent, fork, forked = os.getpid(), os.fork, []
 
-        class Recording(ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context):
-                started.append((max_workers, mp_context.get_start_method()))
-                super().__init__(max_workers=max_workers, mp_context=mp_context)
+        def recording():
+            pid = fork()
+            if os.getpid() == parent:
+                forked.append(pid)
+            return pid
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(os, "fork", recording)
         assert main(["analyze", str(corpus), "--out", str(tmp_path / "run"),
                      "--jobs", jobs]) == 0
-        assert started == pools
+        assert len(forked) == forks
+
+    @pytest.mark.parametrize("victim", ["am02", "pro01"])
+    def test_killed_worker_exits_1_naming_its_session(self, corpus, tmp_path, capsys,
+                                                      monkeypatch, victim):
+        # am02 is the first session of its worker's share, pro01 the second.
+        monkeypatch.setattr(cli, "_derive_session", _InWorker(victim, kill=True))
+        out = tmp_path / "run"
+        assert main(["analyze", str(corpus), "--out", str(out), "--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(corpus / victim) in err and "SIGKILL" in err
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_collection_reaps_every_worker(self, corpus, tmp_path, monkeypatch):
+        # am03's worker would run for a minute: the parent must end it, not wait.
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_derive_session", _InWorker("am03", kill=False))
+        monkeypatch.setattr(pickle, "loads", exhausted)
+        out = tmp_path / "run"
+        t0 = time.perf_counter()
+        with pytest.raises(MemoryError):
+            main(["analyze", str(corpus), "--out", str(out), "--jobs", "2"])
+        assert time.perf_counter() - t0 < 30
+        assert not (out / "manifest.json").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_analyze_jobs_imports_no_pool(self, tmp_path):
+        code = ("import sys\n"
+                "from etk.cli import main\n"
+                "out = sys.argv[1]\n"
+                "assert main(['synth', '--out', out + '/c', '--count', '3', '--rounds', '2',\n"
+                "             '--round-s', '20']) == 0\n"
+                "assert main(['analyze', out + '/c', '--out', out + '/a', '--jobs', '2']) == 0\n"
+                "loaded = [m for m in ('multiprocessing', 'concurrent.futures')\n"
+                "          if m in sys.modules]\n"
+                "assert not loaded, loaded\n")
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_warnings_keep_input_order_under_jobs(self, corpus, tmp_path):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(etk.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-        env.pop("ETK_LOG", None)
+        env = _child_env()
         errs = []
         for jobs in ("1", "3"):
             proc = subprocess.run(
@@ -652,9 +731,7 @@ class TestInputErrors:
         broken = tmp_path / "pro01"
         shutil.copytree(corpus / "pro01", broken)
         self._corrupt_gaze(tmp_path)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(Path(etk.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-        env.pop("ETK_LOG", None)
+        env = _child_env()
         proc = subprocess.run([sys.executable, "-m", "etk.cli", "ingest", str(broken)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
@@ -710,3 +787,17 @@ def test_atomic_write_removes_tmp_when_writer_fails(tmp_path):
         _write_text(target, blocks())
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_bytes() == b"old\n"
+
+
+def test_gc_is_frozen_only_at_exit(corpus, tmp_path):
+    assert main(["analyze", str(corpus), "--out", str(tmp_path / "run"), "--jobs", "2"]) == 0
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    # atexit runs its handlers last registered first, so this one sees the freeze.
+    code = ("import atexit, gc\n"
+            "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+            "import etk.cli\n"
+            "print(gc.get_freeze_count())\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True"]
