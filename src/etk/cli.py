@@ -21,7 +21,7 @@ import pickle
 import re
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -38,7 +38,9 @@ from .errors import (
     ParseError,
     TooManyWindows,
 )
-from .ingest import META_FILE, _parse_file, read_session_dir, write_session_dir
+# read_session_dir stays importable from here for perfbench's tracer test.
+from .ingest import (META_FILE, _parse_file, read_session_captures, read_session_dir,
+                     read_session_head, write_session_dir)
 from .input_features import (
     MOUSE1,
     FeatureRow,
@@ -48,7 +50,7 @@ from .input_features import (
     nominal_period,
     write_feature_table,
 )
-from .model import Cohort, InputSeries, Interval, PlayerMeta
+from .model import Cohort, InputSeries, Interval, PlayerMeta, _screen_violations
 from .numerics import fit_kde, fit_pca, kde_curve, project
 from .preprocess import (
     beats_to_bpm,
@@ -140,6 +142,25 @@ def _expand_session_dirs(paths: list[str]) -> list[Path]:
     return out
 
 
+def _check_corpus(dirs: list[Path]) -> tuple[list[tuple], tuple[int, int]]:
+    """The `read_session_head` of each directory, and the pooled heatmaps' screen.
+
+    It runs before any capture is parsed, and refuses a player_id seen twice
+    (the same directory given twice included) and a screen too large for a heat grid.
+    """
+    heads, first = [read_session_head(d) for d in dirs], {}
+    for i, (meta, screen, _) in enumerate(heads):
+        if (j := first.setdefault(meta.player_id, i)) != i:
+            raise AssemblyError([], f"player_id {meta.player_id!r} appears in both {dirs[j]} "
+                                    f"and {dirs[i]}")
+        if bad := _screen_violations(screen):
+            raise AssemblyError(bad, f"session {dirs[i]} failed validation")
+    screen = min(screens := {screen for _, screen, _ in heads})
+    if len(screens) > 1:
+        log.warning("sessions use differing screens %s; heatmaps use %s", screens, screen)
+    return heads, screen
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
     manifest = {"command": command, "config": config, "inputs": inputs}
     _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -148,9 +169,9 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> 
 # ---------------------------------------------------------------------------
 # ingest
 
-def _session_summary(directory: Path) -> dict:
+def _session_summary(directory: Path, head: tuple) -> dict:
     """The summary of one session directory; its session is dropped on return."""
-    session = read_session_dir(directory)
+    session = read_session_captures(directory, *head)
     log.info("ingested %s: %d rounds", directory, len(session.timeline.rounds))
     return {
         "directory": str(directory),
@@ -167,7 +188,8 @@ def _session_summary(directory: Path) -> dict:
 
 def cmd_ingest(args) -> int:
     dirs = _expand_session_dirs(args.paths)
-    summaries = [_session_summary(d) for d in dirs]
+    heads, _ = _check_corpus(dirs)
+    summaries = [_session_summary(d, head) for d, head in zip(dirs, heads)]
     payload = json.dumps(summaries, indent=2, sort_keys=True)
     print(payload)
     if args.out:
@@ -186,13 +208,13 @@ def cmd_ingest(args) -> int:
 class _SessionDerived:
     """Everything one session contributes to the pooled artifacts."""
     meta: PlayerMeta
-    screen: tuple[int, int]
     missing: dict
     windows: WindowSeries         # every segment's windows, in segment order
     window_round: np.ndarray      # int64 round index of each window
     averaged: tuple[float, ...] | None
     feature_rows: list[FeatureRow]
-    heat_points: np.ndarray       # (n, 2): valid gaze x, y after gap repair
+    heat_cells: np.ndarray        # flat index of each heat grid cell its valid gaze occupies
+    heat_counts: np.ndarray       # int64 count of each, after gap repair
     warnings: list[str]           # logged by the parent, in input-directory order
 
 
@@ -213,15 +235,16 @@ def _segment_features(samples: InputSeries, alive: list[Interval]):
     yield "mouse_vel_mean_px_s", kin.vel_mean_px_s
 
 
-def _derive_session(directory: Path, model: ZoneModel, window_s: float,
-                    hop_s: float) -> _SessionDerived:
+def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model: ZoneModel,
+                    window_s: float, hop_s: float) -> _SessionDerived:
     """One session's contribution; runs in a worker process under `--jobs N`.
 
     It logs nothing itself, so warnings come out in input order whatever
     the workers' timing, and it refuses a session that alone places more
-    than MAX_WINDOWS windows before returning them.
+    than MAX_WINDOWS windows before returning them. It hands back one count
+    per heat cell its gaze occupies on the pooled heatmaps' `screen`.
     """
-    session = read_session_dir(directory)
+    session = read_session_captures(directory, *head)
     meta = session.meta
     alive = extract_alive_segments(session.timeline, meta.player_id)
 
@@ -232,8 +255,7 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float,
     interpolated = 0
     segment_windows: list[WindowSeries] = []
     segment_rounds: list[int] = []
-    heat_x: list[np.ndarray] = []
-    heat_y: list[np.ndarray] = []
+    heat: list[np.ndarray] = []
     feature_rows: list[FeatureRow] = []
     warnings: list[str] = []
     n_windows = 0
@@ -252,8 +274,7 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float,
         segment_windows.append(windows)
         segment_rounds.append(round_index)
 
-        heat_x.append(repaired.x[repaired.valid])
-        heat_y.append(repaired.y[repaired.valid])
+        heat.append(np.column_stack((repaired.x, repaired.y))[repaired.valid])
 
         try:
             # A failure keeps the rows of the features before it.
@@ -282,34 +303,27 @@ def _derive_session(directory: Path, model: ZoneModel, window_s: float,
                         f"(segments shorter than {window_s:g}s)")
 
     missing = dict(audit.to_dict(), interpolated_samples=interpolated)
-    heat_points = np.column_stack((np.concatenate(heat_x), np.concatenate(heat_y))) \
-        if heat_x else np.empty((0, 2))
-    return _SessionDerived(meta=meta, screen=session.gaze.screen, missing=missing,
-                           windows=windows, window_round=window_round, averaged=averaged,
-                           feature_rows=feature_rows, heat_points=heat_points,
-                           warnings=warnings)
+    grid = heatmap_grid(np.concatenate([np.empty((0, 2)), *heat]), screen).grid.ravel()
+    cells = np.flatnonzero(grid)
+    return _SessionDerived(meta=meta, missing=missing, windows=windows, window_round=window_round,
+                           averaged=averaged, feature_rows=feature_rows, heat_cells=cells,
+                           heat_counts=grid[cells], warnings=warnings)
 
 
-def _pool_sessions(dirs: list[Path], results) -> list[_SessionDerived]:
-    """The derived sessions of `dirs`, taken from `results` in input order.
+def _pool_sessions(results) -> list[_SessionDerived]:
+    """The derived sessions taken from `results` in input order.
 
     A result that is an exception is raised when it is taken. Each
-    session's warnings are logged as it is taken. A player_id seen
-    twice, or a pooled window total above MAX_WINDOWS, is refused as
-    soon as the session that causes it is taken.
+    session's warnings are logged as it is taken, and a pooled window
+    total above MAX_WINDOWS is refused as soon as it is passed.
     """
     derived: list[_SessionDerived] = []
-    first_dir: dict[str, Path] = {}
     pooled = 0
-    for d, session in zip(dirs, results):
+    for session in results:
         if isinstance(session, Exception):
             raise session
         for warning in session.warnings:
             log.warning("%s", warning)
-        other = first_dir.setdefault(session.meta.player_id, d)
-        if other != d:
-            raise AssemblyError([], f"player_id {session.meta.player_id!r} appears in "
-                                    f"both {other} and {d}")
         pooled += len(session.windows)
         if pooled > MAX_WINDOWS:
             raise TooManyWindows(f"the sessions pool more than {MAX_WINDOWS} windows")
@@ -317,8 +331,8 @@ def _pool_sessions(dirs: list[Path], results) -> list[_SessionDerived]:
     return derived
 
 
-def _derive_sessions(dirs: list[Path], derive, jobs: int) -> list[_SessionDerived]:
-    """`derive` of each directory, pooled: serially, or in up to `jobs` forked workers.
+def _derive_sessions(dirs: list[Path], heads: list, derive, jobs: int) -> list[_SessionDerived]:
+    """`derive` of each directory and its head, pooled: serially, or in up to `jobs` workers.
 
     Worker k derives the static share `dirs[k::workers]` in order and stops at
     its first failure; down its pipe go a `+` as each session begins, so a dead
@@ -331,7 +345,7 @@ def _derive_sessions(dirs: list[Path], derive, jobs: int) -> list[_SessionDerive
     """
     workers = min(jobs, len(dirs))
     if workers == 1:
-        return _pool_sessions(dirs, map(derive, dirs))
+        return _pool_sessions(map(derive, dirs, heads))
     import signal  # imported here: about 1.3 ms, which only a run with workers needs
     pids, pipes, shares = [], [], []
     try:
@@ -341,7 +355,7 @@ def _derive_sessions(dirs: list[Path], derive, jobs: int) -> list[_SessionDerive
             with os.fdopen(w, "wb") as out:
                 pids.append(os.fork())
                 if pids[-1] == 0:
-                    _derive_share(dirs[k::workers], derive, out)
+                    _derive_share(dirs[k::workers], heads[k::workers], derive, out)
         for k, pipe in enumerate(pipes):
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
@@ -358,17 +372,17 @@ def _derive_sessions(dirs: list[Path], derive, jobs: int) -> list[_SessionDerive
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
-    return _pool_sessions(dirs, (shares[i % workers][i // workers] for i in range(len(dirs))))
+    return _pool_sessions(shares[i % workers][i // workers] for i in range(len(dirs)))
 
 
-def _derive_share(dirs: list[Path], derive, out) -> NoReturn:
+def _derive_share(dirs: list[Path], heads: list, derive, out) -> NoReturn:
     """A forked worker's life; it leaves by `os._exit`, never into the parent's stack."""
     code, results = 1, []
     try:
-        for d in dirs:
+        for d, head in zip(dirs, heads):
             os.write(out.fileno(), b"+")  # unbuffered: `out` holds nothing yet
             try:
-                results.append(derive(d))
+                results.append(derive(d, head))
             except Exception as e:  # the parent raises it in input order
                 results.append(e)
                 break
@@ -443,13 +457,14 @@ def _write_missing_json(path: Path, derived: list[_SessionDerived]) -> None:
 def _write_heatmaps(out_dir: Path, derived: list[_SessionDerived],
                     screen: tuple[int, int]) -> None:
     for cohort in Cohort:
-        points = np.concatenate([np.empty((0, 2))] + [d.heat_points for d in derived
-                                                      if d.meta.cohort is cohort])
-        if not len(points):
-            continue
-        hm = heatmap_grid(points, screen=screen)
-        write_heatmap_csv(hm, out_dir / f"heatmap_{cohort.value}.csv")
-        write_heatmap_pgm(hm, out_dir / f"heatmap_{cohort.value}.pgm")
+        hm = heatmap_grid((), screen)
+        for d in derived:
+            if d.meta.cohort is cohort:
+                np.add.at(hm.grid.reshape(-1), d.heat_cells, d.heat_counts)
+        if hm.grid.any():  # a cohort without gaze has no heatmap
+            hm = replace(hm, total=int(hm.grid.sum()))
+            write_heatmap_csv(hm, out_dir / f"heatmap_{cohort.value}.csv")
+            write_heatmap_pgm(hm, out_dir / f"heatmap_{cohort.value}.pgm")
 
 
 def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: float | None) -> None:
@@ -471,6 +486,7 @@ def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: float 
 
 def cmd_analyze(args) -> int:
     dirs = _expand_session_dirs(args.paths)
+    heads, screen = _check_corpus(dirs)
     if args.zones == "default":
         model = default_zone_model()
     else:
@@ -494,14 +510,10 @@ def cmd_analyze(args) -> int:
     for name in ANALYZE_FILES:
         (out_dir / name).unlink(missing_ok=True)
 
-    derive = partial(_derive_session, model=model, window_s=args.window_s, hop_s=args.hop_s)
-    derived = _derive_sessions(dirs, derive, args.jobs)
+    derive = partial(_derive_session, screen=screen, model=model, window_s=args.window_s,
+                     hop_s=args.hop_s)
+    derived = _derive_sessions(dirs, heads, derive, args.jobs)
     derived.sort(key=lambda d: (d.meta.cohort.value, d.meta.player_id))
-
-    screens = {d.screen for d in derived}
-    screen = sorted(screens)[0]
-    if len(screens) > 1:
-        log.warning("sessions use differing screens %s; heatmaps use %s", screens, screen)
 
     k = model.k
     _write_missing_json(out_dir / "missing.json", derived)

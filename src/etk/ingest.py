@@ -564,16 +564,26 @@ def _parse_file(parser, path):
         raise ParseError(e.kind, e.line, e.byte_offset, f"{path}: {e.message}") from None
 
 
-def read_session_dir(directory) -> Session:
-    """Parse a session directory (hrm.txt optional) into a validated Session."""
+def read_session_head(directory) -> tuple[PlayerMeta, tuple[int, int], float]:
+    """`read_meta_json` of a session directory that holds every required file."""
     d = Path(directory)
     missing = [name for name in (META_FILE, GAZE_FILE, INPUT_FILE, DEMO_FILE)
                if not (d / name).is_file()]
     if missing:
         raise AssemblyError([], f"session directory {d} is missing {', '.join(missing)}")
-    meta, screen, rate = read_meta_json(d / META_FILE)
+    return read_meta_json(d / META_FILE)
+
+
+def read_session_captures(directory, meta: PlayerMeta, screen: tuple, rate: float) -> Session:
+    """The validated Session of a directory (hrm.txt optional) given its `read_session_head`."""
+    d = Path(directory)
     gaze = _parse_file(partial(parse_gaze_log, screen=screen, rate_hz=rate), d / GAZE_FILE)
     input_samples = _parse_file(parse_input_log, d / INPUT_FILE)
     hrm = _parse_file(parse_hrm_log, d / HRM_FILE) if (d / HRM_FILE).is_file() else None
     timeline = _parse_file(parse_demo_events, d / DEMO_FILE)
     return assemble_session(meta, gaze, input_samples, timeline, hrm)
+
+
+def read_session_dir(directory) -> Session:
+    """Parse a session directory (hrm.txt optional) into a validated Session."""
+    return read_session_captures(directory, *read_session_head(directory))

@@ -303,19 +303,23 @@ def _not_increasing(t: np.ndarray, noun: str):
     return t <= prev, lambda i: f"{noun} {float(t[i])} not increasing (previous {float(prev[i])})"
 
 
+def _screen_violations(screen: tuple[int, int]) -> list[Violation]:
+    """The violation of a screen with a side outside 1..MAX_SCREEN_PX; it sizes the heatmap."""
+    return [] if all(0 < side <= MAX_SCREEN_PX for side in screen) else \
+        [Violation("gaze.screen", f"screen dims {screen} outside 1..{MAX_SCREEN_PX}")]
+
+
 def _validate_gaze(gaze: GazeSeries, out: list[Violation]) -> None:
     if gaze.nominal_rate_hz <= 0:
         out.append(Violation("gaze.nominal_rate_hz",
                              f"rate must be positive, got {gaze.nominal_rate_hz}"))
     w, h = gaze.screen
-    screen_ok = 0 < w <= MAX_SCREEN_PX and 0 < h <= MAX_SCREEN_PX  # sizes the heatmap
-    if not screen_ok:
-        out.append(Violation("gaze.screen", f"screen dims {gaze.screen} outside 1..{MAX_SCREEN_PX}"))
+    out.extend(bad_screen := _screen_violations(gaze.screen))
     t, x, y, valid = gaze.t, gaze.x, gaze.y, gaze.valid
     nonfinite = valid & ~(np.isfinite(x) & np.isfinite(y))
     # A refused screen judges no point: a side such as 10**400 compares with no float.
     outside = valid & ~nonfinite & ~((0 <= x) & (x <= w) & (0 <= y) & (y <= h)) \
-        if screen_ok else np.zeros(len(t), bool)
+        if not bad_screen else np.zeros(len(t), bool)
     _report_flagged(out, "gaze.samples", [
         (t < 0, lambda i: f"negative timestamp {float(t[i])}"),
         _not_increasing(t, "timestamp"),

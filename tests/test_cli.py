@@ -9,15 +9,20 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etk
 from etk import cli
 from etk.cli import main
 from etk.ingest import write_session_dir
+from etk.model import (Cohort, EventKind, GameEvent, GazeSeries, InputSeries, MatchTimeline,
+                       PlayerMeta, Round, Session)
+from etk.zones import WindowSeries, heatmap_grid
 
 ANALYZE_ARTIFACTS = {
     "averages.csv",
@@ -70,12 +75,12 @@ class _InWorker:
     def __init__(self, name: str, kill: bool):
         self.name, self.kill, self.parent = name, kill, os.getpid()
 
-    def __call__(self, directory: Path, **kwargs):
+    def __call__(self, directory: Path, *args, **kwargs):
         if directory.name == self.name and os.getpid() != self.parent:
             if self.kill:
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)
-        return _derive_session(directory, **kwargs)
+        return _derive_session(directory, *args, **kwargs)
 
 
 class TestSynthCommand:
@@ -308,6 +313,24 @@ class TestAnalyzeCommand:
         assert tree_bytes(serial, skip=("manifest.json",)) == \
             tree_bytes(parallel, skip=("manifest.json",))
 
+    def test_two_screens_pool_alike_under_jobs(self, corpus, tmp_path, caplog):
+        root = tmp_path / "corpus"
+        for name in ("am02", "am03", "pro01"):
+            shutil.copytree(corpus / name, root / name)
+        meta = json.loads((root / "am03" / "meta.json").read_text())
+        meta["screen"] = [2560, 1440]
+        (root / "am03" / "meta.json").write_text(json.dumps(meta))
+        trees = []
+        for jobs in ("1", "2"):
+            assert main(["analyze", str(root), "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 0
+            trees.append(tree_bytes(tmp_path / jobs, skip=("manifest.json",)))
+        assert trees[0] == trees[1]
+        warned = [r.getMessage() for r in caplog.records]
+        assert len(warned) == 2  # once per run
+        assert all("differing screens" in w and w.endswith("heatmaps use (1920, 1080)")
+                   for w in warned)
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, corpus, tmp_path, capsys, jobs):
         out = tmp_path / "run"
@@ -531,7 +554,7 @@ class TestAnalyzeCommand:
     def test_input_period_is_measured_once_per_alive_segment(self, corpus, monkeypatch):
         import etk.input_features
         from etk.cli import _derive_session
-        from etk.ingest import read_session_dir
+        from etk.ingest import read_session_dir, read_session_head
         from etk.preprocess import extract_alive_segments
         from etk.zones import default_zone_model
 
@@ -544,7 +567,8 @@ class TestAnalyzeCommand:
 
         for module in ("etk.cli", "etk.input_features"):
             monkeypatch.setattr(f"{module}.nominal_period", counting)
-        derived = _derive_session(corpus / "pro01", default_zone_model(), 15.0, 1.0)
+        derived = _derive_session(corpus / "pro01", read_session_head(corpus / "pro01"),
+                                  (1920, 1080), default_zone_model(), 15.0, 1.0)
         session = read_session_dir(corpus / "pro01")
         alive = extract_alive_segments(session.timeline, "pro01")
         assert len(alive) > 1
@@ -659,7 +683,25 @@ class TestInputErrors:
         out = tmp_path / "run"
         assert main(["analyze", str(root), "--out", str(out)]) == 3
         assert "gaze.screen" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_screen_too_tall_for_a_heat_grid_is_refused_before_any_derive(
+            self, corpus, tmp_path, capsys, monkeypatch):
+        """(1000, 10**9) is the smallest screen, so it would size every session's heat grid."""
+        root = tmp_path / "tall"
+        for name in ("am02", "pro01"):
+            shutil.copytree(corpus / name, root / name)
+        meta = json.loads((root / "pro01" / "meta.json").read_text())
+        meta["screen"] = [1000, 10 ** 9]
+        (root / "pro01" / "meta.json").write_text(json.dumps(meta))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a session was derived")
+
+        monkeypatch.setattr(cli, "_derive_session", refused)
+        assert main(["analyze", str(root), "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert str(root / "pro01") in err and "gaze.screen" in err
 
     def test_round_index_beyond_int64_exits_2(self, corpus, tmp_path, capsys):
         root = tmp_path / "corpus"
@@ -705,6 +747,51 @@ class TestInputErrors:
         assert str(root / "am02") in err
         assert str(root / "am02_copy") in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "analyze"])
+    @pytest.mark.parametrize("second", ["pro01_copy", "pro01"], ids=["copy", "same-directory"])
+    def test_duplicate_player_id_is_refused_by_both_commands(self, corpus, tmp_path, capsys,
+                                                             command, second):
+        root = tmp_path / "dup"
+        for name in ("pro01", "am02", second):
+            if not (root / name).exists():
+                shutil.copytree(corpus / name.removesuffix("_copy"), root / name)
+        out = tmp_path / "run"
+        paths = [str(root / name) for name in ("pro01", "am02", second)]
+        assert main([command, *paths, "--out", str(out)]) == 3
+        stdout, err = capsys.readouterr()
+        assert err == f"error: player_id 'pro01' appears in both {paths[0]} and {paths[2]}\n"
+        assert stdout == "" and not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("damage", ["duplicate player_id", "missing input"])
+    def test_corpus_is_refused_before_any_session_is_derived(self, corpus, tmp_path, capsys,
+                                                             caplog, monkeypatch, damage, jobs):
+        root = tmp_path / "corpus"
+        for name in ("am02", "am03", "pro01"):
+            shutil.copytree(corpus / name, root / name)
+        if damage == "duplicate player_id":
+            shutil.copytree(corpus / "am02", root / "zz_copy")  # the last input
+        else:
+            (root / "pro01" / "input.csv").unlink()
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return _derive_session(*args, **kwargs)
+
+        def no_fork():
+            raise AssertionError("a worker was forked")
+
+        monkeypatch.setattr(cli, "_derive_session", counting)
+        monkeypatch.setattr(os, "fork", no_fork)
+        # A 500 s window fits no segment, so every derived session would log a warning.
+        assert main(["analyze", str(root), "--out", str(tmp_path / "run"),
+                     "--window-s", "500", "--jobs", jobs]) == 3
+        assert calls == []
+        assert [r.getMessage() for r in caplog.records] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("name,kind", [("gaze.csv", "gaze"), ("input.csv", "input"),
                                            ("hrm.txt", "hrm"), ("demo.events", "demo")])
@@ -801,3 +888,105 @@ def test_gc_is_frozen_only_at_exit(corpus, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "True"]
+
+
+# ---------------------------------------------------------------------------
+# Pooled heatmaps from each session's occupied cells
+
+def _screen_points(rng, n: int, screen: tuple[int, int]) -> np.ndarray:
+    """`n` gaze points on `screen`; a fifth lie on its right or bottom edge, which clamp inward."""
+    points = rng.uniform(0, 1, (n, 2)) * screen
+    points[:n // 10, 0] = screen[0]
+    points[n // 10:n // 5, 1] = screen[1]
+    return rng.permutation(points)
+
+
+def _points_session(player_id: str, cohort: Cohort, points: np.ndarray, valid: bool,
+                    screen: tuple[int, int]) -> Session:
+    """One round, alive throughout, whose 60 Hz gaze is `points`, all valid or all lost."""
+    t = np.arange(len(points)) / 60
+    timeline = MatchTimeline([Round(1, 0.0, len(points) / 60 + 1)],
+                             [GameEvent(0.0, EventKind.SPAWN, player_id)])
+    gaze = GazeSeries(t, *(points.T if valid else np.full((2, len(t)), np.nan)),
+                      np.full(len(t), valid), screen=screen)
+    inputs = InputSeries([0.0, 0.01], [0.0, 1.0], [0.0, 1.0], [0, 0])
+    return Session(PlayerMeta(player_id, cohort, 1), gaze, inputs, timeline)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_summed_heat_counts_give_the_pooled_points_heatmap(tmp_path, monkeypatch, seed):
+    from etk.ingest import read_session_head
+    from etk.zones import default_zone_model
+
+    rng = np.random.default_rng(seed)
+    pooled = (int(rng.integers(1, 1921)), int(rng.integers(1, 1081)))
+    # pro02's gaze is all lost, and pro03's larger screen puts points past the
+    # pooled grid's edges. The amateur cohort holds only lost gaze, or no
+    # session at all, so it has no heatmap.
+    wider = (pooled[0] + int(rng.integers(0, 50)), pooled[1] + int(rng.integers(1, 50)))
+    specs = [("pro01", Cohort.PROFESSIONAL, 2000, True, pooled),
+             ("pro02", Cohort.PROFESSIONAL, 300, False, pooled),
+             ("pro03", Cohort.PROFESSIONAL, 1500, True, wider),
+             ("pro04", Cohort.PROFESSIONAL, 1, True, pooled),
+             *[("am05", Cohort.AMATEUR, 200, False, wider)] * int(rng.integers(0, 2))]
+    points = {Cohort.PROFESSIONAL: [], Cohort.AMATEUR: []}
+    derived = []
+    for player_id, cohort, n, valid, screen in specs:
+        xy = _screen_points(rng, n, screen)
+        points[cohort].append(xy if valid else np.empty((0, 2)))
+        directory = write_session_dir(_points_session(player_id, cohort, xy, valid, screen),
+                                      tmp_path / player_id)
+        derived.append(cli._derive_session(directory, read_session_head(directory), pooled,
+                                           default_zone_model(), 15.0, 1.0))
+    written = {}
+    monkeypatch.setattr(cli, "write_heatmap_csv", lambda hm, path: written.update({path.name: hm}))
+    monkeypatch.setattr(cli, "write_heatmap_pgm", lambda hm, path: None)
+    cli._write_heatmaps(tmp_path, derived, pooled)
+
+    assert list(written) == ["heatmap_professional.csv"]
+    oracle = heatmap_grid(np.concatenate(points[Cohort.PROFESSIONAL]), pooled)
+    summed = written["heatmap_professional.csv"]
+    assert np.array_equal(summed.grid, oracle.grid)
+    assert (summed.total, summed.cell_px) == (oracle.total, oracle.cell_px)
+    assert all(len(d.heat_cells) == 0 for d, spec in zip(derived, specs) if not spec[3])
+
+
+def test_session_heat_is_bounded_by_the_grid(corpus, tmp_path):
+    from etk.ingest import read_session_head
+    from etk.zones import default_zone_model
+
+    long_run = tmp_path / "long"
+    assert main(["synth", "--out", str(long_run), "--count", "1", "--rounds", "20",
+                 "--round-s", "40"]) == 0
+    cells = 192 * 108  # a 1920x1080 screen in 10 px cells
+    for directory in (corpus / "pro01", long_run / "am01"):
+        d = cli._derive_session(directory, read_session_head(directory), (1920, 1080),
+                                default_zone_model(), 15.0, 1.0)
+        assert len(d.heat_cells) == len(d.heat_counts) <= cells
+        assert d.heat_cells.nbytes + d.heat_counts.nbytes <= 16 * cells
+        assert np.all(d.heat_counts > 0)
+    # The long session's valid gaze points alone would take more than its heat's bound.
+    assert 2 * 8 * int(d.heat_counts.sum()) > 16 * cells
+
+
+def test_write_heatmaps_peak_does_not_grow_with_sessions(tmp_path):
+    rng = np.random.default_rng(0)
+    screen = (1920, 1080)
+    derived = []
+    for i in range(16):
+        grid = heatmap_grid(_screen_points(rng, 40_000, screen), screen).grid.ravel()
+        cells = np.flatnonzero(grid)
+        derived.append(cli._SessionDerived(
+            meta=PlayerMeta(f"pro{i:02d}", Cohort.PROFESSIONAL, 1), missing={},
+            windows=WindowSeries.concat([], 2), window_round=np.empty(0, np.int64),
+            averaged=None, feature_rows=[], heat_cells=cells, heat_counts=grid[cells],
+            warnings=[]))
+    cli._write_heatmaps(tmp_path, derived[:1], screen)  # warm every first-call cache
+    peaks = []
+    for n in (4, 16):
+        tracemalloc.start()
+        cli._write_heatmaps(tmp_path, derived[:n], screen)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    grid_bytes = 8 * 192 * 108
+    assert peaks[1] <= peaks[0] + grid_bytes // 4, peaks

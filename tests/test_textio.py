@@ -156,10 +156,11 @@ def derived_session(player_id, cohort, seconds, seed, k=9):
     feature_rows = [FeatureRow(player_id, cohort.value, r, f, next(values)) for r in (1, 2, 3)
                     for f in (*KDE_FEATURES, "clicks_per_minute")]
     return _SessionDerived(
-        meta=PlayerMeta(player_id, cohort, 1), screen=(1920, 1080), missing={},
+        meta=PlayerMeta(player_id, cohort, 1), missing={},
         windows=windows, window_round=np.arange(len(windows), dtype=np.int64) // 1000,
         averaged=average_distribution(windows.probs) if len(windows) else None,
-        feature_rows=feature_rows, heat_points=np.empty((0, 2)), warnings=[])
+        feature_rows=feature_rows, heat_cells=np.empty(0, np.int64),
+        heat_counts=np.empty(0, np.int64), warnings=[])
 
 
 def test_windows_csv_matches_column_by_column_writer(tmp_path):
@@ -186,9 +187,10 @@ def test_windows_csv_keeps_the_digits_of_huge_round_indices(tmp_path):
 def test_windows_csv_without_windows(tmp_path):
     empty = WindowSeries.concat([], 2)
     derived = [_SessionDerived(
-        meta=PlayerMeta("pro01", Cohort.PROFESSIONAL, 1), screen=(1920, 1080), missing={},
+        meta=PlayerMeta("pro01", Cohort.PROFESSIONAL, 1), missing={},
         windows=empty, window_round=np.empty(0, np.int64), averaged=None,
-        feature_rows=[], heat_points=np.empty((0, 2)), warnings=[])]
+        feature_rows=[], heat_cells=np.empty(0, np.int64),
+        heat_counts=np.empty(0, np.int64), warnings=[])]
     path = tmp_path / "windows.csv"
     _write_windows_csv(path, derived, 2)
     assert path.read_text() == column_by_column_windows_csv(derived, 2)
