@@ -2,7 +2,7 @@
 
 Every run is reproducible: outputs are plain CSV/PGM/JSON written
 atomically, a `manifest.json` records the effective configuration,
-seed, and SHA-256 digests of the inputs, and rerunning with the same
+seed, and SHA-256 digests of the inputs read, and rerunning with the same
 inputs produces a byte-identical output tree.
 
 Exit codes: 0 success, 2 parse/profile error, 3 assembly/validation
@@ -39,7 +39,7 @@ from .errors import (
     TooManyWindows,
 )
 # read_session_dir stays importable from here for perfbench's tracer test.
-from .ingest import (META_FILE, _parse_file, read_session_captures, read_session_dir,
+from .ingest import (META_FILE, _parse_file, _sha256, read_session_captures, read_session_dir,
                      read_session_head, write_session_dir)
 from .input_features import (
     MOUSE1,
@@ -50,7 +50,7 @@ from .input_features import (
     nominal_period,
     write_feature_table,
 )
-from .model import Cohort, InputSeries, Interval, PlayerMeta, _screen_violations
+from .model import Cohort, InputSeries, Interval, PlayerMeta, _screen_violations, _validate_meta
 from .numerics import fit_kde, fit_pca, kde_curve, project
 from .preprocess import (
     beats_to_bpm,
@@ -61,7 +61,8 @@ from .preprocess import (
     slice_by_intervals,
 )
 from .rng import Rng
-from .synth import CohortProfile, Scenario, default_profiles, generate_session, load_profiles
+from .synth import (CohortProfile, Scenario, _profile_bytes, default_profiles, generate_session,
+                    load_profiles)
 from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text
 from .zones import (
     DEFAULT_HOP_S,
@@ -105,22 +106,6 @@ def _configure_logging() -> None:
                         stream=sys.stderr)
 
 
-def _sha256(path: Path) -> str:
-    # Imported here: hashlib maps OpenSSL's libcrypto, about 3.4 MB of RSS,
-    # which `synth` without --profile never needs and which `ingest` and
-    # `analyze` then map only after their parse.
-    import hashlib
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _dir_digests(directory: Path) -> dict[str, str]:
-    return {p.name: _sha256(p) for p in sorted(directory.iterdir()) if p.is_file()}
-
-
 def _expand_session_dirs(paths: list[str]) -> list[Path]:
     """Resolve arguments to session directories.
 
@@ -146,16 +131,19 @@ def _check_corpus(dirs: list[Path]) -> tuple[list[tuple], tuple[int, int]]:
     """The `read_session_head` of each directory, and the pooled heatmaps' screen.
 
     It runs before any capture is parsed, and refuses a player_id seen twice
-    (the same directory given twice included) and a screen too large for a heat grid.
+    (the same directory given twice included), a meta that fails `_validate_meta`
+    and a screen too large for a heat grid.
     """
     heads, first = [read_session_head(d) for d in dirs], {}
-    for i, (meta, screen, _) in enumerate(heads):
+    for i, (meta, screen, *_) in enumerate(heads):
         if (j := first.setdefault(meta.player_id, i)) != i:
             raise AssemblyError([], f"player_id {meta.player_id!r} appears in both {dirs[j]} "
                                     f"and {dirs[i]}")
-        if bad := _screen_violations(screen):
+        bad = _screen_violations(screen)
+        _validate_meta(meta, bad)
+        if bad:
             raise AssemblyError(bad, f"session {dirs[i]} failed validation")
-    screen = min(screens := {screen for _, screen, _ in heads})
+    screen = min(screens := {screen for _, screen, *_ in heads})
     if len(screens) > 1:
         log.warning("sessions use differing screens %s; heatmaps use %s", screens, screen)
     return heads, screen
@@ -169,9 +157,10 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> 
 # ---------------------------------------------------------------------------
 # ingest
 
-def _session_summary(directory: Path, head: tuple) -> dict:
-    """The summary of one session directory; its session is dropped on return."""
-    session = read_session_captures(directory, *head)
+def _session_summary(directory: Path, head: tuple) -> tuple[dict, dict[str, str]]:
+    """The summary of one session directory and its files' digests; its session
+    is dropped on return."""
+    session, digests = read_session_captures(directory, *head)
     log.info("ingested %s: %d rounds", directory, len(session.timeline.rounds))
     return {
         "directory": str(directory),
@@ -183,13 +172,13 @@ def _session_summary(directory: Path, head: tuple) -> dict:
         "input_samples": len(session.input),
         "beats": len(session.hrm) if session.hrm is not None else 0,
         "missing_fraction": missing_stats(session.gaze).missing_fraction,
-    }
+    }, digests
 
 
 def cmd_ingest(args) -> int:
     dirs = _expand_session_dirs(args.paths)
     heads, _ = _check_corpus(dirs)
-    summaries = [_session_summary(d, head) for d, head in zip(dirs, heads)]
+    summaries, digests = zip(*map(_session_summary, dirs, heads))
     payload = json.dumps(summaries, indent=2, sort_keys=True)
     print(payload)
     if args.out:
@@ -197,7 +186,7 @@ def cmd_ingest(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_text(out_dir / "summary.json", payload + "\n")
         _write_manifest(out_dir, "ingest", {"paths": [str(d) for d in dirs]},
-                        {str(d): _dir_digests(d) for d in dirs})
+                        dict(zip(map(str, dirs), digests)))
     return EXIT_OK
 
 
@@ -216,6 +205,7 @@ class _SessionDerived:
     heat_cells: np.ndarray        # flat index of each heat grid cell its valid gaze occupies
     heat_counts: np.ndarray       # int64 count of each, after gap repair
     warnings: list[str]           # logged by the parent, in input-directory order
+    digests: dict[str, str]       # SHA-256 of each file read, by name
 
 
 def _segment_features(samples: InputSeries, alive: list[Interval]):
@@ -244,7 +234,7 @@ def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model
     than MAX_WINDOWS windows before returning them. It hands back one count
     per heat cell its gaze occupies on the pooled heatmaps' `screen`.
     """
-    session = read_session_captures(directory, *head)
+    session, digests = read_session_captures(directory, *head)
     meta = session.meta
     alive = extract_alive_segments(session.timeline, meta.player_id)
 
@@ -307,7 +297,7 @@ def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model
     cells = np.flatnonzero(grid)
     return _SessionDerived(meta=meta, missing=missing, windows=windows, window_round=window_round,
                            averaged=averaged, feature_rows=feature_rows, heat_cells=cells,
-                           heat_counts=grid[cells], warnings=warnings)
+                           heat_counts=grid[cells], warnings=warnings, digests=digests)
 
 
 def _pool_sessions(results) -> list[_SessionDerived]:
@@ -490,7 +480,7 @@ def cmd_analyze(args) -> int:
     if args.zones == "default":
         model = default_zone_model()
     else:
-        model = _parse_file(read_zone_model_csv, args.zones)
+        model = _parse_file(read_zone_model_csv, args.zones, args.zones)
     if not (0 < args.window_s < math.inf and 0 < args.hop_s < math.inf):
         raise ValueError("--window-s and --hop-s must be positive and finite")
     try:
@@ -513,6 +503,7 @@ def cmd_analyze(args) -> int:
     derive = partial(_derive_session, screen=screen, model=model, window_s=args.window_s,
                      hop_s=args.hop_s)
     derived = _derive_sessions(dirs, heads, derive, args.jobs)
+    inputs = {str(d): session.digests for d, session in zip(dirs, derived)}
     derived.sort(key=lambda d: (d.meta.cohort.value, d.meta.player_id))
 
     k = model.k
@@ -535,7 +526,7 @@ def cmd_analyze(args) -> int:
     _write_manifest(out_dir, "analyze",
                     {"zones": args.zones, "window_s": args.window_s, "hop_s": args.hop_s,
                      "bandwidth": args.bandwidth, "jobs": args.jobs, "seed": args.seed},
-                    {str(d): _dir_digests(d) for d in dirs})
+                    inputs)
     log.info("analyze wrote %s", out_dir)
     return EXIT_OK
 
@@ -547,7 +538,8 @@ def cmd_synth(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     if args.profile:
-        profiles = load_profiles(args.profile)
+        profile = _profile_bytes(args.profile)
+        profiles = load_profiles(profile)
     else:
         pro, am = default_profiles()
         profiles = {Cohort.PROFESSIONAL: pro, Cohort.AMATEUR: am}
@@ -589,7 +581,7 @@ def cmd_synth(args) -> int:
                     {"count": args.count, "seed": args.seed,
                      "profile": args.profile or "default",
                      "rounds": args.rounds, "round_s": args.round_s},
-                    {"profile": _sha256(Path(args.profile))} if args.profile else {})
+                    {"profile": _sha256(profile).hexdigest()} if args.profile else {})
     return EXIT_OK
 
 

@@ -77,6 +77,15 @@ from .model import (
 )
 from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text, fmt_num
 
+# CPython's own SHA-256: hashlib's would map OpenSSL's libcrypto, about 3.6 MB of RSS.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 GAZE_FILE = "gaze.csv"
 INPUT_FILE = "input.csv"
 HRM_FILE = "hrm.txt"
@@ -505,8 +514,12 @@ def _is_int(v) -> bool:
 
 def read_meta_json(path) -> tuple[PlayerMeta, tuple[int, int], float]:
     """Player identity, screen and gaze rate; a malformed file is a `ParseError`."""
+    return _meta_from_bytes(Path(path).read_bytes(), path)
+
+
+def _meta_from_bytes(data: bytes, path) -> tuple[PlayerMeta, tuple[int, int], float]:
+    """`read_meta_json` of `data`, the bytes of the file at `path`."""
     kind = "meta"
-    data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -556,34 +569,49 @@ def write_session_dir(session: Session, directory) -> Path:
     return d
 
 
-def _parse_file(parser, path):
-    """`parser(path)`, whose `ParseError` names the file as `read_meta_json`'s do."""
+def _parse_file(parser, source, path):
+    """`parser(source)`, whose `ParseError` names `path` as `read_meta_json`'s do."""
     try:
-        return parser(path)
+        return parser(source)
     except ParseError as e:
         raise ParseError(e.kind, e.line, e.byte_offset, f"{path}: {e.message}") from None
 
 
-def read_session_head(directory) -> tuple[PlayerMeta, tuple[int, int], float]:
-    """`read_meta_json` of a session directory that holds every required file."""
+def read_session_head(directory) -> tuple[PlayerMeta, tuple[int, int], float, str]:
+    """`read_meta_json` of a session directory that holds every required file,
+    and the digest of the meta.json bytes it read."""
     d = Path(directory)
     missing = [name for name in (META_FILE, GAZE_FILE, INPUT_FILE, DEMO_FILE)
                if not (d / name).is_file()]
     if missing:
         raise AssemblyError([], f"session directory {d} is missing {', '.join(missing)}")
-    return read_meta_json(d / META_FILE)
+    data = (d / META_FILE).read_bytes()
+    return (*_meta_from_bytes(data, d / META_FILE), _sha256(data).hexdigest())
 
 
-def read_session_captures(directory, meta: PlayerMeta, screen: tuple, rate: float) -> Session:
-    """The validated Session of a directory (hrm.txt optional) given its `read_session_head`."""
+def read_session_captures(directory, meta: PlayerMeta, screen: tuple, rate: float,
+                          meta_digest: str) -> tuple[Session, dict[str, str]]:
+    """The validated Session of a directory (hrm.txt optional) given its `read_session_head`,
+    and the digest of each file read, by name.
+
+    Each capture is read, hashed and parsed in turn, so the digests are
+    those of the bytes parsed and no two files' bytes are alive at once.
+    """
     d = Path(directory)
-    gaze = _parse_file(partial(parse_gaze_log, screen=screen, rate_hz=rate), d / GAZE_FILE)
-    input_samples = _parse_file(parse_input_log, d / INPUT_FILE)
-    hrm = _parse_file(parse_hrm_log, d / HRM_FILE) if (d / HRM_FILE).is_file() else None
-    timeline = _parse_file(parse_demo_events, d / DEMO_FILE)
-    return assemble_session(meta, gaze, input_samples, timeline, hrm)
+    digests = {META_FILE: meta_digest}
+
+    def parse(parser, name: str):
+        data = (d / name).read_bytes()
+        digests[name] = _sha256(data).hexdigest()
+        return _parse_file(parser, data, d / name)
+
+    gaze = parse(partial(parse_gaze_log, screen=screen, rate_hz=rate), GAZE_FILE)
+    input_samples = parse(parse_input_log, INPUT_FILE)
+    hrm = parse(parse_hrm_log, HRM_FILE) if (d / HRM_FILE).is_file() else None
+    timeline = parse(parse_demo_events, DEMO_FILE)
+    return assemble_session(meta, gaze, input_samples, timeline, hrm), digests
 
 
 def read_session_dir(directory) -> Session:
     """Parse a session directory (hrm.txt optional) into a validated Session."""
-    return read_session_captures(directory, *read_session_head(directory))
+    return read_session_captures(directory, *read_session_head(directory))[0]

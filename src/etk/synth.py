@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProfile
-from .ingest import assemble_session
+from .ingest import _read_bytes, assemble_session
 from .model import (
     BeatSeries,
     Cohort,
@@ -180,12 +180,21 @@ def default_profiles() -> tuple[CohortProfile, CohortProfile]:
     return professional, amateur
 
 
-def load_profiles(path) -> dict[Cohort, CohortProfile]:
-    """Read cohort profiles from JSON: {"professional": {...}, "amateur": {...}}."""
+def _profile_bytes(source) -> bytes:
+    """The bytes of a profile JSON given as a path or bytes; an unreadable file is an
+    `InvalidProfile`."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+        return _read_bytes(source)
+    except OSError as e:
+        raise InvalidProfile(f"cannot read profile JSON: {e}") from None
+
+
+def load_profiles(source) -> dict[Cohort, CohortProfile]:
+    """Read cohort profiles from JSON, a path or its bytes:
+    {"professional": {...}, "amateur": {...}}."""
+    try:
+        raw = json.loads(_profile_bytes(source).decode("utf-8"))
+    except json.JSONDecodeError as e:
         raise InvalidProfile(f"cannot read profile JSON: {e}") from None
     if not isinstance(raw, dict) or not raw:
         raise InvalidProfile("profile JSON must be a non-empty object keyed by cohort")

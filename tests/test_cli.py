@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit codes, artifacts, and determinism."""
+import builtins
 import gc
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -81,6 +83,19 @@ class _InWorker:
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)
         return _derive_session(directory, *args, **kwargs)
+
+
+class _Rewriting:
+    """`_derive_session`, which then appends a comment line to its session's `name` file."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __call__(self, directory: Path, *args, **kwargs):
+        derived = _derive_session(directory, *args, **kwargs)
+        with open(directory / self.name, "ab") as f:
+            f.write(b"# rewritten after the parse\n")
+        return derived
 
 
 class TestSynthCommand:
@@ -199,25 +214,89 @@ class TestSynthCommand:
             assert tree_bytes(again / name) == tree_bytes(corpus / name)
 
     def test_synth_does_not_load_openssl(self, tmp_path):
-        """hashlib maps libcrypto (~3.4 MB RSS); only a manifest digest may import it."""
+        """hashlib maps libcrypto (~3.6 MB RSS); no command may import it."""
+        from etk.synth import default_profiles
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"professional": default_profiles()[0].to_dict()}))
         code = ("import sys\n"
                 "from etk.cli import main\n"
-                "out = sys.argv[1]\n"
+                "out, profile = sys.argv[1:]\n"
                 "assert main(['synth', '--out', out + '/c', '--count', '2', '--rounds', '2',\n"
                 "             '--round-s', '20']) == 0\n"
                 "assert '_hashlib' not in sys.modules, '_hashlib was imported'\n"
-                "assert main(['ingest', out + '/c', '--out', out + '/i']) == 0\n"
-                "assert main(['analyze', out + '/c', '--out', out + '/a']) == 0\n")
+                "for args in (['ingest', out + '/c', '--out', out + '/i'],\n"
+                "             ['analyze', out + '/c', '--out', out + '/a', '--jobs', '1'],\n"
+                "             ['analyze', out + '/c', '--out', out + '/a2', '--jobs', '2'],\n"
+                "             ['synth', '--out', out + '/p', '--count', '1', '--rounds', '2',\n"
+                "              '--round-s', '20', '--profile', profile]):\n"
+                "    assert main(args) == 0\n"
+                "    assert '_hashlib' not in sys.modules, f'{args[0]} imported _hashlib'\n"
+                "if sys.platform == 'linux':\n"
+                "    with open('/proc/self/maps') as f:\n"
+                "        assert 'libcrypto' not in f.read(), 'libcrypto is mapped'\n")
         env = _child_env()
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), str(profile)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        for run in ("i", "a"):
+        for run in ("i", "a", "a2"):
             inputs = json.loads((tmp_path / run / "manifest.json").read_text())["inputs"]
             assert set(inputs) == {str(tmp_path / "c" / n) for n in ("pro01", "am02")}
             for directory, digests in inputs.items():
                 assert digests == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                                    for p in Path(directory).iterdir()}
+        inputs = json.loads((tmp_path / "p" / "manifest.json").read_text())["inputs"]
+        assert inputs == {"profile": hashlib.sha256(profile.read_bytes()).hexdigest()}
+
+    def test_hashlib_fallback_writes_the_same_manifests(self, corpus, tmp_path):
+        """Without CPython's built-in SHA-256 modules, hashlib's gives the same digests."""
+        from etk.synth import default_profiles
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"amateur": default_profiles()[1].to_dict()}))
+        code = ("import sys\n"
+                "corpus, profile, out, hasher = sys.argv[1:]\n"
+                "if hasher == 'hashlib':\n"
+                "    sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+                "import hashlib\n"
+                "from etk import ingest\n"
+                "from etk.cli import main\n"
+                "assert (ingest._sha256 is hashlib.sha256) == (hasher == 'hashlib')\n"
+                "assert main(['ingest', corpus, '--out', out + '/i']) == 0\n"
+                "assert main(['analyze', corpus, '--out', out + '/a', '--jobs', '2']) == 0\n"
+                "assert main(['synth', '--out', out + '/p', '--count', '1', '--rounds', '2',\n"
+                "             '--round-s', '20', '--profile', profile]) == 0\n")
+        for hasher in ("built-in", "hashlib"):
+            proc = subprocess.run([sys.executable, "-c", code, str(corpus), str(profile),
+                                   str(tmp_path / hasher), hasher], env=_child_env(),
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        for run in ("i", "a", "p"):
+            assert (tmp_path / "hashlib" / run / "manifest.json").read_bytes() == \
+                (tmp_path / "built-in" / run / "manifest.json").read_bytes()
+
+    def test_each_input_is_read_once(self, corpus, tmp_path, monkeypatch):
+        from etk.synth import default_profiles
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"professional": default_profiles()[0].to_dict()}))
+        opened, real_open = [], io.open
+
+        def recording(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and "r" in mode:
+                opened.append(Path(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording)
+        monkeypatch.setattr(builtins, "open", recording)
+        commands = {"ingest": ["ingest", str(corpus), "--out", str(tmp_path / "i")],
+                    "analyze": ["analyze", str(corpus), "--out", str(tmp_path / "a")],
+                    "synth": ["synth", "--out", str(tmp_path / "p"), "--count", "1",
+                              "--rounds", "2", "--round-s", "20", "--profile", str(profile)]}
+        for name, args in commands.items():
+            opened.clear()
+            assert main(args) == 0
+            read = [p for p in opened if p.parent.parent == corpus or p == profile]
+            want = [profile] if name == "synth" else \
+                [d / f for d in corpus.iterdir() if d.is_dir() for f in SESSION_FILES]
+            assert sorted(read) == sorted(want), name
 
 
 class TestIngestCommand:
@@ -471,6 +550,20 @@ class TestAnalyzeCommand:
         for digests in manifest["inputs"].values():
             assert set(digests) == SESSION_FILES
             assert all(len(d) == 64 for d in digests.values())
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_manifest_digests_the_bytes_parsed(self, corpus, tmp_path, monkeypatch, jobs):
+        root = tmp_path / "corpus"
+        for name in ("am02", "am03", "pro01"):
+            shutil.copytree(corpus / name, root / name)
+        parsed = {str(d): {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                           for p in d.iterdir()} for d in sorted(root.iterdir())}
+        monkeypatch.setattr(cli, "_derive_session", _Rewriting("gaze.csv"))
+        out = tmp_path / "run"
+        assert main(["analyze", str(root), "--out", str(out), "--jobs", jobs]) == 0
+        assert json.loads((out / "manifest.json").read_text())["inputs"] == parsed
+        on_disk = hashlib.sha256((root / "am02" / "gaze.csv").read_bytes()).hexdigest()
+        assert on_disk != parsed[str(root / "am02")]["gaze.csv"]
 
     def test_custom_zone_model(self, corpus, tmp_path):
         zones = tmp_path / "z.csv"
@@ -764,7 +857,8 @@ class TestInputErrors:
         assert stdout == "" and not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("damage", ["duplicate player_id", "missing input"])
+    @pytest.mark.parametrize("damage", ["duplicate player_id", "missing input", "empty player_id",
+                                        "comma in player_id", "control in player_id", "n of 0"])
     def test_corpus_is_refused_before_any_session_is_derived(self, corpus, tmp_path, capsys,
                                                              caplog, monkeypatch, damage, jobs):
         root = tmp_path / "corpus"
@@ -772,8 +866,15 @@ class TestInputErrors:
             shutil.copytree(corpus / name, root / name)
         if damage == "duplicate player_id":
             shutil.copytree(corpus / "am02", root / "zz_copy")  # the last input
-        else:
+        elif damage == "missing input":
             (root / "pro01" / "input.csv").unlink()
+        else:  # pro01 is the last input
+            meta = json.loads((root / "pro01" / "meta.json").read_text())
+            meta.update({"empty player_id": {"player_id": ""},
+                         "comma in player_id": {"player_id": "pro,01"},
+                         "control in player_id": {"player_id": "pro\x0701"},
+                         "n of 0": {"n": 0}}[damage])
+            (root / "pro01" / "meta.json").write_text(json.dumps(meta))
         calls = []
 
         def counting(*args, **kwargs):
@@ -792,6 +893,8 @@ class TestInputErrors:
         assert [r.getMessage() for r in caplog.records] == []
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if damage not in ("duplicate player_id", "missing input"):
+            assert err.startswith(f"error: session {root / 'pro01'} failed validation: meta.")
 
     @pytest.mark.parametrize("name,kind", [("gaze.csv", "gaze"), ("input.csv", "input"),
                                            ("hrm.txt", "hrm"), ("demo.events", "demo")])
@@ -980,7 +1083,7 @@ def test_write_heatmaps_peak_does_not_grow_with_sessions(tmp_path):
             meta=PlayerMeta(f"pro{i:02d}", Cohort.PROFESSIONAL, 1), missing={},
             windows=WindowSeries.concat([], 2), window_round=np.empty(0, np.int64),
             averaged=None, feature_rows=[], heat_cells=cells, heat_counts=grid[cells],
-            warnings=[]))
+            warnings=[], digests={}))
     cli._write_heatmaps(tmp_path, derived[:1], screen)  # warm every first-call cache
     peaks = []
     for n in (4, 16):

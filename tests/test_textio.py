@@ -160,7 +160,7 @@ def derived_session(player_id, cohort, seconds, seed, k=9):
         windows=windows, window_round=np.arange(len(windows), dtype=np.int64) // 1000,
         averaged=average_distribution(windows.probs) if len(windows) else None,
         feature_rows=feature_rows, heat_cells=np.empty(0, np.int64),
-        heat_counts=np.empty(0, np.int64), warnings=[])
+        heat_counts=np.empty(0, np.int64), warnings=[], digests={})
 
 
 def test_windows_csv_matches_column_by_column_writer(tmp_path):
@@ -190,7 +190,7 @@ def test_windows_csv_without_windows(tmp_path):
         meta=PlayerMeta("pro01", Cohort.PROFESSIONAL, 1), missing={},
         windows=empty, window_round=np.empty(0, np.int64), averaged=None,
         feature_rows=[], heat_cells=np.empty(0, np.int64),
-        heat_counts=np.empty(0, np.int64), warnings=[])]
+        heat_counts=np.empty(0, np.int64), warnings=[], digests={})]
     path = tmp_path / "windows.csv"
     _write_windows_csv(path, derived, 2)
     assert path.read_text() == column_by_column_windows_csv(derived, 2)
