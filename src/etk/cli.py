@@ -61,8 +61,7 @@ from .preprocess import (
     slice_by_intervals,
 )
 from .rng import Rng
-from .synth import (CohortProfile, Scenario, _profile_bytes, default_profiles, generate_session,
-                    load_profiles)
+from .synth import Scenario, _profile_bytes, default_profiles, generate_session, load_profiles
 from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text
 from .zones import (
     DEFAULT_HOP_S,
@@ -477,10 +476,13 @@ def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: float 
 def cmd_analyze(args) -> int:
     dirs = _expand_session_dirs(args.paths)
     heads, screen = _check_corpus(dirs)
+    inputs = {}
     if args.zones == "default":
         model = default_zone_model()
     else:
-        model = _parse_file(read_zone_model_csv, args.zones, args.zones)
+        zones = Path(args.zones).read_bytes()
+        model = _parse_file(read_zone_model_csv, zones, args.zones)
+        inputs[args.zones] = _sha256(zones).hexdigest()
     if not (0 < args.window_s < math.inf and 0 < args.hop_s < math.inf):
         raise ValueError("--window-s and --hop-s must be positive and finite")
     try:
@@ -503,7 +505,7 @@ def cmd_analyze(args) -> int:
     derive = partial(_derive_session, screen=screen, model=model, window_s=args.window_s,
                      hop_s=args.hop_s)
     derived = _derive_sessions(dirs, heads, derive, args.jobs)
-    inputs = {str(d): session.digests for d, session in zip(dirs, derived)}
+    inputs.update((str(d), session.digests) for d, session in zip(dirs, derived))
     derived.sort(key=lambda d: (d.meta.cohort.value, d.meta.player_id))
 
     k = model.k

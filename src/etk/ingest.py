@@ -12,26 +12,29 @@ Formats (all UTF-8; whitespace-only and `#`-prefixed comment lines ignored):
   ``spawn <t> <player>``, ``death <t> <player>``,
   ``kill <t> <killer> <victim>``, ``weapon_fire <t> <player>``.
 
-`gaze.csv` and `input.csv` hold nearly all the bytes of a session, so
-their parsers read the whole file and convert it one chunk of about
-64 KiB at a time, with one `np.loadtxt` call per chunk; each distinct
-`keys` cell of a chunk is mapped to its mask once. Each chunk is copied
-into columns allocated once for the whole file, one entry per line, and
-their filled prefixes are marked read-only, so `GazeSeries` and
-`InputSeries` keep them without a copy: a parse peaks near the bytes of
-its columns plus one chunk. loadtxt reads an ASCII number exactly as
-`float` does, `nan`, `inf` and `1e999` included (the bulk path then
-refuses them as non-finite). A chunk holding a token that `float` takes
-and loadtxt does not, such as `1_0` or a non-ASCII digit, is converted
-again with `float` per cell. An empty gaze cell reads as NaN in a chunk
-without `n` or `N`. On every file the bulk path accepts, it gives the
-columns of the line-at-a-time parser behind it bit for bit.
+`gaze.csv` and `input.csv` hold nearly all the bytes of a session. A
+file in the canonical form the writers emit is parsed in bulk: it starts
+with its header line and holds no blank line, CR, `#` or U+001C..U+001F
+control, and its rows are converted one chunk of about 64 KiB at a time,
+with one `np.loadtxt` call per chunk. Each distinct `keys` cell of a
+chunk is mapped to its mask once; a lost gaze sample `t,,` reads as NaN.
+Each chunk is copied into columns allocated once for the whole file, one
+entry per line, and their filled prefixes are marked read-only, so
+`GazeSeries` and `InputSeries` keep them without a copy: a parse peaks
+near the bytes of its columns plus one chunk. loadtxt reads an ASCII
+number exactly as `float` does, `nan`, `inf` and `1e999` included (the
+bulk path then refuses them as non-finite).
 
-That line parser reruns over the whole file when a chunk has bad
-UTF-8, a U+001C..U+001F control, a wrong header or cell count, a bad,
-non-finite or non-increasing value, an unknown key, or an empty gaze
-cell beside an `n` or `N`. It accepts what it can and reports any
-failure as `ParseError` with the 1-based line number and byte offset.
+Every other file goes to the line-at-a-time reference parser, which
+judges it: one that is not canonical (CRLF, comments, blank lines), or
+one with bad UTF-8, a wrong header or cell count, a token loadtxt
+refuses (such as `1_0`, a non-ASCII digit or one empty gaze cell), a
+non-finite or non-increasing value, an unknown key, or a gaze chunk
+holding `n` or `N`. It accepts what it can and reports any failure as
+`ParseError` with the 1-based line number and byte offset. On every
+file the bulk path accepts, it gives the reference parser's columns bit
+for bit.
+
 `hrm.txt` and `demo.events` are small and parsed a line at a time.
 Their parsers check syntax (arity, numbers, known tags) and round
 pairing, then run `model._validate_hrm` or `_validate_timeline` on what
@@ -47,7 +50,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import re
 import sys
 from functools import partial
 from pathlib import Path
@@ -99,7 +101,8 @@ INPUT_HEADER = "t,mouse_x,mouse_y,keys"
 # thousand rows) at a time, so the per-cell strings of a whole file
 # never exist at once.
 _CHUNK_BYTES = 1 << 16
-_EMPTY_CELL = re.compile(r",(?=[,\n])")  # the comma before each empty non-first cell
+# Bytes the writers never emit; a file holding one is left to the line parser.
+_NOT_WRITTEN = (b"\n\n", b"\r", b"#", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 # What follows the tag of each demo line, as a wrong arity error states
 # it, in the canonical order of demo lines sharing a timestamp.
@@ -179,15 +182,16 @@ class _Fallback(Exception):
 
 
 def _bulk_chunks(data: bytes, header: str):
-    """Yield the data rows of each chunk as text, each row ending in a newline.
+    """Yield the data rows of each chunk of a file in the writers' form, as text.
 
-    Drops comment lines and strips CR like `_iter_lines`; later blank
-    lines may remain (`_loadtxt` falls back on one of whitespace). Raises
-    `_Fallback` on bad UTF-8, a wrong or missing header, or a U+001C..U+001F
-    control, which `np.loadtxt` strips around a number and `float` refuses.
+    Each chunk ends in a newline. Raises `_Fallback` unless the file
+    starts with the `header` line, and on bad UTF-8, a blank line, a CR,
+    a `#` or a U+001C..U+001F control (which `np.loadtxt` strips around
+    a number and `float` refuses).
     """
-    saw_header = False
-    pos = 0
+    pos = len(header) + 1
+    if data[:pos] != f"{header}\n".encode() or any(map(data.__contains__, _NOT_WRITTEN)):
+        raise _Fallback
     while pos < len(data):
         end = data.find(b"\n", pos + _CHUNK_BYTES)
         end = len(data) if end < 0 else end + 1
@@ -196,41 +200,17 @@ def _bulk_chunks(data: bytes, header: str):
         except UnicodeDecodeError:
             raise _Fallback from None
         pos = end
-        if any(map(text.__contains__, "\x1c\x1d\x1e\x1f")):
-            raise _Fallback
-        if not text.endswith("\n"):
-            text += "\n"
-        if "\r" in text or "#" in text or text[0] == "\n":
-            lines = (line.rstrip("\r") for line in text.split("\n"))
-            text = "".join(f"{line}\n" for line in lines
-                           if line and not line.lstrip().startswith("#"))
-        if not saw_header and text:
-            first, _, text = text.partition("\n")
-            if first != header:
-                raise _Fallback
-            saw_header = True
-            text = text.lstrip("\n")
-        if text:
-            yield text
-    if not saw_header:
-        raise _Fallback
+        yield text if text.endswith("\n") else text + "\n"
 
 
-def _loadtxt(text: str, ncols: int, converters: dict) -> np.ndarray:
-    """The (rows, ncols) cells of `text`, each float cell as `float` reads it."""
-    lines = text.split("\n")
+def _loadtxt(text: str, ncols: int, converters=None) -> np.ndarray:
+    """The (rows, ncols) cells of `text`, one row per line; any other shape falls back."""
     try:
-        try:
-            cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                               converters=converters or None)
-        except ValueError:
-            # loadtxt refuses `1_0` and non-ASCII digits, which `float` takes.
-            cells = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                               converters=dict.fromkeys(range(ncols), float) | converters)
+        cells = np.loadtxt(text.split("\n"), delimiter=",", comments=None, ndmin=2,
+                           converters=converters)
     except ValueError:
         raise _Fallback from None
-    # loadtxt skips blank lines, as `_iter_lines` does, and no other line.
-    if cells.shape != (len(lines) - lines.count(""), ncols):
+    if cells.shape != (text.count("\n"), ncols):
         raise _Fallback
     return cells
 
@@ -242,7 +222,7 @@ def _bulk_columns(data: bytes, header: str, convert) -> tuple:
     first. Each column is allocated once, with one entry per line of the
     file and the dtype of the first chunk's, and each chunk is copied
     into place; the filled prefixes come back read-only, so a series
-    keeps them without a copy. An empty file gives `()`.
+    keeps them without a copy. A file of only the header gives `()`.
     """
     lines = data.count(b"\n") + 1
     out: tuple = ()
@@ -262,16 +242,12 @@ def _bulk_columns(data: bytes, header: str, convert) -> tuple:
 
 
 def _gaze_chunk(text: str):
-    # Like the line parser, a row with an empty x or y is a lost sample
-    # whose other cell is never judged. Empty cells read as NaN, which
-    # nothing else gives in a chunk without `n` or `N` (so without a
-    # nan or inf token); in any other chunk they fail loadtxt.
-    lost_as_nan = "n" not in text and "N" not in text
-    if lost_as_nan:
-        text = _EMPTY_CELL.sub(",nan", text)
-    t, x, y = _loadtxt(text, 3, {}).T
-    lost = (np.isnan(x) | np.isnan(y)) & lost_as_nan
-    x[lost] = y[lost] = math.nan
+    # The writers' lost sample `t,,` reads as NaN, which nothing else
+    # gives in a chunk without `n` or `N` (so without a nan or inf token).
+    if "n" in text or "N" in text:
+        raise _Fallback
+    t, x, y = _loadtxt(text.replace(",,\n", ",nan,nan\n"), 3).T
+    lost = np.isnan(x)
     if not (lost | np.isfinite(x) & np.isfinite(y)).all():
         raise _Fallback
     return t, x, y, ~lost

@@ -278,10 +278,10 @@ class Violation:
 def _validate_meta(meta: PlayerMeta, out: list[Violation]) -> None:
     if not meta.player_id:
         out.append(Violation("meta.player_id", "player id is empty"))
-    elif any(c == "," or c < " " for c in meta.player_id):
+    elif any(c in ',"' or c < " " for c in meta.player_id):
         # The id is a cell of every CSV artifact row about the player.
         out.append(Violation("meta.player_id", f"player id {meta.player_id!r} "
-                                               "holds a comma or a control character"))
+                                               "holds a comma, a quote or a control character"))
     if meta.n < 1:
         out.append(Violation("meta.n", f"player index must be >= 1, got {meta.n}"))
 

@@ -19,6 +19,7 @@ from .model import (
     InputSeries,
     Interval,
     MatchTimeline,
+    _read_only,
     true_runs,
 )
 
@@ -129,6 +130,7 @@ def interpolate_gaps(segment: GazeSeries) -> tuple[GazeSeries, int]:
         x[idx] = segment.x[left] + w * (segment.x[right] - segment.x[left])
         y[idx] = segment.y[left] + w * (segment.y[right] - segment.y[left])
         valid[idx] = True
+        _read_only(x, y, valid)  # handed over: `replace` keeps them without a copy
         repaired = replace(segment, x=x, y=y, valid=valid)
     return repaired, int(lengths.sum())
 

@@ -271,9 +271,9 @@ def read_zone_model_csv(path) -> ZoneModel:
         if idx != len(centers) + 1:
             raise ParseError("zones", lineno, offset,
                              f"zone index {idx} out of order (expected {len(centers) + 1})")
-        if any(c < " " for c in parts[1]):  # like a player id, a label is a CSV cell
+        if any(c == '"' or c < " " for c in parts[1]):  # like a player id, a label is a CSV cell
             raise ParseError("zones", lineno, offset,
-                             f"zone label {parts[1]!r} holds a control character")
+                             f"zone label {parts[1]!r} holds a quote or a control character")
         if parts[1] in labels:
             raise ParseError("zones", lineno, offset, f"duplicate zone label {parts[1]!r}")
         if (x, y) in centers:

@@ -277,6 +277,8 @@ class TestSynthCommand:
         from etk.synth import default_profiles
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"professional": default_profiles()[0].to_dict()}))
+        zones = tmp_path / "zones.csv"
+        zones.write_text("k,label,x,y\n1,Left,480,540\n2,Right,1440,540\n")
         opened, real_open = [], io.open
 
         def recording(file, mode="r", *args, **kwargs):
@@ -288,14 +290,18 @@ class TestSynthCommand:
         monkeypatch.setattr(builtins, "open", recording)
         commands = {"ingest": ["ingest", str(corpus), "--out", str(tmp_path / "i")],
                     "analyze": ["analyze", str(corpus), "--out", str(tmp_path / "a")],
+                    "zones": ["analyze", str(corpus), "--out", str(tmp_path / "z"),
+                              "--zones", str(zones)],
                     "synth": ["synth", "--out", str(tmp_path / "p"), "--count", "1",
                               "--rounds", "2", "--round-s", "20", "--profile", str(profile)]}
         for name, args in commands.items():
             opened.clear()
             assert main(args) == 0
-            read = [p for p in opened if p.parent.parent == corpus or p == profile]
+            read = [p for p in opened if p.parent.parent == corpus or p in (profile, zones)]
             want = [profile] if name == "synth" else \
                 [d / f for d in corpus.iterdir() if d.is_dir() for f in SESSION_FILES]
+            if name == "zones":
+                want.append(zones)
             assert sorted(read) == sorted(want), name
 
 
@@ -574,6 +580,18 @@ class TestAnalyzeCommand:
         header = (out / "windows.csv").read_text().splitlines()[0]
         assert header.endswith("p1,p2")
 
+    def test_manifest_digests_the_zone_model(self, corpus, tmp_path):
+        zones = tmp_path / "zones.csv"
+        manifests = []
+        for right in ("1440", "1400"):
+            zones.write_text(f"k,label,x,y\n1,Left,480,540\n2,Right,{right},540\n")
+            out = tmp_path / f"run{right}"
+            assert main(["analyze", str(corpus), "--out", str(out), "--zones", str(zones)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["inputs"][str(zones)] == hashlib.sha256(zones.read_bytes()).hexdigest()
+            manifests.append(manifest)
+        assert manifests[0] != manifests[1]
+
     def test_malformed_zone_model_exits_2(self, corpus, tmp_path, capsys):
         zones = tmp_path / "bad.csv"
         zones.write_text("wrong,header\n")
@@ -589,8 +607,9 @@ class TestAnalyzeCommand:
         ("two,b,1,0", "malformed zone index 'two'"),
         ("2,a,1,0", "duplicate zone label 'a'"),
         ("2,b,960,540", "duplicate zone center (960, 540)"),
-        ("2,b\x00,1,0", "zone label 'b\\x00' holds a control character"),
-        ("2,\tb,1,0", "zone label '\\tb' holds a control character"),
+        ("2,b\x00,1,0", "zone label 'b\\x00' holds a quote or a control character"),
+        ("2,\tb,1,0", "zone label '\\tb' holds a quote or a control character"),
+        ('2,"b",1,0', "zone label '\"b\"' holds a quote or a control character"),
     ])
     def test_bad_zone_row_exits_2_naming_line(self, corpus, tmp_path, capsys, row, message):
         zones = tmp_path / "bad.csv"
@@ -858,7 +877,8 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("damage", ["duplicate player_id", "missing input", "empty player_id",
-                                        "comma in player_id", "control in player_id", "n of 0"])
+                                        "comma in player_id", "quote in player_id",
+                                        "control in player_id", "n of 0"])
     def test_corpus_is_refused_before_any_session_is_derived(self, corpus, tmp_path, capsys,
                                                              caplog, monkeypatch, damage, jobs):
         root = tmp_path / "corpus"
@@ -872,6 +892,7 @@ class TestInputErrors:
             meta = json.loads((root / "pro01" / "meta.json").read_text())
             meta.update({"empty player_id": {"player_id": ""},
                          "comma in player_id": {"player_id": "pro,01"},
+                         "quote in player_id": {"player_id": '"pro01'},
                          "control in player_id": {"player_id": "pro\x0701"},
                          "n of 0": {"n": 0}}[damage])
             (root / "pro01" / "meta.json").write_text(json.dumps(meta))
@@ -895,6 +916,22 @@ class TestInputErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         if damage not in ("duplicate player_id", "missing input"):
             assert err.startswith(f"error: session {root / 'pro01'} failed validation: meta.")
+
+    def test_quote_in_player_id_exits_3(self, corpus, tmp_path, capsys):
+        # A `"` would open a quoted CSV field in every artifact row naming the player.
+        root = tmp_path / "corpus"
+        for name in ("am02", "pro01"):
+            shutil.copytree(corpus / name, root / name)
+        for name in ("meta.json", "demo.events"):
+            path = root / "pro01" / name
+            path.write_text(path.read_text().replace("pro01", '\\"pro01' if name == "meta.json"
+                                                     else '"pro01'))
+        out = tmp_path / "run"
+        assert main(["analyze", str(root), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: session {root / 'pro01'} failed validation: meta.player_id: "
+            "player id '\"pro01' holds a comma, a quote or a control character\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("name,kind", [("gaze.csv", "gaze"), ("input.csv", "input"),
                                            ("hrm.txt", "hrm"), ("demo.events", "demo")])

@@ -56,8 +56,8 @@ def test_event_outside_rounds_is_flagged(tiny_session):
     assert any("outside every round" in v.message for v in violations)
 
 
-@pytest.mark.parametrize("player_id", ["pro,01", ",", "p\x00", "p\x1f1", "\t"])
-def test_player_id_with_comma_or_control_is_flagged(tiny_session, player_id):
+@pytest.mark.parametrize("player_id", ["pro,01", ",", "p\x00", "p\x1f1", "\t", '"pro01', 'p"1"'])
+def test_player_id_with_comma_quote_or_control_is_flagged(tiny_session, player_id):
     meta = PlayerMeta(player_id, tiny_session.meta.cohort, tiny_session.meta.n)
     violations = validate_session(Session(meta, tiny_session.gaze, tiny_session.input,
                                           tiny_session.timeline, tiny_session.hrm))
@@ -65,7 +65,7 @@ def test_player_id_with_comma_or_control_is_flagged(tiny_session, player_id):
 
 
 @pytest.mark.parametrize("player_id", ["pro01", "p-1", "p.1", "pro\u00e9", "p\x7f"])
-def test_player_id_without_comma_or_control_is_not_flagged(tiny_session, player_id):
+def test_player_id_without_comma_quote_or_control_is_not_flagged(tiny_session, player_id):
     meta = PlayerMeta(player_id, tiny_session.meta.cohort, tiny_session.meta.n)
     violations = validate_session(Session(meta, tiny_session.gaze, tiny_session.input,
                                           tiny_session.timeline, tiny_session.hrm))

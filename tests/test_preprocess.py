@@ -1,5 +1,6 @@
 """Alive segments, gap interpolation, missingness, and BPM derivation."""
 import math
+import tracemalloc
 import warnings
 from itertools import accumulate
 
@@ -13,6 +14,7 @@ from etk.model import (
     BeatSeries,
     EventKind,
     GameEvent,
+    GazeSeries,
     Interval,
     Violation,
     _validate_hrm,
@@ -170,6 +172,24 @@ class TestInterpolateGaps:
         after = missing_stats(repaired)
         assert before.missing_fraction == (
             after.missing_fraction + filled / before.total_samples)
+
+    def test_repaired_columns_are_copied_once(self):
+        # 1M samples at 60 Hz with 100k one-sample gaps, each bracketed.
+        n = 1_000_000
+        t = np.arange(n) / 60
+        valid = np.arange(n) % 10 != 5
+        xy = np.where(valid, np.arange(n) % 1920, np.nan)
+        segment = GazeSeries(t, xy, xy, valid)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            repaired, filled = interpolate_gaps(segment)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert filled == 100_000 and repaired.valid.all()
+        ratio = peak / sum(getattr(repaired, name).nbytes for name in ("x", "y", "valid"))
+        assert ratio < 1.8, ratio
 
 
 class TestMissingStats:
