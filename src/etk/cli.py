@@ -153,6 +153,75 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> 
     _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _map_sessions(dirs: list[Path], heads: list, derive, jobs: int):
+    """`derive` of each directory and its head, in input order: serially, or in up to
+    `jobs` workers. `ingest` maps `_session_summary` over one worker per usable CPU,
+    `analyze --jobs N` maps `_derive_session` over N.
+
+    Worker k derives the static share `dirs[k::workers]` in order and stops at
+    its first failure; down its pipe go a `+` as each session begins, so a dead
+    worker's error names its session, then one pickle of its results. Forked,
+    it shares this process's numpy and etk instead of importing them (0.2 s);
+    OpenBLAS stops its threads at fork, so no other thread runs then. Static
+    shares may leave one worker the longer sessions but need no executor, whose
+    modules and threads cost each run about 30 ms and 1.5 MB. The parent derives
+    nothing itself and reaps every worker on every path, before any result is
+    taken; a worker's failure is raised when it is taken, as a serial one is.
+    """
+    workers = min(jobs, len(dirs))
+    if workers == 1:
+        yield from map(derive, dirs, heads)
+        return
+    import signal  # imported here: about 1.3 ms, which only a run with workers needs
+    pids, pipes, shares = [], [], []
+    try:
+        for k in range(workers):
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as out:
+                pids.append(os.fork())
+                if pids[-1] == 0:
+                    _derive_share(dirs[k::workers], heads[k::workers], derive, out)
+        for k, pipe in enumerate(pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
+            pids[k] = 0  # reaped
+            begun = re.match(rb"\+*", data).end()
+            if code:
+                how = f"signal {signal.Signals(-code).name}" if code < 0 else f"status {code}"
+                raise EtkError(f"the worker deriving {dirs[k::workers][max(begun - 1, 0)]} "
+                               f"ended by {how}")
+            shares.append(pickle.loads(memoryview(data)[begun:]))
+    finally:
+        for pid in filter(None, pids):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+    for i in range(len(dirs)):
+        if isinstance(result := shares[i % workers][i // workers], Exception):
+            raise result
+        yield result
+
+
+def _derive_share(dirs: list[Path], heads: list, derive, out) -> NoReturn:
+    """A forked worker's life; it leaves by `os._exit`, never into the parent's stack."""
+    code, results = 1, []
+    try:
+        for d, head in zip(dirs, heads):
+            os.write(out.fileno(), b"+")  # unbuffered: `out` holds nothing yet
+            try:
+                results.append(derive(d, head))
+            except Exception as e:  # the parent raises it in input order
+                results.append(e)
+                break
+        pickle.dump(results, out, pickle.HIGHEST_PROTOCOL)
+        out.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -160,7 +229,6 @@ def _session_summary(directory: Path, head: tuple) -> tuple[dict, dict[str, str]
     """The summary of one session directory and its files' digests; its session
     is dropped on return."""
     session, digests = read_session_captures(directory, *head)
-    log.info("ingested %s: %d rounds", directory, len(session.timeline.rounds))
     return {
         "directory": str(directory),
         "player_id": session.meta.player_id,
@@ -177,7 +245,12 @@ def _session_summary(directory: Path, head: tuple) -> tuple[dict, dict[str, str]
 def cmd_ingest(args) -> int:
     dirs = _expand_session_dirs(args.paths)
     heads, _ = _check_corpus(dirs)
-    summaries, digests = zip(*map(_session_summary, dirs, heads))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    summaries, digests = [], []
+    for summary, digest in _map_sessions(dirs, heads, _session_summary, cpus or 1):
+        log.info("ingested %s: %d rounds", summary["directory"], summary["rounds"])
+        summaries.append(summary)
+        digests.append(digest)
     payload = json.dumps(summaries, indent=2, sort_keys=True)
     print(payload)
     if args.out:
@@ -302,15 +375,12 @@ def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model
 def _pool_sessions(results) -> list[_SessionDerived]:
     """The derived sessions taken from `results` in input order.
 
-    A result that is an exception is raised when it is taken. Each
-    session's warnings are logged as it is taken, and a pooled window
+    Each session's warnings are logged as it is taken, and a pooled window
     total above MAX_WINDOWS is refused as soon as it is passed.
     """
     derived: list[_SessionDerived] = []
     pooled = 0
     for session in results:
-        if isinstance(session, Exception):
-            raise session
         for warning in session.warnings:
             log.warning("%s", warning)
         pooled += len(session.windows)
@@ -318,68 +388,6 @@ def _pool_sessions(results) -> list[_SessionDerived]:
             raise TooManyWindows(f"the sessions pool more than {MAX_WINDOWS} windows")
         derived.append(session)
     return derived
-
-
-def _derive_sessions(dirs: list[Path], heads: list, derive, jobs: int) -> list[_SessionDerived]:
-    """`derive` of each directory and its head, pooled: serially, or in up to `jobs` workers.
-
-    Worker k derives the static share `dirs[k::workers]` in order and stops at
-    its first failure; down its pipe go a `+` as each session begins, so a dead
-    worker's error names its session, then one pickle of its results. Forked,
-    it shares this process's numpy and etk instead of importing them (0.2 s);
-    OpenBLAS stops its threads at fork, so no other thread runs then. Static
-    shares may leave one worker the longer sessions but need no executor, whose
-    modules and threads cost each run about 30 ms and 1.5 MB. The parent derives
-    nothing itself and reaps every worker on every path.
-    """
-    workers = min(jobs, len(dirs))
-    if workers == 1:
-        return _pool_sessions(map(derive, dirs, heads))
-    import signal  # imported here: about 1.3 ms, which only a run with workers needs
-    pids, pipes, shares = [], [], []
-    try:
-        for k in range(workers):
-            r, w = os.pipe()
-            pipes.append(os.fdopen(r, "rb"))
-            with os.fdopen(w, "wb") as out:
-                pids.append(os.fork())
-                if pids[-1] == 0:
-                    _derive_share(dirs[k::workers], heads[k::workers], derive, out)
-        for k, pipe in enumerate(pipes):
-            data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[k], 0)[1])
-            pids[k] = 0  # reaped
-            begun = re.match(rb"\+*", data).end()
-            if code:
-                how = f"signal {signal.Signals(-code).name}" if code < 0 else f"status {code}"
-                raise EtkError(f"the worker deriving {dirs[k::workers][max(begun - 1, 0)]} "
-                               f"ended by {how}")
-            shares.append(pickle.loads(memoryview(data)[begun:]))
-    finally:
-        for pid in filter(None, pids):
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for pipe in pipes:
-            pipe.close()
-    return _pool_sessions(shares[i % workers][i // workers] for i in range(len(dirs)))
-
-
-def _derive_share(dirs: list[Path], heads: list, derive, out) -> NoReturn:
-    """A forked worker's life; it leaves by `os._exit`, never into the parent's stack."""
-    code, results = 1, []
-    try:
-        for d, head in zip(dirs, heads):
-            os.write(out.fileno(), b"+")  # unbuffered: `out` holds nothing yet
-            try:
-                results.append(derive(d, head))
-            except Exception as e:  # the parent raises it in input order
-                results.append(e)
-                break
-        pickle.dump(results, out, pickle.HIGHEST_PROTOCOL)
-        out.flush()
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def _window_blocks(derived: list[_SessionDerived], kind: list[str], columns):
@@ -504,7 +512,7 @@ def cmd_analyze(args) -> int:
 
     derive = partial(_derive_session, screen=screen, model=model, window_s=args.window_s,
                      hop_s=args.hop_s)
-    derived = _derive_sessions(dirs, heads, derive, args.jobs)
+    derived = _pool_sessions(_map_sessions(dirs, heads, derive, args.jobs))
     inputs.update((str(d), session.digests) for d, session in zip(dirs, derived))
     derived.sort(key=lambda d: (d.meta.cohort.value, d.meta.player_id))
 

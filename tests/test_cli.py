@@ -71,18 +71,27 @@ _derive_session = cli._derive_session
 
 
 class _InWorker:
-    """`_derive_session`, except in a worker process deriving session `name`,
+    """`derive`, except in a worker process deriving session `name`,
     which first kills itself with SIGKILL (`kill`) or sleeps for a minute."""
 
-    def __init__(self, name: str, kill: bool):
-        self.name, self.kill, self.parent = name, kill, os.getpid()
+    def __init__(self, derive, name: str, kill: bool):
+        self.derive, self.name, self.kill, self.parent = derive, name, kill, os.getpid()
 
     def __call__(self, directory: Path, *args, **kwargs):
         if directory.name == self.name and os.getpid() != self.parent:
             if self.kill:
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)
-        return _derive_session(directory, *args, **kwargs)
+        return self.derive(directory, *args, **kwargs)
+
+
+def _run_with_workers(monkeypatch, command: str, argv: list[str], workers: str) -> int:
+    """`main` of `command` with `workers` workers: `--jobs` for `analyze`, the
+    usable CPUs for `ingest`."""
+    if command == "analyze":
+        return main(["analyze", *argv, "--jobs", workers])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(int(workers))))
+    return main(["ingest", *argv])
 
 
 class _Rewriting:
@@ -279,30 +288,37 @@ class TestSynthCommand:
         profile.write_text(json.dumps({"professional": default_profiles()[0].to_dict()}))
         zones = tmp_path / "zones.csv"
         zones.write_text("k,label,x,y\n1,Left,480,540\n2,Right,1440,540\n")
-        opened, real_open = [], io.open
+        record, real_open = tmp_path / "opened.txt", io.open
+        # A file, not a list, so that the opens of forked `ingest` workers, which
+        # inherit it, are recorded too; O_APPEND keeps each process's lines whole.
+        with real_open(record, "a+b", buffering=0) as log:
 
-        def recording(file, mode="r", *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)) and "r" in mode:
-                opened.append(Path(file))
-            return real_open(file, mode, *args, **kwargs)
+            def recording(file, mode="r", *args, **kwargs):
+                if isinstance(file, (str, os.PathLike)) and "r" in mode:
+                    log.write(os.fsencode(file) + b"\n")
+                return real_open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(io, "open", recording)
-        monkeypatch.setattr(builtins, "open", recording)
-        commands = {"ingest": ["ingest", str(corpus), "--out", str(tmp_path / "i")],
-                    "analyze": ["analyze", str(corpus), "--out", str(tmp_path / "a")],
-                    "zones": ["analyze", str(corpus), "--out", str(tmp_path / "z"),
-                              "--zones", str(zones)],
-                    "synth": ["synth", "--out", str(tmp_path / "p"), "--count", "1",
-                              "--rounds", "2", "--round-s", "20", "--profile", str(profile)]}
-        for name, args in commands.items():
-            opened.clear()
-            assert main(args) == 0
-            read = [p for p in opened if p.parent.parent == corpus or p in (profile, zones)]
-            want = [profile] if name == "synth" else \
-                [d / f for d in corpus.iterdir() if d.is_dir() for f in SESSION_FILES]
-            if name == "zones":
-                want.append(zones)
-            assert sorted(read) == sorted(want), name
+            monkeypatch.setattr(io, "open", recording)
+            monkeypatch.setattr(builtins, "open", recording)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two workers
+            commands = {"ingest": ["ingest", str(corpus), "--out", str(tmp_path / "i")],
+                        "analyze": ["analyze", str(corpus), "--out", str(tmp_path / "a")],
+                        "zones": ["analyze", str(corpus), "--out", str(tmp_path / "z"),
+                                  "--zones", str(zones)],
+                        "synth": ["synth", "--out", str(tmp_path / "p"), "--count", "1",
+                                  "--rounds", "2", "--round-s", "20", "--profile",
+                                  str(profile)]}
+            for name, args in commands.items():
+                log.truncate(0)
+                assert main(args) == 0
+                log.seek(0)
+                opened = [Path(os.fsdecode(line)) for line in log.read().splitlines()]
+                read = [p for p in opened if p.parent.parent == corpus or p in (profile, zones)]
+                want = [profile] if name == "synth" else \
+                    [d / f for d in corpus.iterdir() if d.is_dir() for f in SESSION_FILES]
+                if name == "zones":
+                    want.append(zones)
+                assert sorted(read) == sorted(want), name
 
 
 class TestIngestCommand:
@@ -327,6 +343,33 @@ class TestIngestCommand:
                               env=_child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == in_process
+
+    def test_workers_change_no_output_byte(self, corpus, tmp_path):
+        # The first session is the longest, so with two workers the second
+        # one's worker finishes first.
+        long = tmp_path / "long"
+        assert main(["synth", "--out", str(long), "--count", "1", "--rounds", "12",
+                     "--round-s", "40"]) == 0
+        root = tmp_path / "corpus"
+        for source, name in ((long / "am01", "a_long"), (corpus / "am02", "b_short"),
+                             (corpus / "am03", "c_short")):
+            shutil.copytree(source, root / name)
+        code = ("import os, sys\n"
+                "from etk.cli import main\n"
+                "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+                "sys.exit(main(sys.argv[2:]))\n")
+        runs = []
+        for cpus in ("1", "2"):
+            out = tmp_path / f"out{cpus}"
+            proc = subprocess.run([sys.executable, "-c", code, cpus, "ingest", str(root),
+                                   "--out", str(out)], env=dict(_child_env(), ETK_LOG="INFO"),
+                                  capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            runs.append((proc.stdout, proc.stderr, tree_bytes(out)))
+        assert runs[0] == runs[1]
+        assert runs[0][1].decode().splitlines() == [
+            f"INFO etk: ingested {root / name}: {rounds} rounds"
+            for name, rounds in (("a_long", 12), ("b_short", 2), ("c_short", 2))]
 
     def test_out_writes_summary_and_manifest(self, corpus, tmp_path, capsys):
         out = tmp_path / "report"
@@ -423,8 +466,20 @@ class TestAnalyzeCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs,forks", [("1", 0), ("64", 3)])
-    def test_pool_never_outnumbers_sessions(self, corpus, tmp_path, monkeypatch, jobs, forks):
+    # analyze forks --jobs workers, ingest one per usable CPU (os.cpu_count() where
+    # os.sched_getaffinity is missing): never more than there are sessions.
+    @pytest.mark.parametrize("argv,cpus,forks", [
+        ("analyze . --jobs 1", 64, 0), ("analyze . --jobs 64", 1, 3),
+        ("ingest .", 64, 3), ("ingest .", 2, 2), ("ingest .", 1, 0), ("ingest pro01", 64, 0),
+        ("ingest .", None, 2),
+    ])
+    def test_pool_never_outnumbers_sessions(self, corpus, tmp_path, monkeypatch, argv, cpus,
+                                            forks):
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         parent, fork, forked = os.getpid(), os.fork, []
 
         def recording():
@@ -434,21 +489,25 @@ class TestAnalyzeCommand:
             return pid
 
         monkeypatch.setattr(os, "fork", recording)
-        assert main(["analyze", str(corpus), "--out", str(tmp_path / "run"),
-                     "--jobs", jobs]) == 0
+        command, path, *flags = argv.split()
+        assert main([command, str(corpus / path), "--out", str(tmp_path / "run"), *flags]) == 0
         assert len(forked) == forks
 
+    @pytest.mark.parametrize("command,derive", [("analyze", "_derive_session"),
+                                                ("ingest", "_session_summary")])
     @pytest.mark.parametrize("victim", ["am02", "pro01"])
     def test_killed_worker_exits_1_naming_its_session(self, corpus, tmp_path, capsys,
-                                                      monkeypatch, victim):
+                                                      monkeypatch, victim, command, derive):
         # am02 is the first session of its worker's share, pro01 the second.
-        monkeypatch.setattr(cli, "_derive_session", _InWorker(victim, kill=True))
+        monkeypatch.setattr(cli, derive, _InWorker(getattr(cli, derive), victim, kill=True))
         out = tmp_path / "run"
-        assert main(["analyze", str(corpus), "--out", str(out), "--jobs", "2"]) == 1
-        err = capsys.readouterr().err
+        assert _run_with_workers(monkeypatch, command, [str(corpus), "--out", str(out)],
+                                 "2") == 1
+        stdout, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(corpus / victim) in err and "SIGKILL" in err
-        assert not (out / "manifest.json").exists()
+        assert stdout == ""
+        assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -457,7 +516,8 @@ class TestAnalyzeCommand:
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "_derive_session", _InWorker("am03", kill=False))
+        monkeypatch.setattr(cli, "_derive_session", _InWorker(_derive_session, "am03",
+                                                              kill=False))
         monkeypatch.setattr(pickle, "loads", exhausted)
         out = tmp_path / "run"
         t0 = time.perf_counter()
@@ -972,14 +1032,18 @@ class TestInputErrors:
         lines.insert(50, "not,a,gaze,row")
         gaze.write_text("\n".join(lines) + "\n")
 
-    @pytest.mark.parametrize("damage,args,code", [
-        pytest.param("corrupt gaze", [], 2, id="parse"),
-        pytest.param("missing input", [], 3, id="assembly"),
-        pytest.param("duplicate player_id", [], 3, id="duplicate"),
-        pytest.param(None, ["--hop-s", "1e-300"], 1, id="too-many-windows"),
+    @pytest.mark.parametrize("command,damage,args,code", [
+        pytest.param("analyze", "corrupt gaze", [], 2, id="parse"),
+        pytest.param("analyze", "missing input", [], 3, id="assembly"),
+        pytest.param("analyze", "duplicate player_id", [], 3, id="duplicate"),
+        pytest.param("analyze", None, ["--hop-s", "1e-300"], 1, id="too-many-windows"),
+        # am03, the 2nd input, fails to parse and pro01, the 3rd, to assemble; with two
+        # workers pro01 shares a worker with am02 and am03 has its own.
+        *(pytest.param(command, "parse, then assembly", [], 2, id=f"first-failure-{command}")
+          for command in ("analyze", "ingest")),
     ])
-    def test_jobs_keep_exit_code_and_message(self, corpus, tmp_path, capsys, damage, args,
-                                             code):
+    def test_jobs_keep_exit_code_and_message(self, corpus, tmp_path, capsys, monkeypatch,
+                                             command, damage, args, code):
         root = tmp_path / "corpus"
         for name in ("pro01", "am02", "am03"):
             shutil.copytree(corpus / name, root / name)
@@ -989,16 +1053,24 @@ class TestInputErrors:
             (root / "am03" / "input.csv").unlink()
         elif damage == "duplicate player_id":
             shutil.copytree(corpus / "am02", root / "am02_copy")
+        elif damage == "parse, then assembly":
+            gaze = root / "am03" / "gaze.csv"
+            gaze.write_text(gaze.read_text().replace("\n", "\nnot,a,gaze,row\n", 1))
+            demo = root / "pro01" / "demo.events"
+            demo.write_text(demo.read_text().replace(" pro01", " pro99"))
         outcomes = []
         for jobs in ("1", "2"):
             out = tmp_path / f"run{jobs}"
-            got = main(["analyze", str(root), "--out", str(out), "--jobs", jobs, *args])
+            got = _run_with_workers(monkeypatch, command, [str(root), "--out", str(out), *args],
+                                    jobs)
             outcomes.append((got, capsys.readouterr().err))
             assert not (out / "manifest.json").exists()
         assert outcomes[0] == outcomes[1]
         exit_code, err = outcomes[0]
         assert exit_code == code
         assert err.startswith("error: ") and err.count("\n") == 1
+        if damage == "parse, then assembly":
+            assert err.startswith("error: gaze: line 2 (byte ") and str(root / "am03") in err
 
 
 def test_atomic_write_removes_tmp_when_writer_fails(tmp_path):
