@@ -155,8 +155,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> 
 
 def _map_sessions(dirs: list[Path], heads: list, derive, jobs: int):
     """`derive` of each directory and its head, in input order: serially, or in up to
-    `jobs` workers. `ingest` maps `_session_summary` over one worker per usable CPU,
-    `analyze --jobs N` maps `_derive_session` over N.
+    `jobs` workers. `ingest` maps `_session_summary` and `synth` `_synth_session`
+    over one worker per usable CPU, `analyze --jobs N` maps `_derive_session` over N.
 
     Worker k derives the static share `dirs[k::workers]` in order and stops at
     its first failure; down its pipe go a `+` as each session begins, so a dead
@@ -222,6 +222,13 @@ def _derive_share(dirs: list[Path], heads: list, derive, out) -> NoReturn:
         os._exit(code)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity, or `os.cpu_count()` where the
+    system reports none."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cpus or 1
+
+
 # ---------------------------------------------------------------------------
 # ingest
 
@@ -245,9 +252,8 @@ def _session_summary(directory: Path, head: tuple) -> tuple[dict, dict[str, str]
 def cmd_ingest(args) -> int:
     dirs = _expand_session_dirs(args.paths)
     heads, _ = _check_corpus(dirs)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     summaries, digests = [], []
-    for summary, digest in _map_sessions(dirs, heads, _session_summary, cpus or 1):
+    for summary, digest in _map_sessions(dirs, heads, _session_summary, _usable_cpus()):
         log.info("ingested %s: %d rounds", summary["directory"], summary["rounds"])
         summaries.append(summary)
         digests.append(digest)
@@ -544,6 +550,15 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # synth
 
+def _synth_session(directory: Path, head: tuple) -> PlayerMeta:
+    """Generate the session of `head`, `(profile, scenario, seed, meta)`, into
+    `directory`; only its meta comes back."""
+    profile, scenario, seed, meta = head
+    # Not bound to a name, so no session outlives its writing.
+    write_session_dir(generate_session(profile, scenario, seed=seed, meta=meta), directory)
+    return meta
+
+
 def cmd_synth(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
@@ -575,17 +590,17 @@ def cmd_synth(args) -> int:
         if re.fullmatch(r"(pro|am)\d{2,}", child.name) and (child / META_FILE).is_file():
             shutil.rmtree(child)
     master = Rng(args.seed)
+    dirs, heads = [], []
     for i in range(args.count):
         if i < n_pro:
             cohort, prefix = Cohort.PROFESSIONAL, "pro"
         else:
             cohort, prefix = Cohort.AMATEUR, "am"
         meta = PlayerMeta(player_id=f"{prefix}{i + 1:02d}", cohort=cohort, n=i + 1)
-        # Not bound to a name, so no session outlives its writing.
-        write_session_dir(generate_session(profiles[cohort], scenario,
-                                           seed=master.child_seed(i), meta=meta),
-                          out_dir / meta.player_id)
-        log.info("synthesized %s (%s)", meta.player_id, cohort.value)
+        dirs.append(out_dir / meta.player_id)
+        heads.append((profiles[cohort], scenario, master.child_seed(i), meta))
+    for meta in _map_sessions(dirs, heads, _synth_session, _usable_cpus()):
+        log.info("synthesized %s (%s)", meta.player_id, meta.cohort.value)
 
     _write_manifest(out_dir, "synth",
                     {"count": args.count, "seed": args.seed,

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-An error raised in an `ingest` or `analyze --jobs N` worker process reaches
-the parent by pickle, so every type rebuilds from its constructor arguments.
+An error raised in a worker process of any command reaches the parent by
+pickle, so every type rebuilds from its constructor arguments.
 """
 from __future__ import annotations
 

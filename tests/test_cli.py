@@ -87,11 +87,18 @@ class _InWorker:
 
 def _run_with_workers(monkeypatch, command: str, argv: list[str], workers: str) -> int:
     """`main` of `command` with `workers` workers: `--jobs` for `analyze`, the
-    usable CPUs for `ingest`."""
+    usable CPUs for `ingest` and `synth`."""
     if command == "analyze":
         return main(["analyze", *argv, "--jobs", workers])
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(int(workers))))
-    return main(["ingest", *argv])
+    return main([command, *argv])
+
+
+# `python -c` code that runs `etk` with `sys.argv[1]` usable CPUs and `etk`'s arguments after.
+_WITH_CPUS = ("import os, sys\n"
+              "from etk.cli import main\n"
+              "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
+              "sys.exit(main(sys.argv[2:]))\n")
 
 
 class _Rewriting:
@@ -221,6 +228,46 @@ class TestSynthCommand:
                      "--rounds", "2", "--round-s", "30"]) == 0
         for name in ("pro01", "am02", "am03"):
             assert tree_bytes(again / name) == tree_bytes(corpus / name)
+
+    def test_workers_change_no_output_byte(self, tmp_path):
+        from etk.synth import default_profiles
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"professional": default_profiles()[0].to_dict()}))
+        for extra in ([], ["--profile", str(profile)]):
+            runs = []
+            for cpus in ("1", "2"):
+                out = tmp_path / f"out{cpus}"
+                shutil.rmtree(out, ignore_errors=True)
+                proc = subprocess.run([sys.executable, "-c", _WITH_CPUS, cpus, "synth", "--out",
+                                       str(out), "--count", "5", "--rounds", "2",
+                                       "--round-s", "20", *extra],
+                                      env=dict(_child_env(), ETK_LOG="INFO"),
+                                      capture_output=True, timeout=120)
+                assert proc.returncode == 0, proc.stderr
+                runs.append((proc.stderr, {str(p.relative_to(out)): p.read_bytes()
+                                           for p in sorted(out.rglob("*")) if p.is_file()}))
+            assert runs[0] == runs[1]
+            pro = 5 if extra else 2  # the profile holds professionals only
+            assert runs[0][0].decode().splitlines() == [
+                f"INFO etk: synthesized pro{i:02d} (professional)" if i <= pro else
+                f"INFO etk: synthesized am{i:02d} (amateur)" for i in range(1, 6)]
+            assert "manifest.json" in runs[0][1]
+
+    def test_unwritable_session_fails_alike_with_workers(self, tmp_path, capsys, monkeypatch):
+        out, outcomes = tmp_path / "run", []
+        for cpus in ("1", "2"):
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir()
+            (out / "pro02").write_text("not a session\n")
+            got = _run_with_workers(monkeypatch, "synth", ["--out", str(out), "--count", "5",
+                                                           "--rounds", "2", "--round-s", "20"],
+                                    cpus)
+            outcomes.append((got, capsys.readouterr().err))
+            assert not (out / "manifest.json").exists()
+        assert outcomes[0] == outcomes[1]
+        code, err = outcomes[0]
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out / "pro02") in err
 
     def test_synth_does_not_load_openssl(self, tmp_path):
         """hashlib maps libcrypto (~3.6 MB RSS); no command may import it."""
@@ -354,14 +401,10 @@ class TestIngestCommand:
         for source, name in ((long / "am01", "a_long"), (corpus / "am02", "b_short"),
                              (corpus / "am03", "c_short")):
             shutil.copytree(source, root / name)
-        code = ("import os, sys\n"
-                "from etk.cli import main\n"
-                "os.sched_getaffinity = lambda pid: set(range(int(sys.argv[1])))\n"
-                "sys.exit(main(sys.argv[2:]))\n")
         runs = []
         for cpus in ("1", "2"):
             out = tmp_path / f"out{cpus}"
-            proc = subprocess.run([sys.executable, "-c", code, cpus, "ingest", str(root),
+            proc = subprocess.run([sys.executable, "-c", _WITH_CPUS, cpus, "ingest", str(root),
                                    "--out", str(out)], env=dict(_child_env(), ETK_LOG="INFO"),
                                   capture_output=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
@@ -466,12 +509,14 @@ class TestAnalyzeCommand:
         assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
-    # analyze forks --jobs workers, ingest one per usable CPU (os.cpu_count() where
-    # os.sched_getaffinity is missing): never more than there are sessions.
+    # analyze forks --jobs workers, ingest and synth one per usable CPU (os.cpu_count()
+    # where os.sched_getaffinity is missing): never more than there are sessions.
     @pytest.mark.parametrize("argv,cpus,forks", [
         ("analyze . --jobs 1", 64, 0), ("analyze . --jobs 64", 1, 3),
         ("ingest .", 64, 3), ("ingest .", 2, 2), ("ingest .", 1, 0), ("ingest pro01", 64, 0),
         ("ingest .", None, 2),
+        ("synth --count 3", 64, 3), ("synth --count 3", 2, 2), ("synth --count 3", 1, 0),
+        ("synth --count 1", 64, 0), ("synth --count 3", None, 2),
     ])
     def test_pool_never_outnumbers_sessions(self, corpus, tmp_path, monkeypatch, argv, cpus,
                                             forks):
@@ -489,23 +534,33 @@ class TestAnalyzeCommand:
             return pid
 
         monkeypatch.setattr(os, "fork", recording)
-        command, path, *flags = argv.split()
-        assert main([command, str(corpus / path), "--out", str(tmp_path / "run"), *flags]) == 0
+        command, *flags = argv.split()
+        if command == "synth":
+            flags += ["--rounds", "2", "--round-s", "20"]
+        else:
+            flags[0] = str(corpus / flags[0])
+        assert main([command, *flags, "--out", str(tmp_path / "run")]) == 0
         assert len(forked) == forks
 
     @pytest.mark.parametrize("command,derive", [("analyze", "_derive_session"),
-                                                ("ingest", "_session_summary")])
-    @pytest.mark.parametrize("victim", ["am02", "pro01"])
+                                                ("ingest", "_session_summary"),
+                                                ("synth", "_synth_session")])
+    @pytest.mark.parametrize("victim", ["am02", "pro01", "am03"])
     def test_killed_worker_exits_1_naming_its_session(self, corpus, tmp_path, capsys,
                                                       monkeypatch, victim, command, derive):
-        # am02 is the first session of its worker's share, pro01 the second.
+        # Two workers take the sessions am02, am03, pro01 of analyze and ingest, and
+        # pro01, am02, am03 of synth; the second session of a share is pro01, or am03.
         monkeypatch.setattr(cli, derive, _InWorker(getattr(cli, derive), victim, kill=True))
         out = tmp_path / "run"
-        assert _run_with_workers(monkeypatch, command, [str(corpus), "--out", str(out)],
-                                 "2") == 1
+        if command == "synth":
+            sessions, argv = out, ["--out", str(out), "--count", "3", "--rounds", "2",
+                                   "--round-s", "20"]
+        else:
+            sessions, argv = corpus, [str(corpus), "--out", str(out)]
+        assert _run_with_workers(monkeypatch, command, argv, "2") == 1
         stdout, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert str(corpus / victim) in err and "SIGKILL" in err
+        assert str(sessions / victim) in err and "SIGKILL" in err
         assert stdout == ""
         assert not (out / "manifest.json").exists() and not (out / "summary.json").exists()
         with pytest.raises(ChildProcessError):
