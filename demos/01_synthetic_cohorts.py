@@ -47,7 +47,8 @@ am = generate_session(am_profile, scenario, seed=202,
 
 # Gaze and input are columnar: one read-only numpy array per field,
 # one entry per sample. Lost gaze samples have valid=False and NaN
-# coordinates; input keys are a bitmask over KEY_ALPHABET.
+# coordinates; input keys are a bitmask over KEY_ALPHABET. The tracker
+# rate and the screen are the session's, in its meta.
 for session in (pro, am):
     gaze = session.gaze
     report = missing_stats(gaze)
@@ -55,7 +56,7 @@ for session in (pro, am):
     print(f"{session.meta.player_id} ({session.meta.cohort.value})")
     print(f"  rounds          : {len(session.timeline.rounds)}"
           f" x {scenario.round_s:.0f}s")
-    print(f"  gaze samples    : {len(gaze)} @ {gaze.nominal_rate_hz:.0f} Hz,"
+    print(f"  gaze samples    : {len(gaze)} @ {session.meta.gaze_rate_hz:.0f} Hz,"
           f" first at t={gaze.t[0]:.3f}s ({gaze.x[0]:.0f}, {gaze.y[0]:.0f})")
     print(f"  missing fraction: {report.missing_fraction:.4f}"
           f" (target {pro_profile.missing_rate}; {int((~gaze.valid).sum())} samples)")

@@ -75,10 +75,11 @@ print(f"sum = {sum(avg):.12f}, cross-hair share = {avg[0]:.3f}")
 
 # --- 3. Pixel heatmap ---------------------------------------------------------
 # Raw (not zone-quantised) gaze positions binned into 40 px cells:
-# the valid entries of the x and y columns, as an (n, 2) array.
+# the valid entries of the x and y columns, as an (n, 2) array, on the
+# screen recorded in the session's meta.
 gaze = session.gaze
 points = np.column_stack((gaze.x[gaze.valid], gaze.y[gaze.valid]))
-hm = heatmap_grid(points, screen=session.gaze.screen, cell_px=40)
+hm = heatmap_grid(points, screen=session.meta.screen, cell_px=40)
 peak_row, peak_col = np.unravel_index(int(hm.grid.argmax()), hm.grid.shape)
 print(f"\nheatmap {hm.grid.shape[0]}x{hm.grid.shape[1]} cells, "
       f"{hm.total} points, peak cell ({peak_col}, {peak_row}) "

@@ -50,7 +50,7 @@ from .input_features import (
     nominal_period,
     write_feature_table,
 )
-from .model import Cohort, InputSeries, Interval, PlayerMeta, _screen_violations, _validate_meta
+from .model import Cohort, InputSeries, Interval, PlayerMeta, _validate_meta
 from .numerics import fit_kde, fit_pca, kde_curve, project
 from .preprocess import (
     beats_to_bpm,
@@ -130,19 +130,18 @@ def _check_corpus(dirs: list[Path]) -> tuple[list[tuple], tuple[int, int]]:
     """The `read_session_head` of each directory, and the pooled heatmaps' screen.
 
     It runs before any capture is parsed, and refuses a player_id seen twice
-    (the same directory given twice included), a meta that fails `_validate_meta`
-    and a screen too large for a heat grid.
+    (the same directory given twice included) and a meta that fails
+    `_validate_meta`, such as a screen too large for a heat grid.
     """
     heads, first = [read_session_head(d) for d in dirs], {}
-    for i, (meta, screen, *_) in enumerate(heads):
+    for i, (meta, _) in enumerate(heads):
         if (j := first.setdefault(meta.player_id, i)) != i:
             raise AssemblyError([], f"player_id {meta.player_id!r} appears in both {dirs[j]} "
                                     f"and {dirs[i]}")
-        bad = _screen_violations(screen)
-        _validate_meta(meta, bad)
+        _validate_meta(meta, bad := [])
         if bad:
             raise AssemblyError(bad, f"session {dirs[i]} failed validation")
-    screen = min(screens := {screen for _, screen, *_ in heads})
+    screen = min(screens := {meta.screen for meta, _ in heads})
     if len(screens) > 1:
         log.warning("sessions use differing screens %s; heatmaps use %s", screens, screen)
     return heads, screen

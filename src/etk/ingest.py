@@ -51,6 +51,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -282,8 +283,7 @@ _gaze_columns_lines = partial(_columns_lines, kind="gaze", header=GAZE_HEADER, r
 _gaze_columns_bulk = partial(_bulk_columns, header=GAZE_HEADER, convert=_gaze_chunk)
 
 
-def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
-                   rate_hz: float = DEFAULT_GAZE_RATE_HZ) -> GazeSeries:
+def parse_gaze_log(source) -> GazeSeries:
     """Parse a gaze CSV into a `GazeSeries`.
 
     Rows with an empty coordinate pair become valid=False samples that
@@ -294,7 +294,7 @@ def parse_gaze_log(source, screen: tuple[int, int] = DEFAULT_SCREEN,
         columns = _gaze_columns_bulk(data)
     except _Fallback:
         columns = _gaze_columns_lines(data)
-    return GazeSeries(*columns, nominal_rate_hz=rate_hz, screen=screen)
+    return GazeSeries(*columns)
 
 
 class _KeyMasks(dict):
@@ -473,27 +473,21 @@ def write_demo_events(timeline: MatchTimeline, path) -> None:
 # ---------------------------------------------------------------------------
 # Session directories
 
-def write_meta_json(session: Session, path) -> None:
-    meta = {
-        "player_id": session.meta.player_id,
-        "cohort": session.meta.cohort.value,
-        "n": session.meta.n,
-        "screen": list(session.gaze.screen),
-        "gaze_rate_hz": session.gaze.nominal_rate_hz,
-    }
-    _write_text(path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
+def write_meta_json(meta: PlayerMeta, path) -> None:
+    # A str enum, the cohort is written as its value; the screen tuple as a list.
+    _write_text(path, json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n")
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def read_meta_json(path) -> tuple[PlayerMeta, tuple[int, int], float]:
-    """Player identity, screen and gaze rate; a malformed file is a `ParseError`."""
+def read_meta_json(path) -> PlayerMeta:
+    """The `PlayerMeta` of a `meta.json`; a malformed file is a `ParseError`."""
     return _meta_from_bytes(Path(path).read_bytes(), path)
 
 
-def _meta_from_bytes(data: bytes, path) -> tuple[PlayerMeta, tuple[int, int], float]:
+def _meta_from_bytes(data: bytes, path) -> PlayerMeta:
     """`read_meta_json` of `data`, the bytes of the file at `path`."""
     kind = "meta"
     try:
@@ -523,20 +517,21 @@ def _meta_from_bytes(data: bytes, path) -> tuple[PlayerMeta, tuple[int, int], fl
         raise mistyped("gaze_rate_hz", "a finite number")
     if "n" in raw and not _is_int(raw["n"]):
         raise mistyped("n", "an integer")
+    for name in ("player_id", "cohort"):
+        if name in raw and not isinstance(raw[name], str):
+            raise mistyped(name, "a string")
     try:
-        meta = PlayerMeta(player_id=str(raw["player_id"]),
-                          cohort=Cohort(raw["cohort"]),
-                          n=raw["n"])
+        return PlayerMeta(player_id=raw["player_id"], cohort=Cohort(raw["cohort"]), n=raw["n"],
+                          screen=(screen[0], screen[1]), gaze_rate_hz=float(rate))
     except (KeyError, ValueError) as e:
         raise AssemblyError([], f"bad {path}: {e}") from None
-    return meta, (screen[0], screen[1]), float(rate)
 
 
 def write_session_dir(session: Session, directory) -> Path:
     """Write all capture files for one session into `directory`."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    write_meta_json(session, d / META_FILE)
+    write_meta_json(session.meta, d / META_FILE)
     write_gaze_csv(session.gaze, d / GAZE_FILE)
     write_input_csv(session.input, d / INPUT_FILE)
     if session.hrm is not None:
@@ -553,7 +548,7 @@ def _parse_file(parser, source, path):
         raise ParseError(e.kind, e.line, e.byte_offset, f"{path}: {e.message}") from None
 
 
-def read_session_head(directory) -> tuple[PlayerMeta, tuple[int, int], float, str]:
+def read_session_head(directory) -> tuple[PlayerMeta, str]:
     """`read_meta_json` of a session directory that holds every required file,
     and the digest of the meta.json bytes it read."""
     d = Path(directory)
@@ -562,16 +557,17 @@ def read_session_head(directory) -> tuple[PlayerMeta, tuple[int, int], float, st
     if missing:
         raise AssemblyError([], f"session directory {d} is missing {', '.join(missing)}")
     data = (d / META_FILE).read_bytes()
-    return (*_meta_from_bytes(data, d / META_FILE), _sha256(data).hexdigest())
+    return _meta_from_bytes(data, d / META_FILE), _sha256(data).hexdigest()
 
 
-def read_session_captures(directory, meta: PlayerMeta, screen: tuple, rate: float,
+def read_session_captures(directory, meta: PlayerMeta,
                           meta_digest: str) -> tuple[Session, dict[str, str]]:
     """The validated Session of a directory (hrm.txt optional) given its `read_session_head`,
     and the digest of each file read, by name.
 
     Each capture is read, hashed and parsed in turn, so the digests are
     those of the bytes parsed and no two files' bytes are alive at once.
+    An `AssemblyError` names the directory.
     """
     d = Path(directory)
     digests = {META_FILE: meta_digest}
@@ -581,11 +577,14 @@ def read_session_captures(directory, meta: PlayerMeta, screen: tuple, rate: floa
         digests[name] = _sha256(data).hexdigest()
         return _parse_file(parser, data, d / name)
 
-    gaze = parse(partial(parse_gaze_log, screen=screen, rate_hz=rate), GAZE_FILE)
+    gaze = parse(parse_gaze_log, GAZE_FILE)
     input_samples = parse(parse_input_log, INPUT_FILE)
     hrm = parse(parse_hrm_log, HRM_FILE) if (d / HRM_FILE).is_file() else None
     timeline = parse(parse_demo_events, DEMO_FILE)
-    return assemble_session(meta, gaze, input_samples, timeline, hrm), digests
+    try:
+        return assemble_session(meta, gaze, input_samples, timeline, hrm), digests
+    except AssemblyError as e:
+        raise AssemblyError(e.violations, f"session {d} failed validation") from None
 
 
 def read_session_dir(directory) -> Session:

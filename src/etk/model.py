@@ -56,11 +56,14 @@ class EventKind(str, Enum):
 
 @dataclass(frozen=True)
 class PlayerMeta:
-    """Identity of one recorded player; `n` is the 1-based dataset index."""
+    """One session's `meta.json`: the recorded player (`n` is the 1-based
+    dataset index), and the screen and tracker rate of its gaze capture."""
 
     player_id: str
     cohort: Cohort
     n: int
+    screen: tuple[int, int] = DEFAULT_SCREEN
+    gaze_rate_hz: float = DEFAULT_GAZE_RATE_HZ
 
 
 def key_mask(keys) -> int:
@@ -147,7 +150,7 @@ def _empty_column():
 
 @dataclass(frozen=True, eq=False)
 class GazeSeries(_Columns):
-    """Gaze samples as columns, plus the capture geometry they live in.
+    """Gaze samples as columns, on the screen of their session's `PlayerMeta`.
 
     `valid` is False where the tracker lost the eye; such samples keep
     their timestamp and carry NaN coordinates.
@@ -160,8 +163,6 @@ class GazeSeries(_Columns):
     x: np.ndarray = _empty_column()
     y: np.ndarray = _empty_column()
     valid: np.ndarray = _empty_column()
-    nominal_rate_hz: float = DEFAULT_GAZE_RATE_HZ
-    screen: tuple[int, int] = DEFAULT_SCREEN
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +276,15 @@ class Violation:
         return f"{self.location}: {self.message}"
 
 
+def _screen_fits(screen: tuple[int, int]) -> bool:
+    """Whether each side of `screen` lies in 1..MAX_SCREEN_PX; it sizes the heatmap."""
+    return all(0 < side <= MAX_SCREEN_PX for side in screen)
+
+
 def _validate_meta(meta: PlayerMeta, out: list[Violation]) -> None:
+    if not _screen_fits(meta.screen):
+        out.append(Violation("gaze.screen",
+                             f"screen dims {meta.screen} outside 1..{MAX_SCREEN_PX}"))
     if not meta.player_id:
         out.append(Violation("meta.player_id", "player id is empty"))
     elif any(c in ',"' or c < " " for c in meta.player_id):
@@ -284,6 +293,9 @@ def _validate_meta(meta: PlayerMeta, out: list[Violation]) -> None:
                                                "holds a comma, a quote or a control character"))
     if meta.n < 1:
         out.append(Violation("meta.n", f"player index must be >= 1, got {meta.n}"))
+    if meta.gaze_rate_hz <= 0:
+        out.append(Violation("gaze.nominal_rate_hz",
+                             f"rate must be positive, got {meta.gaze_rate_hz}"))
 
 
 def _report_flagged(out: list[Violation], column: str, checks) -> None:
@@ -303,23 +315,13 @@ def _not_increasing(t: np.ndarray, noun: str):
     return t <= prev, lambda i: f"{noun} {float(t[i])} not increasing (previous {float(prev[i])})"
 
 
-def _screen_violations(screen: tuple[int, int]) -> list[Violation]:
-    """The violation of a screen with a side outside 1..MAX_SCREEN_PX; it sizes the heatmap."""
-    return [] if all(0 < side <= MAX_SCREEN_PX for side in screen) else \
-        [Violation("gaze.screen", f"screen dims {screen} outside 1..{MAX_SCREEN_PX}")]
-
-
-def _validate_gaze(gaze: GazeSeries, out: list[Violation]) -> None:
-    if gaze.nominal_rate_hz <= 0:
-        out.append(Violation("gaze.nominal_rate_hz",
-                             f"rate must be positive, got {gaze.nominal_rate_hz}"))
-    w, h = gaze.screen
-    out.extend(bad_screen := _screen_violations(gaze.screen))
+def _validate_gaze(gaze: GazeSeries, screen: tuple[int, int], out: list[Violation]) -> None:
+    w, h = screen
     t, x, y, valid = gaze.t, gaze.x, gaze.y, gaze.valid
     nonfinite = valid & ~(np.isfinite(x) & np.isfinite(y))
     # A refused screen judges no point: a side such as 10**400 compares with no float.
     outside = valid & ~nonfinite & ~((0 <= x) & (x <= w) & (0 <= y) & (y <= h)) \
-        if not bad_screen else np.zeros(len(t), bool)
+        if _screen_fits(screen) else np.zeros(len(t), bool)
     _report_flagged(out, "gaze.samples", [
         (t < 0, lambda i: f"negative timestamp {float(t[i])}"),
         _not_increasing(t, "timestamp"),
@@ -389,7 +391,7 @@ def validate_session(session: Session) -> list[Violation]:
     """
     out: list[Violation] = []
     _validate_meta(session.meta, out)
-    _validate_gaze(session.gaze, out)
+    _validate_gaze(session.gaze, session.meta.screen, out)
     _validate_input(session.input, out)
     if session.hrm is not None:
         _validate_hrm(session.hrm, out)

@@ -26,12 +26,12 @@ from etk.rng import Rng
 from etk.synth import Scenario, default_profiles, generate_session
 
 
-def make_gaze(points, rate_hz: float = 60.0, screen=(1920, 1080)) -> GazeSeries:
+def make_gaze(points) -> GazeSeries:
     """Build a series from (t, x, y) tuples; x=None marks a dropout."""
     rows = [(t, np.nan, np.nan, False) if x is None else (t, x, y, True)
             for t, x, y in points]
     t, x, y, valid = zip(*rows) if rows else ((), (), (), ())
-    return GazeSeries(t, x, y, valid, nominal_rate_hz=rate_hz, screen=screen)
+    return GazeSeries(t, x, y, valid)
 
 
 def make_input(rows) -> InputSeries:

@@ -880,6 +880,8 @@ class TestInputErrors:
         ("screen", 5), ("screen", [1920]), ("screen", ["w", "h"]), ("screen", [1920.5, 1080]),
         ("gaze_rate_hz", "fast"), ("gaze_rate_hz", [60]), ("gaze_rate_hz", True),
         ("n", "one"), ("n", 1.5),
+        ("player_id", None), ("player_id", 7), ("player_id", ["pro01"]),
+        ("cohort", 5), ("cohort", ["professional"]),
     ])
     def test_mistyped_meta_field_exits_2(self, corpus, tmp_path, capsys, field, value):
         broken = tmp_path / "badtype"
@@ -990,12 +992,24 @@ class TestInputErrors:
         assert err == f"error: player_id 'pro01' appears in both {paths[0]} and {paths[2]}\n"
         assert stdout == "" and not (out / "manifest.json").exists()
 
+    # The meta damages, each with the start of the violation it gives.
+    _META_DAMAGES = {
+        "empty player_id": ({"player_id": ""}, "meta.player_id: "),
+        "comma in player_id": ({"player_id": "pro,01"}, "meta.player_id: "),
+        "quote in player_id": ({"player_id": '"pro01'}, "meta.player_id: "),
+        "control in player_id": ({"player_id": "pro\x0701"}, "meta.player_id: "),
+        "n of 0": ({"n": 0}, "meta.n: "),
+        **{f"rate of {rate}": ({"gaze_rate_hz": rate},
+                               f"gaze.nominal_rate_hz: rate must be positive, got {float(rate)}")
+           for rate in (0, -5, -1e-300)},
+    }
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("damage", ["duplicate player_id", "missing input", "empty player_id",
-                                        "comma in player_id", "quote in player_id",
-                                        "control in player_id", "n of 0"])
+    @pytest.mark.parametrize("command", ["analyze", "ingest"])
+    @pytest.mark.parametrize("damage", ["duplicate player_id", "missing input", *_META_DAMAGES])
     def test_corpus_is_refused_before_any_session_is_derived(self, corpus, tmp_path, capsys,
-                                                             caplog, monkeypatch, damage, jobs):
+                                                             caplog, monkeypatch, damage,
+                                                             command, jobs):
         root = tmp_path / "corpus"
         for name in ("am02", "am03", "pro01"):
             shutil.copytree(corpus / name, root / name)
@@ -1005,32 +1019,60 @@ class TestInputErrors:
             (root / "pro01" / "input.csv").unlink()
         else:  # pro01 is the last input
             meta = json.loads((root / "pro01" / "meta.json").read_text())
-            meta.update({"empty player_id": {"player_id": ""},
-                         "comma in player_id": {"player_id": "pro,01"},
-                         "quote in player_id": {"player_id": '"pro01'},
-                         "control in player_id": {"player_id": "pro\x0701"},
-                         "n of 0": {"n": 0}}[damage])
+            meta.update(self._META_DAMAGES[damage][0])
             (root / "pro01" / "meta.json").write_text(json.dumps(meta))
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return _derive_session(*args, **kwargs)
+        def counting(derive):
+            def call(*args, **kwargs):
+                calls.append(args[0])
+                return derive(*args, **kwargs)
+            return call
 
         def no_fork():
             raise AssertionError("a worker was forked")
 
-        monkeypatch.setattr(cli, "_derive_session", counting)
+        for name in ("_derive_session", "_session_summary"):
+            monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
         monkeypatch.setattr(os, "fork", no_fork)
         # A 500 s window fits no segment, so every derived session would log a warning.
-        assert main(["analyze", str(root), "--out", str(tmp_path / "run"),
-                     "--window-s", "500", "--jobs", jobs]) == 3
+        window = ["--window-s", "500"] if command == "analyze" else []
+        assert _run_with_workers(monkeypatch, command,
+                                 [str(root), "--out", str(tmp_path / "run"), *window], jobs) == 3
         assert calls == []
         assert [r.getMessage() for r in caplog.records] == []
-        err = capsys.readouterr().err
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        if damage not in ("duplicate player_id", "missing input"):
-            assert err.startswith(f"error: session {root / 'pro01'} failed validation: meta.")
+        if damage in self._META_DAMAGES:
+            assert err.startswith(f"error: session {root / 'pro01'} failed validation: "
+                                  f"{self._META_DAMAGES[damage][1]}")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["analyze", "ingest"])
+    @pytest.mark.parametrize("damage,violation", [
+        ("gaze past the match end", "session.gaze: last sample at t=999.0 runs past the match end"),
+        ("player never spawns", "session: player 'am03' never spawns in the timeline"),
+    ], ids=["gaze-past-the-end", "never-spawns"])
+    def test_assembly_fault_names_its_session(self, corpus, tmp_path, capsys, monkeypatch,
+                                              damage, violation, command, workers):
+        root = tmp_path / "corpus"
+        for name in ("am02", "am03", "pro01"):
+            shutil.copytree(corpus / name, root / name)
+        bad = root / "am03"  # the second input
+        if damage == "gaze past the match end":
+            with open(bad / "gaze.csv", "a") as f:
+                f.write("999.0,1,1\n")
+        else:
+            demo = bad / "demo.events"
+            demo.write_text(demo.read_text().replace(" am03", " am99"))
+        out = tmp_path / "run"
+        assert _run_with_workers(monkeypatch, command, [str(root), "--out", str(out)],
+                                 workers) == 3
+        stdout, err = capsys.readouterr()
+        assert err.startswith(f"error: session {bad} failed validation: {violation}")
+        assert err.count("\n") == 1
+        assert stdout == "" and not (out / "manifest.json").exists()
 
     def test_quote_in_player_id_exits_3(self, corpus, tmp_path, capsys):
         # A `"` would open a quoted CSV field in every artifact row naming the player.
@@ -1175,9 +1217,9 @@ def _points_session(player_id: str, cohort: Cohort, points: np.ndarray, valid: b
     timeline = MatchTimeline([Round(1, 0.0, len(points) / 60 + 1)],
                              [GameEvent(0.0, EventKind.SPAWN, player_id)])
     gaze = GazeSeries(t, *(points.T if valid else np.full((2, len(t)), np.nan)),
-                      np.full(len(t), valid), screen=screen)
+                      np.full(len(t), valid))
     inputs = InputSeries([0.0, 0.01], [0.0, 1.0], [0.0, 1.0], [0, 0])
-    return Session(PlayerMeta(player_id, cohort, 1), gaze, inputs, timeline)
+    return Session(PlayerMeta(player_id, cohort, 1, screen), gaze, inputs, timeline)
 
 
 @pytest.mark.parametrize("seed", range(4))

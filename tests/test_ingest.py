@@ -1,5 +1,7 @@
 """Parser and writer behavior for the four capture formats."""
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -291,6 +293,19 @@ def test_session_dir_round_trip(tmp_path, tiny_session):
     assert gaze_rows(session.gaze) == gaze_rows(tiny_session.gaze)
     assert input_rows(session.input) == input_rows(tiny_session.input)
     assert session.hrm.beat_times.tolist() == tiny_session.hrm.beat_times.tolist()
+
+
+@pytest.mark.parametrize("rate", [120.0, 59.94])
+def test_session_dir_round_trip_keeps_meta_json(tmp_path, tiny_session, rate):
+    """A screen and tracker rate other than the defaults are read and written back alike."""
+    d = write_session_dir(tiny_session, tmp_path / "s1")
+    written = json.dumps({"cohort": "professional", "gaze_rate_hz": rate, "n": 1,
+                          "player_id": "p1", "screen": [1280, 720]}, indent=2, sort_keys=True)
+    (d / "meta.json").write_text(written + "\n")
+    session = read_session_dir(d)
+    assert session.meta == replace(tiny_session.meta, screen=(1280, 720), gaze_rate_hz=rate)
+    again = write_session_dir(session, tmp_path / "s2")
+    assert (again / "meta.json").read_bytes() == (d / "meta.json").read_bytes()
 
 
 def test_read_session_dir_missing_files(tmp_path):

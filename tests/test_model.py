@@ -1,7 +1,7 @@
 """Domain model construction and validate_session behavior."""
 import pickle
 import typing
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -78,9 +78,20 @@ def test_player_id_without_comma_quote_or_control_is_not_flagged(tiny_session, p
     ((10**400, 1080), True), ((1920, -10**400), True),   # beyond every float
 ])
 def test_screen_sides_outside_1_to_16384_are_flagged(tiny_session, screen, flagged):
-    gaze = make_gaze([(0.0, 1.0, 2.0)], screen=screen)
-    session = Session(tiny_session.meta, gaze, InputSeries(), tiny_session.timeline, None)
+    meta = replace(tiny_session.meta, screen=screen)
+    session = Session(meta, make_gaze([(0.0, 1.0, 2.0)]), InputSeries(), tiny_session.timeline,
+                      None)
     assert ("gaze.screen" in [v.location for v in validate_session(session)]) == flagged
+
+
+@pytest.mark.parametrize("rate,flagged", [
+    (60.0, False), (59.94, False), (1e-300, False), (0.0, True), (-5.0, True), (-1e-300, True),
+])
+def test_non_positive_gaze_rate_is_flagged(tiny_session, rate, flagged):
+    session = replace(tiny_session, meta=replace(tiny_session.meta, gaze_rate_hz=rate))
+    violations = [(v.location, v.message) for v in validate_session(session)]
+    assert (("gaze.nominal_rate_hz", f"rate must be positive, got {rate}") in violations) \
+        == flagged
 
 
 def test_out_of_bounds_valid_gaze_is_flagged(tiny_session):
@@ -152,7 +163,7 @@ def test_round_contains_is_closed():
 
 
 @pytest.mark.parametrize("series", [
-    make_gaze([(0.0, 1.0, 2.0), (0.5, None, None)], screen=(640, 480)),
+    make_gaze([(0.0, 1.0, 2.0), (0.5, None, None)]),
     InputSeries([0.0, 0.01], [1.0, 2.0], [3.0, 4.0], [0, 5]),
     WindowSeries(np.arange(2), np.array([0.0, 1.0]), np.eye(2)),
     BeatSeries([1.0, 1.5, 2.0]),
@@ -169,6 +180,12 @@ def test_columns_stay_read_only_after_pickling(series):
             np.testing.assert_array_equal(got, want)
         else:
             assert got == want
+
+
+@pytest.mark.parametrize("cls", [GazeSeries, InputSeries, BeatSeries, WindowSeries],
+                         ids=lambda cls: cls.__name__)
+def test_series_hold_only_their_columns(cls):
+    assert {f.name for f in fields(cls)} == set(cls._COLUMNS)
 
 
 def test_every_session_stream_is_columnar():
