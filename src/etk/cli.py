@@ -71,6 +71,7 @@ from .zones import (
     ZoneModel,
     assign_zones,
     average_distribution,
+    count_points,
     default_zone_model,
     heatmap_grid,
     read_zone_model_csv,
@@ -308,8 +309,9 @@ def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model
 
     It logs nothing itself, so warnings come out in input order whatever
     the workers' timing, and it refuses a session that alone places more
-    than MAX_WINDOWS windows before returning them. It hands back one count
-    per heat cell its gaze occupies on the pooled heatmaps' `screen`.
+    than MAX_WINDOWS windows before returning them. Each segment's gaze is
+    counted into one heat grid on the pooled heatmaps' `screen` as the
+    segment is derived, and it hands back one count per cell occupied.
     """
     session, digests = read_session_captures(directory, *head)
     meta = session.meta
@@ -322,7 +324,7 @@ def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model
     interpolated = 0
     segment_windows: list[WindowSeries] = []
     segment_rounds: list[int] = []
-    heat: list[np.ndarray] = []
+    heat = heatmap_grid((), screen)
     feature_rows: list[FeatureRow] = []
     warnings: list[str] = []
     n_windows = 0
@@ -341,7 +343,8 @@ def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model
         segment_windows.append(windows)
         segment_rounds.append(round_index)
 
-        heat.append(np.column_stack((repaired.x, repaired.y))[repaired.valid])
+        count_points(heat.grid, repaired.x[repaired.valid], repaired.y[repaired.valid],
+                     heat.cell_px)
 
         try:
             # A failure keeps the rows of the features before it.
@@ -370,7 +373,7 @@ def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model
                         f"(segments shorter than {window_s:g}s)")
 
     missing = dict(audit.to_dict(), interpolated_samples=interpolated)
-    grid = heatmap_grid(np.concatenate([np.empty((0, 2)), *heat]), screen).grid.ravel()
+    grid = heat.grid.ravel()
     cells = np.flatnonzero(grid)
     return _SessionDerived(meta=meta, missing=missing, windows=windows, window_round=window_round,
                            averaged=averaged, feature_rows=feature_rows, heat_cells=cells,
@@ -406,7 +409,7 @@ def _window_blocks(derived: list[_SessionDerived], kind: list[str], columns):
         for rows in _row_blocks(len(d.windows)):
             ids = np.column_stack((d.window_round[rows], d.windows.index[rows]))
             yield _join_rows([*kind, d.meta.player_id, d.meta.cohort.value,
-                              *_fmt_cells(ids), *_fmt_cells(columns(d, rows))])
+                              _fmt_cells(ids), _fmt_cells(columns(d, rows))])
 
 
 def _player_cells(derived: list[_SessionDerived]) -> list[np.ndarray]:
@@ -427,7 +430,7 @@ def _write_averages_csv(path: Path, derived: list[_SessionDerived], k: int) -> N
     header = "player_id,cohort," + ",".join(f"p{i}" for i in range(1, k + 1))
     averaged = [d for d in derived if d.averaged is not None]
     probs = np.reshape([d.averaged for d in averaged], (-1, k))
-    _write_text(path, [header + "\n", _join_rows([*_player_cells(averaged), *_fmt_cells(probs)])])
+    _write_text(path, [header + "\n", _join_rows([*_player_cells(averaged), _fmt_cells(probs)])])
 
 
 def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> None:
@@ -439,11 +442,11 @@ def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> No
     values = np.vstack((model.mean, model.components, model.explained_variance,
                         model.explained_ratio))
     _write_text(out_dir / "pca_model.csv",
-                [header + "\n", _join_rows([_byte_cells(labels), *_fmt_cells(values)])])
+                [header + "\n", _join_rows([_byte_cells(labels), _fmt_cells(values)])])
 
     averaged = [d for d in derived if d.averaged is not None]
     xy = project(model, [d.averaged for d in averaged], dims=2)
-    averages = _join_rows(["average", *_player_cells(averaged), "", "", *_fmt_cells(xy)])
+    averages = _join_rows(["average", *_player_cells(averaged), "", "", _fmt_cells(xy)])
     _write_text(out_dir / "pca_projections.csv", chain(
         ["kind,player_id,cohort,round,window_index,pc1,pc2\n"],
         _window_blocks(derived, ["window"], lambda d, rows: project(
@@ -482,7 +485,7 @@ def _write_kde_csv(path: Path, derived: list[_SessionDerived], bandwidth: float 
             except EtkError as e:
                 log.warning("kde %s/%s skipped: %s", cohort.value, feature, e)
                 continue
-            blocks.append(_join_rows([cohort.value, feature, *_fmt_cells(np.column_stack((xs, dens)))]))
+            blocks.append(_join_rows([cohort.value, feature, _fmt_cells(np.column_stack((xs, dens)))]))
     _write_text(path, blocks)
 
 

@@ -429,7 +429,7 @@ def write_gaze_csv(series: GazeSeries, path) -> None:
         for rows in _row_blocks(len(series)):
             xy = _fmt_cells(np.column_stack((series.x[rows], series.y[rows])))
             xy[:, ~series.valid[rows]] = 0  # empty cells
-            yield _join_rows([_fmt_cells(series.t[rows]), *xy])
+            yield _join_rows([_fmt_cells(series.t[rows]), xy])
     _write_text(path, blocks())
 
 
@@ -523,7 +523,9 @@ def _meta_from_bytes(data: bytes, path) -> PlayerMeta:
     try:
         return PlayerMeta(player_id=raw["player_id"], cohort=Cohort(raw["cohort"]), n=raw["n"],
                           screen=(screen[0], screen[1]), gaze_rate_hz=float(rate))
-    except (KeyError, ValueError) as e:
+    except KeyError as e:
+        raise AssemblyError([], f"bad {path}: missing key {e.args[0]!r}") from None
+    except ValueError as e:
         raise AssemblyError([], f"bad {path}: {e}") from None
 
 

@@ -365,7 +365,16 @@ def _generate_beats(rng: Rng, profile: CohortProfile, total_s: float) -> BeatSer
 
 def generate_session(profile: CohortProfile, scenario: Scenario, seed: int,
                      meta: PlayerMeta) -> Session:
-    """One full synthetic session, deterministic in (profile, scenario, seed)."""
+    """One full synthetic session, deterministic in (profile, scenario, seed).
+
+    Gaze is drawn at `DEFAULT_GAZE_RATE_HZ` on `DEFAULT_SCREEN`, so a
+    `meta` with another rate or screen is refused with a `ValueError`.
+    """
+    for field, value, drawn in (("gaze_rate_hz", meta.gaze_rate_hz, DEFAULT_GAZE_RATE_HZ),
+                                ("screen", tuple(meta.screen), DEFAULT_SCREEN)):
+        if value != drawn:
+            raise ValueError(f"meta.{field} must be {drawn}, which synthetic gaze is drawn with, "
+                             f"got {value}")
     base = Rng(seed)
     r_timeline, r_zone, r_noise, r_missing, r_keys, r_mouse, r_hrm = (
         Rng(base.child_seed(k)) for k in range(7))

@@ -11,8 +11,9 @@ NUL with one mask. A number with at most three decimals and a magnitude
 below 1e12 is assembled from digit tables; every other one is formatted
 by `_fmt_column` once per distinct value, which pays where values
 repeat, as window probabilities do. Writers of long tables format
-`_CHUNK_ROWS` rows at a time (`_row_blocks`), so their memory does not
-grow with the row count.
+`_CHUNK_ROWS` rows at a time (`_row_blocks`), and the heatmap writers
+whole rows of about `_CHUNK_ROWS` cells, so their memory does not grow
+with the table.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-_CHUNK_ROWS = 4096    # rows formatted at a time by every long CSV writer
+_CHUNK_ROWS = 4096    # rows (heatmaps: cells) formatted at a time by every long writer
 
 
 def fmt_num(v: float) -> str:
@@ -119,20 +120,31 @@ def _fmt_cells(values: np.ndarray) -> np.ndarray:
 def _join_rows(columns: list) -> bytes:
     """CSV rows of byte-cell columns: "," between cells, "\n" after each row, NULs dropped.
 
-    A str column is that text cell in every row; not every column is one.
+    A part of `columns` is one column's (n, width) cell matrix, a
+    (c, n, width) stack of c of them as from `_fmt_cells`, or a str: that
+    text cell in every row. Not every part is a str. Each part is copied
+    into the rows with one array operation, whatever its column count.
     """
-    rows = next(len(cells) for cells in columns if not isinstance(cells, str))
-    columns = [np.repeat(_byte_cells([c]), rows, axis=0) if isinstance(c, str) else c
-               for c in columns]
-    comma = np.full((rows, 1), ord(","), np.uint8)
-    out = np.concatenate([part for cells in columns for part in (cells, comma)], axis=1)
+    rows = next(np.shape(cells)[-2] for cells in columns if not isinstance(cells, str))
+    stacks = [_byte_cells([cells])[None] if isinstance(cells, str)
+              else cells[None] if cells.ndim == 2 else cells for cells in columns]
+    widths = [len(stack) * (stack.shape[2] + 1) for stack in stacks]
+    out = np.empty((rows, sum(widths)), np.uint8)
+    lo = 0
+    for stack, width in zip(stacks, widths):
+        part = out[:, lo:lo + width].reshape(rows, len(stack), stack.shape[2] + 1)  # a view
+        part[:, :, :-1] = stack.transpose(1, 0, 2)
+        part[:, :, -1] = ord(",")
+        lo += width
     out[:, -1] = ord("\n")
     return out[out != 0].tobytes()
 
 
-def _row_blocks(n: int):
-    """Slices of `_CHUNK_ROWS` consecutive rows covering `range(n)`, in order."""
-    return (slice(lo, lo + _CHUNK_ROWS) for lo in range(0, n, _CHUNK_ROWS))
+def _row_blocks(n: int, cols: int = 1):
+    """Slices of consecutive rows covering `range(n)`, in order, each of
+    `_CHUNK_ROWS` cells of `cols` columns (at least one row)."""
+    step = max(1, _CHUNK_ROWS // cols)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _write_text(path, text) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyInput, ParseError, TooManyWindows
 from .ingest import _csv_rows, _parse_float, _parse_int
 from .model import GazeSeries, _Columns
-from .textio import _byte_cells, _fmt_cells, _join_rows, _write_text, fmt_num
+from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text, fmt_num
 
 DEFAULT_WINDOW_S = 15.0
 DEFAULT_HOP_S = 1.0
@@ -245,11 +245,20 @@ def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX
         points = list(points)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     grid = np.zeros((rows, cols), dtype=np.int64)
-    if len(pts):
-        cx = np.clip((pts[:, 0] // cell_px).astype(int), 0, cols - 1)
-        cy = np.clip((pts[:, 1] // cell_px).astype(int), 0, rows - 1)
-        np.add.at(grid, (cy, cx), 1)
+    count_points(grid, pts[:, 0], pts[:, 1], cell_px)
     return Heatmap(grid=grid, cell_px=cell_px, total=len(pts))
+
+
+def count_points(grid: np.ndarray, x: np.ndarray, y: np.ndarray, cell_px: int) -> None:
+    """Add each point (x[i], y[i]) into `grid`, a grid of cell_px cells, in place.
+
+    A point falls in the cell its coordinates floor to; the right/bottom
+    edges (and any point past them) clamp inward.
+    """
+    rows, cols = grid.shape
+    cx = np.clip((x // cell_px).astype(int), 0, cols - 1)
+    cy = np.clip((y // cell_px).astype(int), 0, rows - 1)
+    np.add.at(grid, (cy, cx), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +267,7 @@ def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX
 def write_zone_model_csv(model: ZoneModel, path) -> None:
     _write_text(path, [_ZONES_HEADER + "\n", _join_rows([
         _fmt_cells(np.arange(1, model.k + 1)), _byte_cells(list(model.labels)),
-        *_fmt_cells(model.centers_array())])])
+        _fmt_cells(model.centers_array())])])
 
 
 def read_zone_model_csv(path) -> ZoneModel:
@@ -287,7 +296,8 @@ def read_zone_model_csv(path) -> ZoneModel:
 
 
 def write_heatmap_csv(hm: Heatmap, path) -> None:
-    _write_text(path, _join_rows(list(_fmt_cells(hm.grid.astype(np.int64)))))
+    _write_text(path, (_join_rows([_fmt_cells(hm.grid[rows])])
+                       for rows in _row_blocks(len(hm.grid), hm.grid.shape[1])))
 
 
 _PGM_LINE = 70    # plain PGM lines should not exceed 70 characters
@@ -297,22 +307,35 @@ def write_heatmap_pgm(hm: Heatmap, path) -> None:
     """P2 (plain) PGM, counts max-normalized onto 0..255.
 
     Each grid row starts a new line and is wrapped greedily: a line takes
-    as many of the row's values as fit in 70 characters.
+    as many of the row's values as fit in 70 characters. Like the CSV, it
+    is formatted whole rows of about `_CHUNK_ROWS` cells at a time.
     """
     rows, cols = hm.grid.shape
     peak = int(hm.grid.max()) if hm.total else 0
-    if peak > 0:
-        scaled = np.rint(hm.grid * (255.0 / peak)).astype(int)
-    else:
-        scaled = np.zeros_like(hm.grid, dtype=int)
-    lines = [f"P2", f"{cols} {rows}", "255"]
-    for row in scaled.tolist():
-        text = " ".join(map(str, row))
-        start = 0
-        while len(text) - start > _PGM_LINE:
-            # Values are at most 3 digits, so a space always lies within reach.
-            cut = text.rindex(" ", start, start + _PGM_LINE + 1)
-            lines.append(text[start:cut])
-            start = cut + 1
-        lines.append(text[start:])
-    _write_text(path, "\n".join(lines) + "\n")
+    scale = 255.0 / peak if peak > 0 else 0.0
+
+    def blocks():
+        yield f"P2\n{cols} {rows}\n255\n"
+        for block in _row_blocks(rows, cols):
+            yield _pgm_lines(np.rint(hm.grid[block] * scale).astype(np.int64))
+
+    _write_text(path, blocks())
+
+
+def _pgm_lines(values: np.ndarray) -> bytes:
+    """The PGM lines of a block of grid rows, each row wrapped greedily."""
+    text = np.frombuffer(_join_rows([_fmt_cells(values.ravel())]), np.uint8).copy()
+    ends = np.flatnonzero(text == ord("\n"))  # the separator after each value
+    # The line that starts at value i ends before value nxt[i]: the first one
+    # that ends more than 70 characters after value i starts, or the next row's first.
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    row_ends = (np.arange(len(ends)) // values.shape[1] + 1) * values.shape[1]
+    nxt = np.minimum(np.searchsorted(ends, starts + _PGM_LINE, "right"), row_ends).tolist()
+    space = np.ones(len(ends), bool)
+    space[-1] = False
+    i = nxt[0]
+    while i < len(ends):
+        space[i - 1] = False  # value i starts a line
+        i = nxt[i]
+    text[ends[space]] = ord(" ")
+    return text.tobytes()

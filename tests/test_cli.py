@@ -502,6 +502,23 @@ class TestAnalyzeCommand:
         assert all("differing screens" in w and w.endswith("heatmaps use (1920, 1080)")
                    for w in warned)
 
+    def test_jobs_agree_on_16k_screens(self, corpus, tmp_path):
+        """The largest screen `_validate_meta` accepts: 1639 x 1639 heat cells."""
+        root = tmp_path / "corpus"
+        for name in ("am02", "am03", "pro01"):
+            shutil.copytree(corpus / name, root / name)
+            meta = json.loads((root / name / "meta.json").read_text())
+            meta["screen"] = [16384, 16384]
+            (root / name / "meta.json").write_text(json.dumps(meta))
+        trees = []
+        for jobs in ("1", "2"):
+            assert main(["analyze", str(root), "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 0
+            trees.append(tree_bytes(tmp_path / jobs, skip=("manifest.json",)))
+        assert trees[0] == trees[1]
+        rows = trees[0]["heatmap_amateur.csv"].splitlines()
+        assert len(rows) == 1639 and all(row.count(b",") == 1638 for row in rows)
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, corpus, tmp_path, capsys, jobs):
         out = tmp_path / "run"
@@ -894,6 +911,20 @@ class TestInputErrors:
         assert field in err
         assert str(broken / "meta.json") in err
 
+    @pytest.mark.parametrize("command", ["ingest", "analyze"])
+    @pytest.mark.parametrize("key", ["player_id", "cohort", "n"])
+    def test_missing_meta_key_is_named(self, corpus, tmp_path, capsys, key, command):
+        root = tmp_path / "corpus"
+        for name in ("am03", "pro01"):
+            shutil.copytree(corpus / name, root / name)
+        path = root / "am03" / "meta.json"
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+        assert main([command, str(root), "--out", str(tmp_path / "run")]) == 3
+        assert capsys.readouterr().err == f"error: bad {path}: missing key {key!r}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_meta_json_not_an_object_exits_2(self, corpus, tmp_path, capsys):
         broken = tmp_path / "notobj"
         shutil.copytree(corpus / "pro01", broken)
@@ -1276,6 +1307,38 @@ def test_session_heat_is_bounded_by_the_grid(corpus, tmp_path):
         assert np.all(d.heat_counts > 0)
     # The long session's valid gaze points alone would take more than its heat's bound.
     assert 2 * 8 * int(d.heat_counts.sum()) > 16 * cells
+
+
+def test_session_heat_is_counted_segment_by_segment_into_one_grid(corpus, monkeypatch):
+    from etk.ingest import read_session_dir, read_session_head
+    from etk.preprocess import extract_alive_segments, interpolate_gaps, slice_by_intervals
+    from etk.zones import default_zone_model
+
+    grids, counted = [], []
+    real_grid, real_count = cli.heatmap_grid, cli.count_points
+
+    def grid(*args, **kwargs):
+        grids.append(real_grid(*args, **kwargs))
+        return grids[-1]
+
+    def count(grid, x, y, cell_px):
+        counted.append(len(x))
+        real_count(grid, x, y, cell_px)
+
+    monkeypatch.setattr(cli, "heatmap_grid", grid)
+    monkeypatch.setattr(cli, "count_points", count)
+    directory = corpus / "pro01"
+    d = cli._derive_session(directory, read_session_head(directory), (1920, 1080),
+                            default_zone_model(), 15.0, 1.0)
+    session = read_session_dir(directory)
+    alive = extract_alive_segments(session.timeline, session.meta.player_id)
+    repaired = [interpolate_gaps(segment)[0]
+                for segment in slice_by_intervals(session.gaze, alive)]
+    assert len(grids) == 1 and len(counted) == len(alive) > 1
+    oracle = real_grid(np.concatenate([np.column_stack((r.x, r.y))[r.valid] for r in repaired]),
+                       (1920, 1080)).grid.ravel()
+    assert np.array_equal(d.heat_cells, np.flatnonzero(oracle))
+    assert np.array_equal(d.heat_counts, oracle[d.heat_cells])
 
 
 def test_write_heatmaps_peak_does_not_grow_with_sessions(tmp_path):

@@ -195,3 +195,22 @@ class TestScenario:
     def test_invalid_round_length(self):
         with pytest.raises(ValueError):
             Scenario(round_s=0.0)
+
+
+class TestMeta:
+    @pytest.mark.parametrize("field,value", [("gaze_rate_hz", 120.0), ("gaze_rate_hz", 59.94),
+                                             ("screen", (1280, 720)), ("screen", (2560, 1440))])
+    def test_meta_it_cannot_honour_is_refused(self, field, value):
+        """The generator samples gaze at the default rate on the default screen only."""
+        pro, _ = default_profiles()
+        meta = PlayerMeta(player_id="p1", cohort=Cohort.PROFESSIONAL, n=1, **{field: value})
+        with pytest.raises(ValueError, match=rf"^meta\.{field} ") as caught:
+            generate_session(pro, Scenario(rounds=1, round_s=10.0), seed=1, meta=meta)
+        assert type(caught.value) is ValueError
+
+    def test_default_values_given_explicitly_are_honoured(self):
+        pro, _ = default_profiles()
+        meta = PlayerMeta(player_id="p1", cohort=Cohort.PROFESSIONAL, n=1,
+                          screen=[1920, 1080], gaze_rate_hz=60)
+        session = generate_session(pro, Scenario(rounds=2, round_s=30.0), seed=123, meta=meta)
+        assert gaze_rows(session.gaze) == gaze_rows(small_session(seed=123).gaze)

@@ -4,7 +4,9 @@
 other distinct value of an array once, spreading the text back; each of
 its cells must read as `fmt_num` of the entry (`_fmt_column` of each
 column of a matrix), whatever the values repeat, their signs or their
-kind, and an integer cell as `str` of the entry.
+kind, and an integer cell as `str` of the entry. `_join_rows` of a
+(c, n, width) stack must give the bytes of its c columns listed one by
+one (`listed_rows`).
 
 Each CSV writer is checked byte for byte against the writer it replaced,
 one Python string per cell, kept here as its oracle: `join_gaze_csv`,
@@ -250,6 +252,57 @@ def test_join_rows_of_text_cells_and_blocks():
         "k,\u00e1m,1,0.5\nk,,-2,0.3333333333333333\n".encode()
     assert _join_rows(["k", _byte_cells([]), *_fmt_cells(np.empty((0, 2)))]) == b""
     assert _byte_cells(["R\u00e1dar", ""]).tolist() == [list(b"R\xc3\xa1dar"), [0] * 6]
+
+
+def listed_rows(parts, rows: int) -> bytes:
+    """The CSV rows of `_join_rows` parts, each column listed on its own (the oracle)."""
+    columns = []
+    for part in parts:
+        if isinstance(part, str):
+            columns.append([part] * rows)
+        elif part.ndim == 2:
+            columns.append(cell_texts(part))
+        else:
+            columns.extend(cell_columns(part))
+    return "".join(",".join(row) + "\n" for row in zip(*columns)).encode()
+
+
+texts = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"), max_size=4)
+int_cells = st.integers(-2**63, 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(0, 5),
+       st.lists(st.tuples(st.sampled_from(["str", "text column", "column", "stack"]),
+                          st.integers(1, 3), st.booleans()), min_size=1, max_size=5))
+def test_join_rows_of_a_stack_lists_its_columns(data, rows, kinds):
+    """A (c, n, width) stack joins as its c columns given one by one; parts
+    mix stacks, (n, width) columns and str cells, of ints and floats."""
+    if all(kind == "str" for kind, *_ in kinds):
+        kinds = [*kinds, ("stack", 1, True)]
+    parts = []
+    for kind, c, integral in kinds:
+        if kind == "str":
+            parts.append(data.draw(texts))
+        elif kind == "text column":
+            parts.append(_byte_cells(data.draw(st.lists(texts, min_size=rows, max_size=rows))))
+        else:
+            shape = (rows,) if kind == "column" else (rows, c)
+            size = rows * (c if kind == "stack" else 1)
+            drawn = data.draw(st.lists(int_cells if integral else cells,
+                                       min_size=size, max_size=size))
+            values = np.array(drawn, np.int64 if integral else np.float64).reshape(shape)
+            parts.append(_fmt_cells(values))
+    listed = [column for part in parts
+              for column in (part if not isinstance(part, str) and part.ndim == 3 else [part])]
+    assert _join_rows(parts) == _join_rows(listed) == listed_rows(parts, rows)
+
+
+def test_join_rows_of_one_by_one_blocks():
+    stack = _fmt_cells(np.array([[-7]]))
+    assert stack.shape[:2] == (1, 1)
+    assert _join_rows([stack]) == b"-7\n"
+    assert _join_rows(["", stack, _fmt_cells(np.array([[np.nan, -np.inf]]))]) == b",-7,nan,-inf\n"
 
 
 def test_write_text_takes_str_and_bytes(tmp_path):

@@ -1,5 +1,6 @@
 """Zone model, assignment, rolling windows, and heatmaps."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from etk.zones import (
     assign_zone,
     assign_zones,
     average_distribution,
+    count_points,
     default_zone_model,
     heatmap_grid,
     read_zone_model_csv,
@@ -323,6 +325,94 @@ def cellwise_heatmap_pgm(hm: Heatmap) -> str:
                 line = tok if not line else f"{line} {tok}"
         lines.append(line)
     return "\n".join(lines) + "\n"
+
+
+def joined_heatmap_pgm(hm: Heatmap) -> str:
+    """The whole-grid PGM writer that write_heatmap_pgm replaced: one string per
+    row, wrapped at its last space within 70 characters (the oracle)."""
+    rows, cols = hm.grid.shape
+    peak = int(hm.grid.max()) if hm.total else 0
+    if peak > 0:
+        scaled = np.rint(hm.grid * (255.0 / peak)).astype(int)
+    else:
+        scaled = np.zeros_like(hm.grid, dtype=int)
+    lines = [f"P2", f"{cols} {rows}", "255"]
+    for row in scaled.tolist():
+        text = " ".join(map(str, row))
+        start = 0
+        while len(text) - start > 70:
+            cut = text.rindex(" ", start, start + 71)
+            lines.append(text[start:cut])
+            start = cut + 1
+        lines.append(text[start:])
+    return "\n".join(lines) + "\n"
+
+
+_PGM_GRIDS = {
+    "one column": np.array([[3], [0], [7], [1]]),
+    "peak scales to 255": np.array([[1, 2, 3, 1000, 0]] * 3),
+    "all zero": np.zeros((3, 40), np.int64),
+    # With a peak of 255 the values stay as they are: 17 of "255" and one "10"
+    # fill the first line to exactly 70 characters.
+    "a line of exactly 70 characters": np.array([[255] * 17 + [10, 1, 2]] * 2),
+    "rows in several blocks": np.random.default_rng(3).integers(0, 300, (700, 30)),
+}
+
+
+@pytest.mark.parametrize("name", _PGM_GRIDS)
+def test_heatmap_pgm_matches_the_whole_grid_writer(tmp_path, name):
+    grid = _PGM_GRIDS[name]
+    hm = Heatmap(grid=grid, cell_px=10, total=int(grid.sum()))
+    write_heatmap_pgm(hm, tmp_path / "h.pgm")
+    data = (tmp_path / "h.pgm").read_bytes()
+    assert data == joined_heatmap_pgm(hm).encode() == cellwise_heatmap_pgm(hm).encode()
+    if name == "a line of exactly 70 characters":
+        assert [len(line) for line in data.split(b"\n")[3:]] == [70, 3, 70, 3, 0]
+
+
+@pytest.mark.parametrize("write", [write_heatmap_csv, write_heatmap_pgm])
+def test_heatmap_writers_peak_does_not_grow_with_the_grid(tmp_path, write):
+    # A 16384-px screen in 10 px cells; the whole-grid writers peaked at 177 MB
+    # (CSV) and 61 MB (PGM) traced on it.
+    grid = np.random.default_rng(0).integers(0, 1000, (1639, 1639))
+    hm = Heatmap(grid=grid, cell_px=10, total=int(grid.sum()))
+    tracemalloc.start()
+    write(hm, tmp_path / "h")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+_POINT_KINDS = ["inside", "right edge", "bottom edge", "corner", "lost"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(screen=st.tuples(st.integers(1, 60), st.integers(1, 60)), cell_px=st.integers(1, 80),
+       segments=st.lists(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1),
+                                            st.sampled_from(_POINT_KINDS)), max_size=12),
+                         max_size=5))
+def test_counting_segment_by_segment_gives_the_pooled_grid(screen, cell_px, segments):
+    """What `analyze` counts, one segment at a time into one grid, is the
+    `heatmap_grid` of all the valid points and the per-point count."""
+    width, height = screen
+    heat = heatmap_grid((), screen, cell_px)
+    pooled = []
+    for segment in segments:
+        x = np.array([width if kind in ("right edge", "corner") else u * width
+                      for u, _, kind in segment], float)
+        y = np.array([height if kind in ("bottom edge", "corner") else v * height
+                      for _, v, kind in segment], float)
+        valid = np.array([kind != "lost" for *_, kind in segment], bool)
+        x[~valid] = np.nan
+        y[~valid] = np.nan
+        count_points(heat.grid, x[valid], y[valid], cell_px)
+        pooled.extend(zip(x[valid].tolist(), y[valid].tolist()))
+    assert np.array_equal(heat.grid, heatmap_grid(pooled, screen, cell_px).grid)
+    rows, cols = heat.grid.shape
+    per_point = np.zeros((rows, cols), np.int64)
+    for px, py in pooled:
+        per_point[min(int(py // cell_px), rows - 1), min(int(px // cell_px), cols - 1)] += 1
+    assert np.array_equal(heat.grid, per_point)
 
 
 @settings(max_examples=60, deadline=None)
