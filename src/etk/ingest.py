@@ -12,32 +12,40 @@ Formats (all UTF-8; whitespace-only and `#`-prefixed comment lines ignored):
   ``spawn <t> <player>``, ``death <t> <player>``,
   ``kill <t> <killer> <victim>``, ``weapon_fire <t> <player>``.
 
-`gaze.csv` and `input.csv` hold nearly all the bytes of a session. A
-file in the canonical form the writers emit is parsed in bulk: it starts
-with its header line and holds no blank line, CR, `#` or U+001C..U+001F
-control, and its rows are converted one chunk of about 64 KiB at a time,
-with one `np.loadtxt` call per chunk. Each distinct `keys` cell of a
-chunk is mapped to its mask once; a lost gaze sample `t,,` reads as NaN.
-Each chunk is copied into columns allocated once for the whole file, one
-entry per line, and their filled prefixes are marked read-only, so
-`GazeSeries` and `InputSeries` keep them without a copy: a parse peaks
-near the bytes of its columns plus one chunk. loadtxt reads an ASCII
-number exactly as `float` does, `nan`, `inf` and `1e999` included (the
-bulk path then refuses them as non-finite).
+`gaze.csv` and `input.csv` hold nearly all the bytes of a session.
+Every capture is read through a `_Capture`, a stream that hashes each
+byte read through it, and no parse holds a whole file. A file in the
+canonical form the writers emit is parsed in bulk: it starts with its
+header line and holds no blank line, CR, `#` or U+001C..U+001F control.
+A first pass counts its lines, unhashed, in reads of about 64 KiB; the
+stream is then rewound, and each read of that size, completed to the
+end of its line, is hashed, checked and converted with one
+`np.loadtxt` call. Each distinct `keys` cell of a chunk is mapped to
+its mask once; a lost gaze sample `t,,` reads as NaN. Each chunk is
+copied into columns allocated once, one entry per line counted, and
+their filled prefixes are marked read-only, so `GazeSeries` and
+`InputSeries` keep them without a copy. Given a path, a parse of a
+400,000-row file in the writers' form peaks at about 1.05 times the
+bytes of its columns, its reads counted (tracemalloc). loadtxt reads an
+ASCII number exactly as `float` does, `nan`, `inf` and `1e999` included
+(the bulk path then refuses them as non-finite).
 
-Every other file goes to the line-at-a-time reference parser, which
-judges it: one that is not canonical (CRLF, comments, blank lines), or
-one with bad UTF-8, a wrong header or cell count, a token loadtxt
-refuses (such as `1_0`, a non-ASCII digit or one empty gaze cell), a
-non-finite or non-increasing value, an unknown key, or a gaze chunk
-holding `n` or `N`. It accepts what it can and reports any failure as
-`ParseError` with the 1-based line number and byte offset. On every
-file the bulk path accepts, it gives the reference parser's columns bit
-for bit.
+Every other file, and one that grew past its counted lines between the
+two passes, goes to the line-at-a-time reference parser: the stream is
+rewound, its hash started over, and the file read again a line at a
+time, so a digest is always that of the bytes the columns came from.
+The line parser judges a file that is not canonical (CRLF, comments,
+blank lines), or one with bad UTF-8, a wrong header or cell count, a
+token loadtxt refuses (such as `1_0`, a non-ASCII digit or one empty
+gaze cell), a non-finite or non-increasing value, an unknown key, or a
+gaze chunk holding `n` or `N`. It accepts what it can and reports any
+failure as `ParseError` with the 1-based line number and byte offset.
+On every file the bulk path accepts, it gives the reference parser's
+columns bit for bit.
 
-`hrm.txt` and `demo.events` are small and parsed a line at a time.
-Their parsers check syntax (arity, numbers, known tags) and round
-pairing, then run `model._validate_hrm` or `_validate_timeline` on what
+`hrm.txt` and `demo.events` are small and parsed a line at a time
+from the same kind of stream. Their parsers check syntax (arity,
+numbers, known tags) and round pairing, then run `model._validate_hrm` or `_validate_timeline` on what
 they built and raise its violation that comes first in the file at the
 line of the beat, event or round (its `round_start`) it names.
 
@@ -50,7 +58,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -114,27 +124,68 @@ _EVENT_ARGS = {
 _EVENT_RANK = {tag: rank for rank, tag in enumerate(_EVENT_ARGS)}
 
 
-def _read_bytes(source) -> bytes:
-    """The whole content of a path or a bytes object."""
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    return Path(source).read_bytes()
+class _Capture:
+    """A capture open for reading, which hashes every byte read through it.
+
+    `rewind` goes back to the start and starts the hash over, so `hash`
+    is always that of the bytes the last pass read; `raw` reads without
+    hashing. A capture read from a file stands for its path, so what
+    takes a path (such as perfbench's count of the bytes parsed) sizes it.
+    """
+
+    def __init__(self, raw, path=None):
+        self.raw, self.path = raw, path
+        self.rewind()
+
+    def rewind(self) -> None:
+        self.raw.seek(0)
+        self.hash = _sha256()
+
+    def read(self, size: int) -> bytes:
+        return self._hashed(self.raw.read(size))
+
+    def readline(self) -> bytes:
+        return self._hashed(self.raw.readline())
+
+    def __iter__(self):
+        for line in self.raw:
+            yield self._hashed(line)
+
+    def _hashed(self, data: bytes) -> bytes:
+        self.hash.update(data)
+        return data
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+
+@contextmanager
+def _opened(source):
+    """`source` as a `_Capture`: itself, or one over the bytes or the file at the path it is."""
+    if isinstance(source, _Capture):
+        yield source
+    elif isinstance(source, (bytes, bytearray)):
+        yield _Capture(io.BytesIO(source))
+    else:
+        with open(source, "rb") as f:  # a pipe cannot be rewound, so it is read whole
+            yield _Capture(f if f.seekable() else io.BytesIO(f.read()), source)
 
 
 def _iter_lines(source, kind: str):
     """Yield (lineno, byte_offset, stripped_text), skipping whitespace-only and comment lines."""
     offset = 0
-    for lineno, raw in enumerate(io.BytesIO(_read_bytes(source)), start=1):
-        line_offset = offset
-        offset += len(raw)
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(kind, lineno, line_offset, f"invalid UTF-8: {e}") from None
-        text = text.rstrip("\r\n")
-        if text.lstrip()[:1] in ("", "#"):
-            continue
-        yield lineno, line_offset, text
+    with _opened(source) as capture:
+        for lineno, raw in enumerate(capture, start=1):
+            line_offset = offset
+            offset += len(raw)
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(kind, lineno, line_offset, f"invalid UTF-8: {e}") from None
+            text = text.rstrip("\r\n")
+            if text.lstrip()[:1] in ("", "#"):
+                continue
+            yield lineno, line_offset, text
 
 
 def _csv_rows(source, kind: str, header: str):
@@ -182,25 +233,26 @@ class _Fallback(Exception):
     """The bulk path met input it leaves to the line parser to judge."""
 
 
-def _bulk_chunks(data: bytes, header: str):
+def _bulk_chunks(capture: _Capture, header: str):
     """Yield the data rows of each chunk of a file in the writers' form, as text.
 
-    Each chunk ends in a newline. Raises `_Fallback` unless the file
-    starts with the `header` line, and on bad UTF-8, a blank line, a CR,
-    a `#` or a U+001C..U+001F control (which `np.loadtxt` strips around
-    a number and `float` refuses).
+    Each chunk is a read of `_CHUNK_BYTES` completed to the end of its
+    last line, and ends in a newline. Raises `_Fallback` unless the file
+    starts with the `header` line, and on bad UTF-8, a blank line (one
+    that starts a chunk included), a CR, a `#` or a U+001C..U+001F
+    control (which `np.loadtxt` strips around a number and `float` refuses).
     """
-    pos = len(header) + 1
-    if data[:pos] != f"{header}\n".encode() or any(map(data.__contains__, _NOT_WRITTEN)):
+    if capture.read(len(header) + 1) != f"{header}\n".encode():
         raise _Fallback
-    while pos < len(data):
-        end = data.find(b"\n", pos + _CHUNK_BYTES)
-        end = len(data) if end < 0 else end + 1
+    while chunk := capture.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += capture.readline()
+        if chunk.startswith(b"\n") or any(map(chunk.__contains__, _NOT_WRITTEN)):
+            raise _Fallback
         try:
-            text = data[pos:end].decode("utf-8")
+            text = chunk.decode("utf-8")
         except UnicodeDecodeError:
             raise _Fallback from None
-        pos = end
         yield text if text.endswith("\n") else text + "\n"
 
 
@@ -216,29 +268,42 @@ def _loadtxt(text: str, ncols: int, converters=None) -> np.ndarray:
     return cells
 
 
-def _bulk_columns(data: bytes, header: str, convert) -> tuple:
+def _count_lines(capture: _Capture) -> int:
+    """The lines of `capture`, counted in `_CHUNK_BYTES` reads that are not hashed;
+    then rewinds it."""
+    lines = 1
+    while piece := capture.raw.read(_CHUNK_BYTES):
+        lines += piece.count(b"\n")
+    capture.rewind()
+    return lines
+
+
+def _bulk_columns(source, header: str, convert) -> tuple:
     """Columns of a CSV whose first cell is a finite, strictly increasing time.
 
     `convert(text)` turns the rows of a chunk into its columns, time
-    first. Each column is allocated once, with one entry per line of the
-    file and the dtype of the first chunk's, and each chunk is copied
-    into place; the filled prefixes come back read-only, so a series
-    keeps them without a copy. A file of only the header gives `()`.
+    first. Each column is allocated once, with one entry per line
+    `_count_lines` counts and the dtype of the first chunk's, and each
+    chunk is copied into place; a file that has grown since is left to
+    the line parser. The filled prefixes come back read-only, so a
+    series keeps them without a copy. A file of only the header gives `()`.
     """
-    lines = data.count(b"\n") + 1
-    out: tuple = ()
-    n = 0
-    prev = -math.inf
-    for text in _bulk_chunks(data, header):
-        columns = convert(text)
-        t = columns[0]
-        if not (np.isfinite(t).all() and t[0] > prev and (t[1:] > t[:-1]).all()):
-            raise _Fallback
-        prev = t[-1]
-        out = out or tuple(np.empty(lines, c.dtype) for c in columns)
-        for column, part in zip(out, columns):
-            column[n:n + len(t)] = part
-        n += len(t)
+    with _opened(source) as capture:
+        lines = _count_lines(capture)
+        out: tuple = ()
+        n = 0
+        prev = -math.inf
+        for text in _bulk_chunks(capture, header):
+            columns = convert(text)
+            t = columns[0]
+            if not (np.isfinite(t).all() and t[0] > prev and (t[1:] > t[:-1]).all()
+                    and n + len(t) < lines):
+                raise _Fallback
+            prev = t[-1]
+            out = out or tuple(np.empty(lines, c.dtype) for c in columns)
+            for column, part in zip(out, columns):
+                column[n:n + len(t)] = part
+            n += len(t)
     return _read_only(*(column[:n] for column in out))
 
 
@@ -254,7 +319,7 @@ def _gaze_chunk(text: str):
     return t, x, y, ~lost
 
 
-def _columns_lines(data: bytes, kind: str, header: str, row) -> tuple:
+def _columns_lines(source, kind: str, header: str, row) -> tuple:
     """Line-at-a-time reference parser of what `_bulk_columns` reads; locates every `ParseError`.
 
     `row(parts, lineno, offset)` gives the three values that follow the
@@ -262,7 +327,7 @@ def _columns_lines(data: bytes, kind: str, header: str, row) -> tuple:
     """
     rows = []
     prev_t = -math.inf
-    for lineno, offset, parts in _csv_rows(data, kind, header):
+    for lineno, offset, parts in _csv_rows(source, kind, header):
         t = _parse_float(parts[0], kind, lineno, offset, "timestamp")
         if t <= prev_t:
             raise ParseError(kind, lineno, offset,
@@ -279,6 +344,17 @@ def _gaze_row(parts: list[str], lineno: int, offset: int):
             _parse_float(parts[2], "gaze", lineno, offset, "y coordinate"), True)
 
 
+def _parse_columns(source, bulk, lines) -> tuple:
+    """The columns `bulk` reads from `source`; on its `_Fallback`, those the line parser
+    `lines` reads from the start again."""
+    with _opened(source) as capture:
+        try:
+            return bulk(capture)
+        except _Fallback:
+            capture.rewind()
+            return lines(capture)
+
+
 _gaze_columns_lines = partial(_columns_lines, kind="gaze", header=GAZE_HEADER, row=_gaze_row)
 _gaze_columns_bulk = partial(_bulk_columns, header=GAZE_HEADER, convert=_gaze_chunk)
 
@@ -289,12 +365,7 @@ def parse_gaze_log(source) -> GazeSeries:
     Rows with an empty coordinate pair become valid=False samples that
     keep their timestamp, so missingness stays measurable from the file.
     """
-    data = _read_bytes(source)
-    try:
-        columns = _gaze_columns_bulk(data)
-    except _Fallback:
-        columns = _gaze_columns_lines(data)
-    return GazeSeries(*columns)
+    return GazeSeries(*_parse_columns(source, _gaze_columns_bulk, _gaze_columns_lines))
 
 
 class _KeyMasks(dict):
@@ -327,12 +398,7 @@ _input_columns_bulk = partial(_bulk_columns, header=INPUT_HEADER, convert=_input
 
 def parse_input_log(source) -> InputSeries:
     """Parse an input CSV into sampled key/mouse state columns."""
-    data = _read_bytes(source)
-    try:
-        columns = _input_columns_bulk(data)
-    except _Fallback:
-        columns = _input_columns_lines(data)
-    return InputSeries(*columns)
+    return InputSeries(*_parse_columns(source, _input_columns_bulk, _input_columns_lines))
 
 
 def _raise_first_violation(kind: str, validate, value, lines: dict) -> None:
@@ -567,17 +633,18 @@ def read_session_captures(directory, meta: PlayerMeta,
     """The validated Session of a directory (hrm.txt optional) given its `read_session_head`,
     and the digest of each file read, by name.
 
-    Each capture is read, hashed and parsed in turn, so the digests are
-    those of the bytes parsed and no two files' bytes are alive at once.
-    An `AssemblyError` names the directory.
+    Each capture is opened once and parsed from a `_Capture`, a chunk or
+    a line at a time, so its digest is that of the bytes parsed and no
+    whole file is held. An `AssemblyError` names the directory.
     """
     d = Path(directory)
     digests = {META_FILE: meta_digest}
 
     def parse(parser, name: str):
-        data = (d / name).read_bytes()
-        digests[name] = _sha256(data).hexdigest()
-        return _parse_file(parser, data, d / name)
+        with _opened(d / name) as capture:
+            value = _parse_file(parser, capture, d / name)
+        digests[name] = capture.hash.hexdigest()
+        return value
 
     gaze = parse(parse_gaze_log, GAZE_FILE)
     input_samples = parse(parse_input_log, INPUT_FILE)

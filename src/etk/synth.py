@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidProfile
-from .ingest import _read_bytes, assemble_session
+from .ingest import assemble_session
 from .model import (
     BeatSeries,
     Cohort,
@@ -183,8 +184,10 @@ def default_profiles() -> tuple[CohortProfile, CohortProfile]:
 def _profile_bytes(source) -> bytes:
     """The bytes of a profile JSON given as a path or bytes; an unreadable file is an
     `InvalidProfile`."""
+    if isinstance(source, (bytes, bytearray)):
+        return bytes(source)
     try:
-        return _read_bytes(source)
+        return Path(source).read_bytes()
     except OSError as e:
         raise InvalidProfile(f"cannot read profile JSON: {e}") from None
 

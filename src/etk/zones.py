@@ -235,7 +235,7 @@ def average_distribution(probs) -> tuple[float, ...]:
 
 
 def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX) -> Heatmap:
-    """Count points into a cell_px grid; right/bottom edges clamp inward."""
+    """Count points into a cell_px grid; points on or past an edge clamp inward."""
     if cell_px < 1:
         raise ValueError("cell_px must be >= 1")
     width, height = screen
@@ -252,12 +252,15 @@ def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX
 def count_points(grid: np.ndarray, x: np.ndarray, y: np.ndarray, cell_px: int) -> None:
     """Add each point (x[i], y[i]) into `grid`, a grid of cell_px cells, in place.
 
-    A point falls in the cell its coordinates floor to; the right/bottom
-    edges (and any point past them) clamp inward.
+    A point falls in the cell its coordinates floor to; a point on or past
+    any edge clamps inward. A non-finite coordinate is a `ValueError`.
     """
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("cannot count a point with a non-finite coordinate")
     rows, cols = grid.shape
-    cx = np.clip((x // cell_px).astype(int), 0, cols - 1)
-    cy = np.clip((y // cell_px).astype(int), 0, rows - 1)
+    # Clipped as floats, so a far point clamps before the cast and cannot overflow it.
+    cx = np.clip(x // cell_px, 0, cols - 1).astype(np.intp)
+    cy = np.clip(y // cell_px, 0, rows - 1).astype(np.intp)
     np.add.at(grid, (cy, cx), 1)
 
 

@@ -1,12 +1,16 @@
 """Parser and writer behavior for the four capture formats."""
+import hashlib
 import json
+import os
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etk import ingest
 from etk.errors import AssemblyError, ParseError
 from etk.ingest import (
     assemble_session,
@@ -351,27 +355,120 @@ def test_column_formatting_matches_fmt_num(values):
     assert _fmt_column(np.array(values, dtype=float)) == [fmt_num(v) for v in values]
 
 
-def parse_peak_ratio(parse, data: bytes) -> float:
-    """Peak bytes `parse(data)` allocates, under tracemalloc, over its column bytes."""
+def parse_peak_ratio(parse, source) -> float:
+    """Peak bytes `parse(source)` allocates, under tracemalloc, over its column bytes."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        series = parse(data)
+        series = parse(source)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
     return peak / sum(getattr(series, name).nbytes for name in series._COLUMNS)
 
 
-def test_parse_memory_stays_near_column_bytes(tmp_path):
-    """The bulk parsers fill each column in place: no chunk matrices pile up, no second copy."""
+@pytest.fixture(scope="module")
+def long_captures(tmp_path_factory):
+    """A 400,000-row gaze.csv and input.csv in the writers' form."""
+    d = tmp_path_factory.mktemp("long")
     n = 400_000
     rng = np.random.default_rng(7)
     t = np.arange(n) / 60
     x, y = rng.integers(0, 192_000, n) / 100, rng.integers(0, 108_000, n) / 100
     keys = rng.choice(np.array([0, 1, 3, 1 << 16], np.uint32), n)
-    write_gaze_csv(GazeSeries(t, x, y, rng.random(n) > 0.05), tmp_path / "gaze.csv")
-    write_input_csv(InputSeries(t, x, y, keys), tmp_path / "input.csv")
-    for parse, name in ((parse_gaze_log, "gaze.csv"), (parse_input_log, "input.csv")):
-        ratio = parse_peak_ratio(parse, (tmp_path / name).read_bytes())
+    write_gaze_csv(GazeSeries(t, x, y, rng.random(n) > 0.05), d / "gaze.csv")
+    write_input_csv(InputSeries(t, x, y, keys), d / "input.csv")
+    return d
+
+
+LONG_PARSERS = [(parse_gaze_log, "gaze.csv"), (parse_input_log, "input.csv")]
+
+
+def test_parse_memory_stays_near_column_bytes(long_captures):
+    """The bulk parsers fill each column in place: no chunk matrices pile up, no second copy."""
+    for parse, name in LONG_PARSERS:
+        ratio = parse_peak_ratio(parse, (long_captures / name).read_bytes())
         assert ratio < 1.25, (parse.__name__, ratio)
+
+
+def test_parse_from_a_path_never_holds_the_file(long_captures):
+    """Given a path, a parser reads the file a chunk at a time: the peak, the reads
+    counted, stays near the column bytes, not at the file's bytes plus its columns."""
+    for parse, name in LONG_PARSERS:
+        ratio = parse_peak_ratio(parse, long_captures / name)
+        assert ratio < 1.25, (parse.__name__, ratio)
+
+
+def test_a_path_that_cannot_seek_is_read_whole():
+    """A pipe named by a path cannot be rewound between the count and the parse, so it
+    is read into memory first, as every path was before captures were streamed."""
+    r, w = os.pipe()
+    os.write(w, b"t,x,y\n0,1,2\n0.5,,\n")
+    os.close(w)
+    try:
+        series = parse_gaze_log(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert gaze_rows(series) == [(0.0, 1.0, 2.0, True), (0.5, None, None, False)]
+
+
+def session_files(tmp_path, session) -> Path:
+    """`session` written to a directory, with several `_CHUNK_BYTES` to each capture."""
+    d = write_session_dir(session, tmp_path / "s1")
+    for name in ("gaze.csv", "input.csv"):
+        assert (d / name).stat().st_size > 8 * ingest._CHUNK_BYTES
+    return d
+
+
+def same_columns(series, columns) -> bool:
+    """Whether `series` holds the line parser's `columns`, bit for bit."""
+    return all(getattr(series, name).tobytes() == np.asarray(column, dtype).tobytes()
+               for (name, dtype), column in zip(series._COLUMNS.items(), columns))
+
+
+def read_captures(d: Path):
+    return ingest.read_session_captures(d, *ingest.read_session_head(d))
+
+
+@pytest.mark.parametrize("name", ["gaze.csv", "input.csv"])
+def test_a_last_chunk_that_falls_back_is_digested_whole(tmp_path, monkeypatch, tiny_session,
+                                                        name):
+    """A CRLF only on the last line sends the parse to the line parser after every other
+    chunk was read in bulk; the digest is still that of the whole file, read once more."""
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1024)
+    d = session_files(tmp_path, tiny_session)
+    data = (d / name).read_bytes()
+    data = data[:-1] + b"\r\n"
+    (d / name).write_bytes(data)
+    assert data.index(b"\r") > len(data) - 100
+    session, digests = read_captures(d)
+    assert digests[name] == hashlib.sha256(data).hexdigest()
+    lines = {"gaze.csv": ingest._gaze_columns_lines, "input.csv": ingest._input_columns_lines}
+    assert same_columns({"gaze.csv": session.gaze, "input.csv": session.input}[name],
+                        lines[name](data))
+
+
+@pytest.mark.parametrize("added", [1, 400])
+def test_rows_added_after_the_count_are_parsed_with_their_digest(tmp_path, monkeypatch,
+                                                                  tiny_session, added):
+    """A gaze.csv that grows between the count pass and the parse pass parses to the
+    columns of the bytes read, in bulk while they fit the columns counted, else by line."""
+    monkeypatch.setattr(ingest, "_CHUNK_BYTES", 1024)
+    d = session_files(tmp_path, tiny_session)
+    rows = "".join(f"{80 + i / 1000!r},1,2\n" for i in range(added)).encode()
+    count_lines = ingest._count_lines
+
+    def growing(capture):
+        lines = count_lines(capture)
+        if Path(capture).name == "gaze.csv":
+            with open(capture, "ab") as f:
+                f.write(rows)
+        return lines
+
+    monkeypatch.setattr(ingest, "_count_lines", growing)
+    session, digests = read_captures(d)
+    data = (d / "gaze.csv").read_bytes()
+    assert data.endswith(rows)
+    assert digests["gaze.csv"] == hashlib.sha256(data).hexdigest()
+    assert same_columns(session.gaze, ingest._gaze_columns_lines(data))
+    assert len(session.gaze) == len(tiny_session.gaze) + added

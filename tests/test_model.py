@@ -117,6 +117,31 @@ def test_unknown_key_token_is_flagged(tiny_session):
         ("input[0]", "unknown key bits 0x20000")]
 
 
+def test_sample_check_messages_name_the_previous_time(tiny_session):
+    """A first sample at -inf, repeated and decreasing middle samples, and unknown key
+    bits, each reported with its exact message, in sample then check order."""
+    inputs = InputSeries([-np.inf, 0.5, 0.5, 0.25, 1.0], [0.0] * 5, [0.0] * 5,
+                         [0, 1, 1 << 17, 0, 3 << 18])
+    session = Session(meta=tiny_session.meta, input=inputs, timeline=tiny_session.timeline,
+                      gaze=make_gaze([(-np.inf, 1.0, 1.0), (1.0, 2.0, 2.0), (1.0, 3.0, 3.0)]),
+                      hrm=BeatSeries(beat_times=[-np.inf, 5.0, 4.0, 4.1]))
+    flagged = [(v.location, v.message) for v in validate_session(session)
+               if v.location.endswith("]")]
+    assert flagged == [
+        ("gaze.samples[0]", "negative timestamp -inf"),
+        ("gaze.samples[0]", "timestamp -inf not increasing (previous -inf)"),
+        ("gaze.samples[2]", "timestamp 1.0 not increasing (previous 1.0)"),
+        ("input[0]", "timestamp -inf not increasing (previous -inf)"),
+        ("input[2]", "timestamp 0.5 not increasing (previous 0.5)"),
+        ("input[2]", "unknown key bits 0x20000"),
+        ("input[3]", "timestamp 0.25 not increasing (previous 0.5)"),
+        ("input[4]", "unknown key bits 0xc0000"),
+        ("hrm.beat_times[0]", "beat time -inf not increasing (previous -inf)"),
+        ("hrm.beat_times[2]", "beat time 4.0 not increasing (previous 5.0)"),
+        ("hrm.beat_times[3]", "inter-beat interval 0.1000s implies pulse above 240 bpm"),
+    ]
+
+
 def test_kill_of_unspawned_victim_is_flagged(tiny_session):
     timeline = make_timeline(
         [(0.0, 40.0)],

@@ -277,6 +277,16 @@ class TestHeatmap:
         hm = heatmap_grid([(40.0, 20.0)], screen=(40, 20), cell_px=20)
         assert hm.grid[0][1] == 1
 
+    def test_points_off_the_screen_clamp_inward(self):
+        hm = heatmap_grid([(5, 5), (-30, 7), (1e30, 5), (15, -1e300), (-5, 1e30)],
+                          screen=(40, 20), cell_px=10)
+        assert hm.grid.tolist() == [[2, 1, 0, 1], [1, 0, 0, 0]]
+
+    @pytest.mark.parametrize("point", [(math.nan, math.nan), (math.inf, 5.0), (5.0, -math.inf)])
+    def test_non_finite_point_is_refused(self, point):
+        with pytest.raises(ValueError, match="non-finite"):
+            heatmap_grid([(5, 5), point], screen=(40, 20), cell_px=10)
+
     def test_empty_points_all_zero(self):
         hm = heatmap_grid([], screen=(40, 20), cell_px=20)
         assert hm.total == 0
