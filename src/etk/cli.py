@@ -6,7 +6,8 @@ seed, and SHA-256 digests of the inputs read, and rerunning with the same
 inputs produces a byte-identical output tree.
 
 Exit codes: 0 success, 2 parse/profile error, 3 assembly/validation
-error, 4 degenerate analysis input. `ETK_LOG` sets log verbosity.
+error, 4 degenerate analysis input, 1 any other error (bad option values,
+I/O failures, `TooManyWindows`). `ETK_LOG` sets log verbosity.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import pickle
 import re
 import shutil
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -467,7 +468,6 @@ def _write_heatmaps(out_dir: Path, derived: list[_SessionDerived],
             if d.meta.cohort is cohort:
                 np.add.at(hm.grid.reshape(-1), d.heat_cells, d.heat_counts)
         if hm.grid.any():  # a cohort without gaze has no heatmap
-            hm = replace(hm, total=int(hm.grid.sum()))
             write_heatmap_csv(hm, out_dir / f"heatmap_{cohort.value}.csv")
             write_heatmap_pgm(hm, out_dir / f"heatmap_{cohort.value}.pgm")
 

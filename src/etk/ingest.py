@@ -14,9 +14,12 @@ Formats (all UTF-8; whitespace-only and `#`-prefixed comment lines ignored):
 
 `gaze.csv` and `input.csv` hold nearly all the bytes of a session.
 Every capture is read through a `_Capture`, a stream that hashes each
-byte read through it, and no parse holds a whole file. A file in the
-canonical form the writers emit is parsed in bulk: it starts with its
-header line and holds no blank line, CR, `#` or U+001C..U+001F control.
+byte read through it, and no parse holds a whole file. `parse_gaze_log`
+and `parse_input_log` each describe their format (kind, header, chunk
+converter, row parser) in one `_parse_csv` call, which opens the capture
+once. A file in the canonical form the writers emit is parsed in bulk:
+it starts with its header line and holds no blank line, CR, `#` or
+U+001C..U+001F control.
 A first pass counts its lines, unhashed, in reads of about 64 KiB; the
 stream is then rewound, and each read of that size, completed to the
 end of its line, is hashed, checked and converted with one
@@ -62,7 +65,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -147,10 +149,6 @@ class _Capture:
     def readline(self) -> bytes:
         return self._hashed(self.raw.readline())
 
-    def __iter__(self):
-        for line in self.raw:
-            yield self._hashed(line)
-
     def _hashed(self, data: bytes) -> bytes:
         self.hash.update(data)
         return data
@@ -175,7 +173,7 @@ def _iter_lines(source, kind: str):
     """Yield (lineno, byte_offset, stripped_text), skipping whitespace-only and comment lines."""
     offset = 0
     with _opened(source) as capture:
-        for lineno, raw in enumerate(capture, start=1):
+        for lineno, raw in enumerate(iter(capture.readline, b""), start=1):
             line_offset = offset
             offset += len(raw)
             try:
@@ -278,7 +276,7 @@ def _count_lines(capture: _Capture) -> int:
     return lines
 
 
-def _bulk_columns(source, header: str, convert) -> tuple:
+def _bulk_columns(capture: _Capture, header: str, convert) -> tuple:
     """Columns of a CSV whose first cell is a finite, strictly increasing time.
 
     `convert(text)` turns the rows of a chunk into its columns, time
@@ -288,22 +286,21 @@ def _bulk_columns(source, header: str, convert) -> tuple:
     the line parser. The filled prefixes come back read-only, so a
     series keeps them without a copy. A file of only the header gives `()`.
     """
-    with _opened(source) as capture:
-        lines = _count_lines(capture)
-        out: tuple = ()
-        n = 0
-        prev = -math.inf
-        for text in _bulk_chunks(capture, header):
-            columns = convert(text)
-            t = columns[0]
-            if not (np.isfinite(t).all() and t[0] > prev and (t[1:] > t[:-1]).all()
-                    and n + len(t) < lines):
-                raise _Fallback
-            prev = t[-1]
-            out = out or tuple(np.empty(lines, c.dtype) for c in columns)
-            for column, part in zip(out, columns):
-                column[n:n + len(t)] = part
-            n += len(t)
+    lines = _count_lines(capture)
+    out: tuple = ()
+    n = 0
+    prev = -math.inf
+    for text in _bulk_chunks(capture, header):
+        columns = convert(text)
+        t = columns[0]
+        if not (np.isfinite(t).all() and t[0] > prev and (t[1:] > t[:-1]).all()
+                and n + len(t) < lines):
+            raise _Fallback
+        prev = t[-1]
+        out = out or tuple(np.empty(lines, c.dtype) for c in columns)
+        for column, part in zip(out, columns):
+            column[n:n + len(t)] = part
+        n += len(t)
     return _read_only(*(column[:n] for column in out))
 
 
@@ -344,19 +341,15 @@ def _gaze_row(parts: list[str], lineno: int, offset: int):
             _parse_float(parts[2], "gaze", lineno, offset, "y coordinate"), True)
 
 
-def _parse_columns(source, bulk, lines) -> tuple:
-    """The columns `bulk` reads from `source`; on its `_Fallback`, those the line parser
-    `lines` reads from the start again."""
+def _parse_csv(source, kind: str, header: str, convert, row) -> tuple:
+    """The columns of the `kind` CSV at `source`: those `_bulk_columns` reads with
+    `convert`; on its `_Fallback`, those `_columns_lines` reads with `row` from the start again."""
     with _opened(source) as capture:
         try:
-            return bulk(capture)
+            return _bulk_columns(capture, header, convert)
         except _Fallback:
             capture.rewind()
-            return lines(capture)
-
-
-_gaze_columns_lines = partial(_columns_lines, kind="gaze", header=GAZE_HEADER, row=_gaze_row)
-_gaze_columns_bulk = partial(_bulk_columns, header=GAZE_HEADER, convert=_gaze_chunk)
+            return _columns_lines(capture, kind, header, row)
 
 
 def parse_gaze_log(source) -> GazeSeries:
@@ -365,7 +358,7 @@ def parse_gaze_log(source) -> GazeSeries:
     Rows with an empty coordinate pair become valid=False samples that
     keep their timestamp, so missingness stays measurable from the file.
     """
-    return GazeSeries(*_parse_columns(source, _gaze_columns_bulk, _gaze_columns_lines))
+    return GazeSeries(*_parse_csv(source, "gaze", GAZE_HEADER, _gaze_chunk, _gaze_row))
 
 
 class _KeyMasks(dict):
@@ -392,13 +385,9 @@ def _input_row(parts: list[str], lineno: int, offset: int):
         raise ParseError("input", lineno, offset, str(e)) from None
 
 
-_input_columns_lines = partial(_columns_lines, kind="input", header=INPUT_HEADER, row=_input_row)
-_input_columns_bulk = partial(_bulk_columns, header=INPUT_HEADER, convert=_input_chunk)
-
-
 def parse_input_log(source) -> InputSeries:
     """Parse an input CSV into sampled key/mouse state columns."""
-    return InputSeries(*_parse_columns(source, _input_columns_bulk, _input_columns_lines))
+    return InputSeries(*_parse_csv(source, "input", INPUT_HEADER, _input_chunk, _input_row))
 
 
 def _raise_first_violation(kind: str, validate, value, lines: dict) -> None:

@@ -136,7 +136,10 @@ class Heatmap:
     """2-D gaze count grid; grid[row][col] covers a cell_px square."""
     grid: np.ndarray
     cell_px: int
-    total: int
+
+    @property
+    def total(self) -> int:  # the points counted into the grid
+        return int(self.grid.sum())
 
 
 def _nearest_zones(x: np.ndarray, y: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -246,7 +249,7 @@ def heatmap_grid(points, screen: tuple[int, int], cell_px: int = DEFAULT_CELL_PX
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     grid = np.zeros((rows, cols), dtype=np.int64)
     count_points(grid, pts[:, 0], pts[:, 1], cell_px)
-    return Heatmap(grid=grid, cell_px=cell_px, total=len(pts))
+    return Heatmap(grid=grid, cell_px=cell_px)
 
 
 def count_points(grid: np.ndarray, x: np.ndarray, y: np.ndarray, cell_px: int) -> None:
@@ -274,6 +277,8 @@ def write_zone_model_csv(model: ZoneModel, path) -> None:
 
 
 def read_zone_model_csv(path) -> ZoneModel:
+    """The zone model of a `write_zone_model_csv` file, given its path or its bytes.
+    A bad row raises `ParseError` naming its line and byte offset."""
     centers: list[tuple[float, float]] = []
     labels: list[str] = []
     for lineno, offset, parts in _csv_rows(path, "zones", _ZONES_HEADER):
@@ -314,7 +319,7 @@ def write_heatmap_pgm(hm: Heatmap, path) -> None:
     is formatted whole rows of about `_CHUNK_ROWS` cells at a time.
     """
     rows, cols = hm.grid.shape
-    peak = int(hm.grid.max()) if hm.total else 0
+    peak = int(hm.grid.max())
     scale = 255.0 / peak if peak > 0 else 0.0
 
     def blocks():

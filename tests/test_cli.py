@@ -335,6 +335,12 @@ class TestSynthCommand:
         profile.write_text(json.dumps({"professional": default_profiles()[0].to_dict()}))
         zones = tmp_path / "zones.csv"
         zones.write_text("k,label,x,y\n1,Left,480,540\n2,Right,1440,540\n")
+        # A gaze.csv whose last line ends in CRLF falls back to the line parser
+        # after its bulk pass; like every input, it is still opened exactly once.
+        crlf = tmp_path / "crlf"
+        shutil.copytree(corpus, crlf)
+        gaze = sorted(crlf.glob("*/gaze.csv"))[0]
+        gaze.write_bytes(gaze.read_bytes()[:-1] + b"\r\n")
         record, real_open = tmp_path / "opened.txt", io.open
         # A file, not a list, so that the opens of forked `ingest` workers, which
         # inherit it, are recorded too; O_APPEND keeps each process's lines whole.
@@ -354,15 +360,17 @@ class TestSynthCommand:
                                   "--zones", str(zones)],
                         "synth": ["synth", "--out", str(tmp_path / "p"), "--count", "1",
                                   "--rounds", "2", "--round-s", "20", "--profile",
-                                  str(profile)]}
+                                  str(profile)],
+                        "fallback": ["analyze", str(crlf), "--out", str(tmp_path / "f")]}
             for name, args in commands.items():
+                root = crlf if name == "fallback" else corpus
                 log.truncate(0)
                 assert main(args) == 0
                 log.seek(0)
                 opened = [Path(os.fsdecode(line)) for line in log.read().splitlines()]
-                read = [p for p in opened if p.parent.parent == corpus or p in (profile, zones)]
+                read = [p for p in opened if p.parent.parent == root or p in (profile, zones)]
                 want = [profile] if name == "synth" else \
-                    [d / f for d in corpus.iterdir() if d.is_dir() for f in SESSION_FILES]
+                    [d / f for d in root.iterdir() if d.is_dir() for f in SESSION_FILES]
                 if name == "zones":
                     want.append(zones)
                 assert sorted(read) == sorted(want), name

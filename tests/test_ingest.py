@@ -426,6 +426,14 @@ def same_columns(series, columns) -> bool:
                for (name, dtype), column in zip(series._COLUMNS.items(), columns))
 
 
+def line_columns(name: str, data: bytes) -> tuple:
+    """The columns the line parser alone reads from `data`, the bytes of capture `name`."""
+    kind = name.partition(".")[0]
+    header, row = {"gaze": (ingest.GAZE_HEADER, ingest._gaze_row),
+                   "input": (ingest.INPUT_HEADER, ingest._input_row)}[kind]
+    return ingest._columns_lines(data, kind, header, row)
+
+
 def read_captures(d: Path):
     return ingest.read_session_captures(d, *ingest.read_session_head(d))
 
@@ -443,9 +451,8 @@ def test_a_last_chunk_that_falls_back_is_digested_whole(tmp_path, monkeypatch, t
     assert data.index(b"\r") > len(data) - 100
     session, digests = read_captures(d)
     assert digests[name] == hashlib.sha256(data).hexdigest()
-    lines = {"gaze.csv": ingest._gaze_columns_lines, "input.csv": ingest._input_columns_lines}
     assert same_columns({"gaze.csv": session.gaze, "input.csv": session.input}[name],
-                        lines[name](data))
+                        line_columns(name, data))
 
 
 @pytest.mark.parametrize("added", [1, 400])
@@ -470,5 +477,5 @@ def test_rows_added_after_the_count_are_parsed_with_their_digest(tmp_path, monke
     data = (d / "gaze.csv").read_bytes()
     assert data.endswith(rows)
     assert digests["gaze.csv"] == hashlib.sha256(data).hexdigest()
-    assert same_columns(session.gaze, ingest._gaze_columns_lines(data))
+    assert same_columns(session.gaze, line_columns("gaze.csv", data))
     assert len(session.gaze) == len(tiny_session.gaze) + added

@@ -13,6 +13,7 @@ The bulk path takes exactly the writers' form; every file
 `write_gaze_csv` or `write_input_csv` emits is parsed in bulk, with no
 fallback, to the reference parser's columns.
 """
+import io
 import tempfile
 from pathlib import Path
 from unittest.mock import patch
@@ -23,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from etk import ingest
 from etk.errors import ParseError
+from etk.ingest import GAZE_HEADER, INPUT_HEADER
 from etk.model import KEY_ALPHABET, GazeSeries, InputSeries, _frozen_column
 
 GAZE_DTYPES = (np.float64, np.float64, np.float64, np.bool_)
@@ -127,8 +129,26 @@ def input_columns(data: bytes):
     return series.t, series.mouse_x, series.mouse_y, series.keys
 
 
-PARSERS = {"gaze": (ingest._gaze_columns_bulk, ingest._gaze_columns_lines, GAZE_DTYPES),
-           "input": (ingest._input_columns_bulk, ingest._input_columns_lines, INPUT_DTYPES)}
+def gaze_bulk(data: bytes):
+    return ingest._bulk_columns(ingest._Capture(io.BytesIO(data)), GAZE_HEADER, ingest._gaze_chunk)
+
+
+def gaze_lines(data: bytes):
+    return ingest._columns_lines(data, "gaze", GAZE_HEADER, ingest._gaze_row)
+
+
+def input_bulk(data: bytes):
+    return ingest._bulk_columns(ingest._Capture(io.BytesIO(data)), INPUT_HEADER,
+                                ingest._input_chunk)
+
+
+def input_lines(data: bytes):
+    return ingest._columns_lines(data, "input", INPUT_HEADER, ingest._input_row)
+
+
+# The bulk path alone (it raises `_Fallback` where a parse falls back) and the line parser.
+PARSERS = {"gaze": (gaze_bulk, gaze_lines, GAZE_DTYPES),
+           "input": (input_bulk, input_lines, INPUT_DTYPES)}
 CHUNK_SIZES = st.sampled_from([1, 9, 64, ingest._CHUNK_BYTES])
 
 # Rows on which `np.loadtxt` and `float` disagree, or a lost gaze sample
@@ -162,7 +182,7 @@ def with_examples(header: bytes, cases):
 def test_gaze_bulk_parser_matches_line_parser(data, chunk_bytes):
     with patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
         got = outcome(gaze_columns, data, GAZE_DTYPES)
-    assert got == outcome(ingest._gaze_columns_lines, data, GAZE_DTYPES)
+    assert got == outcome(gaze_lines, data, GAZE_DTYPES)
 
 
 @settings(max_examples=200, deadline=None)
@@ -171,7 +191,7 @@ def test_gaze_bulk_parser_matches_line_parser(data, chunk_bytes):
 def test_input_bulk_parser_matches_line_parser(data, chunk_bytes):
     with patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
         got = outcome(input_columns, data, INPUT_DTYPES)
-    assert got == outcome(ingest._input_columns_lines, data, INPUT_DTYPES)
+    assert got == outcome(input_lines, data, INPUT_DTYPES)
 
 
 # ---------------------------------------------------------------------------

@@ -372,7 +372,7 @@ _PGM_GRIDS = {
 @pytest.mark.parametrize("name", _PGM_GRIDS)
 def test_heatmap_pgm_matches_the_whole_grid_writer(tmp_path, name):
     grid = _PGM_GRIDS[name]
-    hm = Heatmap(grid=grid, cell_px=10, total=int(grid.sum()))
+    hm = Heatmap(grid=grid, cell_px=10)
     write_heatmap_pgm(hm, tmp_path / "h.pgm")
     data = (tmp_path / "h.pgm").read_bytes()
     assert data == joined_heatmap_pgm(hm).encode() == cellwise_heatmap_pgm(hm).encode()
@@ -385,7 +385,7 @@ def test_heatmap_writers_peak_does_not_grow_with_the_grid(tmp_path, write):
     # A 16384-px screen in 10 px cells; the whole-grid writers peaked at 177 MB
     # (CSV) and 61 MB (PGM) traced on it.
     grid = np.random.default_rng(0).integers(0, 1000, (1639, 1639))
-    hm = Heatmap(grid=grid, cell_px=10, total=int(grid.sum()))
+    hm = Heatmap(grid=grid, cell_px=10)
     tracemalloc.start()
     write(hm, tmp_path / "h")
     peak = tracemalloc.get_traced_memory()[1]
@@ -433,7 +433,7 @@ def test_heatmap_writers_match_cellwise_oracle(tmp_path_factory, rows, cols, pea
     # rows wrap at every possible position around the 70-character limit.
     rng = np.random.default_rng(seed)
     grid = rng.integers(0, peak + 1, size=(rows, cols)) * rng.integers(0, 2, size=(rows, cols))
-    hm = Heatmap(grid=grid, cell_px=10, total=int(grid.sum()))
+    hm = Heatmap(grid=grid, cell_px=10)
     path = tmp_path_factory.mktemp("heatmap") / "h"
     for write, oracle in ((write_heatmap_csv, cellwise_heatmap_csv),
                           (write_heatmap_pgm, cellwise_heatmap_pgm)):
