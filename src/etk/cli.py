@@ -62,7 +62,7 @@ from .preprocess import (
     slice_by_intervals,
 )
 from .rng import Rng
-from .synth import Scenario, _profile_bytes, default_profiles, generate_session, load_profiles
+from .synth import Scenario, default_profiles, generate_session, load_profiles
 from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text
 from .zones import (
     DEFAULT_HOP_S,
@@ -263,6 +263,8 @@ def cmd_ingest(args) -> int:
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # A run that fails partway leaves no manifest beside a new summary.
+        (out_dir / "manifest.json").unlink(missing_ok=True)
         _write_text(out_dir / "summary.json", payload + "\n")
         _write_manifest(out_dir, "ingest", {"paths": [str(d) for d in dirs]},
                         dict(zip(map(str, dirs), digests)))
@@ -370,8 +372,10 @@ def _derive_session(directory: Path, head: tuple, screen: tuple[int, int], model
     if len(windows):
         averaged = average_distribution(windows.probs)
     else:
-        warnings.append(f"{meta.player_id}: no rolling windows "
-                        f"(segments shorter than {window_s:g}s)")
+        cause = (f"no {window_s:g}s window held a valid gaze sample"
+                 if any(iv.end_t - iv.start_t >= window_s for iv in alive)
+                 else f"segments shorter than {window_s:g}s")
+        warnings.append(f"{meta.player_id}: no rolling windows ({cause})")
 
     missing = dict(audit.to_dict(), interpolated_samples=interpolated)
     grid = heat.grid.ravel()
@@ -565,8 +569,8 @@ def cmd_synth(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
     if args.profile:
-        profile = _profile_bytes(args.profile)
-        profiles = load_profiles(profile)
+        profile = Path(args.profile).read_bytes()
+        profiles = load_profiles(profile, args.profile)
     else:
         pro, am = default_profiles()
         profiles = {Cohort.PROFESSIONAL: pro, Cohort.AMATEUR: am}

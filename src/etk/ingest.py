@@ -542,9 +542,10 @@ def read_meta_json(path) -> PlayerMeta:
     return _meta_from_bytes(Path(path).read_bytes(), path)
 
 
-def _meta_from_bytes(data: bytes, path) -> PlayerMeta:
-    """`read_meta_json` of `data`, the bytes of the file at `path`."""
-    kind = "meta"
+def _json_object(data: bytes, kind: str, path) -> dict:
+    """The JSON object `data` holds, the bytes of the file at `path`; invalid UTF-8,
+    invalid or too deeply nested JSON, or a value that is not an object is a
+    `ParseError` of `kind` at its line and byte."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -559,9 +560,15 @@ def _meta_from_bytes(data: bytes, path) -> PlayerMeta:
         raise ParseError(kind, 1, 0, f"{path}: invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ParseError(kind, 1, 0, f"{path}: expected a JSON object")
+    return raw
+
+
+def _meta_from_bytes(data: bytes, path) -> PlayerMeta:
+    """`read_meta_json` of `data`, the bytes of the file at `path`."""
+    raw = _json_object(data, "meta", path)
 
     def mistyped(name: str, want: str) -> ParseError:
-        return ParseError(kind, 1, 0, f"{path}: {name!r} must be {want}, got {raw[name]!r}")
+        return ParseError("meta", 1, 0, f"{path}: {name!r} must be {want}, got {raw[name]!r}")
 
     screen = raw.get("screen", DEFAULT_SCREEN)
     if not (isinstance(screen, (list, tuple)) and len(screen) == 2

@@ -13,15 +13,13 @@ streams; the same seed always yields byte-identical capture files.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InvalidProfile
-from .ingest import assemble_session
+from .ingest import _json_object, assemble_session
 from .model import (
     BeatSeries,
     Cohort,
@@ -119,7 +117,7 @@ class CohortProfile:
         try:
             return CohortProfile(tuple(float(p) for p in raw["zone_dwell"]),
                                  *(float(raw[name]) for name in _PROFILE_FIELDS[1:]))
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise InvalidProfile(f"malformed profile field: {e}") from None
 
 
@@ -181,25 +179,13 @@ def default_profiles() -> tuple[CohortProfile, CohortProfile]:
     return professional, amateur
 
 
-def _profile_bytes(source) -> bytes:
-    """The bytes of a profile JSON given as a path or bytes; an unreadable file is an
-    `InvalidProfile`."""
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source)
-    try:
-        return Path(source).read_bytes()
-    except OSError as e:
-        raise InvalidProfile(f"cannot read profile JSON: {e}") from None
-
-
-def load_profiles(source) -> dict[Cohort, CohortProfile]:
-    """Read cohort profiles from JSON, a path or its bytes:
-    {"professional": {...}, "amateur": {...}}."""
-    try:
-        raw = json.loads(_profile_bytes(source).decode("utf-8"))
-    except json.JSONDecodeError as e:
-        raise InvalidProfile(f"cannot read profile JSON: {e}") from None
-    if not isinstance(raw, dict) or not raw:
+def load_profiles(data: bytes, path) -> dict[Cohort, CohortProfile]:
+    """Cohort profiles from `data`, the bytes of the JSON file at `path`:
+    {"professional": {...}, "amateur": {...}}. Bytes that hold no JSON object
+    are a `ParseError` located as `meta.json`'s are; an object that is not a
+    profile is an `InvalidProfile`."""
+    raw = _json_object(data, "profile", path)
+    if not raw:
         raise InvalidProfile("profile JSON must be a non-empty object keyed by cohort")
     out: dict[Cohort, CohortProfile] = {}
     for key, value in raw.items():

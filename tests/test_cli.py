@@ -185,6 +185,33 @@ class TestSynthCommand:
         assert "invalid profile" in err
         assert "gaze_noise_px" in err
 
+    # Each fault is located the way one in meta.json is, and none prints a traceback.
+    @pytest.mark.parametrize("data, location, fault", [
+        (b'{\n"professional": \xff}\n', "line 2 (byte 18)", "invalid UTF-8"),
+        (b"[" * 100_000, "line 1 (byte 0)", "invalid JSON: nested too deeply"),
+        (b'{\n"professional": {,}\n}\n', "line 2 (byte 19)", "invalid JSON: Expecting"),
+    ], ids=["invalid-utf8", "nested-too-deeply", "syntax-error"])
+    def test_undecodable_profile_exits_2_with_its_location(self, tmp_path, data, location,
+                                                           fault):
+        profile = tmp_path / "profile.json"
+        profile.write_bytes(data)
+        out = tmp_path / "y"
+        proc = subprocess.run([sys.executable, "-m", "etk.cli", "synth", "--out", str(out),
+                               "--count", "1", "--profile", str(profile)],
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: profile: {location}: {profile}: {fault}")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_missing_profile_exits_1_naming_it(self, tmp_path, capsys):
+        profile = tmp_path / "nope.json"
+        out = tmp_path / "y"
+        assert main(["synth", "--out", str(out), "--count", "1", "--profile", str(profile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] ") and str(profile) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["missing_rate", "ad_hold_rate"])
     def test_subnormal_profile_rate_exits_0(self, tmp_path, field):
         """A rate of 5e-324 makes the OFF runs endless: the channel never turns on."""
@@ -431,6 +458,17 @@ class TestIngestCommand:
         assert manifest["command"] == "ingest"
         assert set(manifest["inputs"][str(corpus / "pro01")]) == SESSION_FILES
 
+    def test_failed_out_leaves_no_manifest_beside_a_new_summary(self, corpus, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "report"
+        assert main(["ingest", str(corpus / "am02"), str(corpus / "am03"),
+                     "--out", str(out)]) == 0
+        (out / "manifest.json.tmp").mkdir()  # the manifest cannot be written
+        assert main(["ingest", str(corpus / "am02"), "--out", str(out)]) == 1
+        capsys.readouterr()
+        assert len(json.loads((out / "summary.json").read_text())) == 1
+        assert not (out / "manifest.json").exists()
+
     def test_corrupt_gaze_exits_2_with_location(self, corpus, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(corpus / "pro01", broken)
@@ -635,6 +673,20 @@ class TestAnalyzeCommand:
         assert errs[0] == errs[1]
         assert [line.split(":")[1].strip() for line in errs[0].splitlines()
                 if "no rolling windows" in line] == ["am02", "am03", "pro01"]
+
+    def test_no_windows_warning_names_its_cause(self, corpus, tmp_path, caplog):
+        session = tmp_path / "pro01"
+        shutil.copytree(corpus / "pro01", session)
+        gaze = session / "gaze.csv"
+        gaze.write_text(gaze.read_text().splitlines()[0] + "\n")  # the header only
+        # Its segments are 18 s to 30 s long.
+        for flags, cause in ((["--window-s", "500"], "segments shorter than 500s"),
+                             ([], "no 15s window held a valid gaze sample")):
+            caplog.clear()
+            assert main(["analyze", str(session), "--out", str(tmp_path / "run"), *flags]) == 0
+            assert [r.getMessage() for r in caplog.records
+                    if "no rolling windows" in r.getMessage()] == [
+                f"pro01: no rolling windows ({cause})"]
 
     def test_single_session_skips_pca(self, corpus, tmp_path):
         out = tmp_path / "solo"

@@ -2,7 +2,8 @@
 
 Every capture parser, and the `--zones` reader, either parses its input
 or raises `ParseError`; `read_meta_json` may also raise `AssemblyError`
-(a missing key or an unknown cohort). Inputs are arbitrary bytes, and
+(a missing key or an unknown cohort), and `load_profiles` either loads its
+bytes or raises `ParseError` or `InvalidProfile`. Inputs are arbitrary bytes, and
 valid files with bytes inserted, deleted or replaced, so the fuzz gets
 past the headers. Zone models are also built from rows that repeat
 labels and centers, which byte mutations seldom reach.
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from etk.cli import main
-from etk.errors import AssemblyError, ParseError
+from etk.errors import AssemblyError, InvalidProfile, ParseError
 from etk.ingest import (
     parse_demo_events,
     parse_gaze_log,
@@ -30,6 +31,7 @@ from etk.ingest import (
     parse_input_log,
     read_meta_json,
 )
+from etk.synth import _PROFILE_FIELDS, default_profiles, load_profiles
 from etk.zones import read_zone_model_csv
 
 VALID = {
@@ -114,6 +116,30 @@ meta_keys = st.sampled_from(["player_id", "cohort", "n", "screen", "gaze_rate_hz
     ["professional", "amateur", [1920, 1080], 60.0, 1]), max_size=6))
 def test_meta_json_objects_parse_or_raise(meta):
     _read_meta(json.dumps(meta).encode())
+
+
+PROFILE = json.dumps({"professional": default_profiles()[0].to_dict(),
+                      "amateur": default_profiles()[1].to_dict()}).encode()
+profile_values = json_values | st.sampled_from([10 ** 400, 1e308, 5e-324, [1.0], "1"])
+
+
+@st.composite
+def profile_json(draw):
+    """A cohort-keyed object whose entries hold arbitrary values in some profile fields."""
+    raw = json.loads(PROFILE)
+    raw[draw(st.sampled_from(["professional", "amateur", "cyborg"]))] = draw(
+        st.dictionaries(st.sampled_from(_PROFILE_FIELDS), profile_values, max_size=3)
+        .map(lambda fields: raw["amateur"] | fields) | json_values)
+    return json.dumps(raw).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=256) | mutated(PROFILE) | profile_json())
+def test_profile_bytes_load_or_raise(raw):
+    try:
+        load_profiles(raw, "p.json")
+    except (ParseError, InvalidProfile):
+        pass
 
 
 def test_deeply_nested_meta_json_is_a_parse_error(tmp_path):

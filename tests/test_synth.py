@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from etk.errors import InvalidProfile
+from etk.errors import InvalidProfile, ParseError
 from etk.model import Cohort, EventKind, KEY_ALPHABET, PlayerMeta, validate_session
 from etk.preprocess import missing_stats
 from etk.rng import Rng
@@ -164,24 +164,31 @@ class TestProfiles:
         with pytest.raises(InvalidProfile, match="bpm_base"):
             CohortProfile.from_dict({"zone_dwell": [1.0]})
 
-    def test_json_round_trip(self, tmp_path):
+    def test_json_round_trip(self):
         pro, am = default_profiles()
-        path = tmp_path / "profiles.json"
-        path.write_text(json.dumps({"professional": pro.to_dict(),
-                                    "amateur": am.to_dict()}))
-        loaded = load_profiles(path)
+        data = json.dumps({"professional": pro.to_dict(), "amateur": am.to_dict()}).encode()
+        loaded = load_profiles(data, "profiles.json")
         assert loaded[Cohort.PROFESSIONAL] == pro
         assert loaded[Cohort.AMATEUR] == am
 
-    def test_unknown_cohort_rejected(self, tmp_path):
-        path = tmp_path / "profiles.json"
-        path.write_text(json.dumps({"cyborg": default_profiles()[0].to_dict()}))
+    def test_unknown_cohort_rejected(self):
+        data = json.dumps({"cyborg": default_profiles()[0].to_dict()}).encode()
         with pytest.raises(InvalidProfile, match="cyborg"):
-            load_profiles(path)
+            load_profiles(data, "profiles.json")
 
-    def test_unreadable_file_rejected(self, tmp_path):
-        with pytest.raises(InvalidProfile):
-            load_profiles(tmp_path / "nope.json")
+    @pytest.mark.parametrize("raw, match", [
+        ({}, "non-empty object"),
+        ({"amateur": []}, "must be an object"),
+        ({"amateur": default_profiles()[1].to_dict() | {"bpm_base": 10 ** 400}}, "too large"),
+    ], ids=["empty", "non-object-entry", "overflowing-field"])
+    def test_object_that_is_no_profile_rejected(self, raw, match):
+        with pytest.raises(InvalidProfile, match=match):
+            load_profiles(json.dumps(raw).encode(), "profiles.json")
+
+    def test_bytes_that_hold_no_object_are_a_parse_error(self):
+        with pytest.raises(ParseError, match="profiles.json: expected a JSON object") as exc:
+            load_profiles(b"[1]", "profiles.json")
+        assert exc.value.kind == "profile"
 
 
 class TestScenario:
