@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
-import json
 import logging
 import math
 import os
@@ -40,7 +39,7 @@ from .errors import (
     TooManyWindows,
 )
 # read_session_dir stays importable from here for perfbench's tracer test.
-from .ingest import (META_FILE, _parse_file, _sha256, read_session_captures, read_session_dir,
+from .ingest import (META_FILE, _read_file, read_session_captures, read_session_dir,
                      read_session_head, write_session_dir)
 from .input_features import (
     MOUSE1,
@@ -63,7 +62,7 @@ from .preprocess import (
 )
 from .rng import Rng
 from .synth import Scenario, default_profiles, generate_session, load_profiles
-from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text
+from .textio import _byte_cells, _fmt_cells, _join_rows, _json_text, _row_blocks, _write_text
 from .zones import (
     DEFAULT_HOP_S,
     DEFAULT_WINDOW_S,
@@ -150,8 +149,8 @@ def _check_corpus(dirs: list[Path]) -> tuple[list[tuple], tuple[int, int]]:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict) -> None:
-    manifest = {"command": command, "config": config, "inputs": inputs}
-    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_text(out_dir / "manifest.json",
+                _json_text({"command": command, "config": config, "inputs": inputs}))
 
 
 def _map_sessions(dirs: list[Path], heads: list, derive, jobs: int):
@@ -258,14 +257,13 @@ def cmd_ingest(args) -> int:
         log.info("ingested %s: %d rounds", summary["directory"], summary["rounds"])
         summaries.append(summary)
         digests.append(digest)
-    payload = json.dumps(summaries, indent=2, sort_keys=True)
-    print(payload)
+    print(payload := _json_text(summaries), end="")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         # A run that fails partway leaves no manifest beside a new summary.
         (out_dir / "manifest.json").unlink(missing_ok=True)
-        _write_text(out_dir / "summary.json", payload + "\n")
+        _write_text(out_dir / "summary.json", payload)
         _write_manifest(out_dir, "ingest", {"paths": [str(d) for d in dirs]},
                         dict(zip(map(str, dirs), digests)))
     return EXIT_OK
@@ -459,11 +457,6 @@ def _write_pca_csvs(out_dir: Path, derived: list[_SessionDerived], k: int) -> No
         [averages]))
 
 
-def _write_missing_json(path: Path, derived: list[_SessionDerived]) -> None:
-    payload = {d.meta.player_id: d.missing for d in derived}
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _write_heatmaps(out_dir: Path, derived: list[_SessionDerived],
                     screen: tuple[int, int]) -> None:
     for cohort in Cohort:
@@ -500,9 +493,7 @@ def cmd_analyze(args) -> int:
     if args.zones == "default":
         model = default_zone_model()
     else:
-        zones = Path(args.zones).read_bytes()
-        model = _parse_file(read_zone_model_csv, zones, args.zones)
-        inputs[args.zones] = _sha256(zones).hexdigest()
+        model, inputs[args.zones] = _read_file(read_zone_model_csv, args.zones)
     if not (0 < args.window_s < math.inf and 0 < args.hop_s < math.inf):
         raise ValueError("--window-s and --hop-s must be positive and finite")
     try:
@@ -529,7 +520,8 @@ def cmd_analyze(args) -> int:
     derived.sort(key=lambda d: (d.meta.cohort.value, d.meta.player_id))
 
     k = model.k
-    _write_missing_json(out_dir / "missing.json", derived)
+    _write_text(out_dir / "missing.json",
+                _json_text({d.meta.player_id: d.missing for d in derived}))
     _write_windows_csv(out_dir / "windows.csv", derived, k)
     _write_averages_csv(out_dir / "averages.csv", derived, k)
     write_zone_model_csv(model, out_dir / "zones.csv")
@@ -568,9 +560,9 @@ def _synth_session(directory: Path, head: tuple) -> PlayerMeta:
 def cmd_synth(args) -> int:
     if args.count < 0:
         raise ValueError(f"--count must be >= 0, got {args.count}")
+    inputs = {}
     if args.profile:
-        profile = Path(args.profile).read_bytes()
-        profiles = load_profiles(profile, args.profile)
+        profiles, inputs["profile"] = _read_file(load_profiles, args.profile)
     else:
         pro, am = default_profiles()
         profiles = {Cohort.PROFESSIONAL: pro, Cohort.AMATEUR: am}
@@ -611,8 +603,7 @@ def cmd_synth(args) -> int:
     _write_manifest(out_dir, "synth",
                     {"count": args.count, "seed": args.seed,
                      "profile": args.profile or "default",
-                     "rounds": args.rounds, "round_s": args.round_s},
-                    {"profile": _sha256(profile).hexdigest()} if args.profile else {})
+                     "rounds": args.rounds, "round_s": args.round_s}, inputs)
     return EXIT_OK
 
 

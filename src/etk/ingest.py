@@ -13,13 +13,13 @@ Formats (all UTF-8; whitespace-only and `#`-prefixed comment lines ignored):
   ``kill <t> <killer> <victim>``, ``weapon_fire <t> <player>``.
 
 `gaze.csv` and `input.csv` hold nearly all the bytes of a session.
-Every capture is read through a `_Capture`, a stream that hashes each
-byte read through it, and no parse holds a whole file. `parse_gaze_log`
-and `parse_input_log` each describe their format (kind, header, chunk
-converter, row parser) in one `_parse_csv` call, which opens the capture
-once. A file in the canonical form the writers emit is parsed in bulk:
-it starts with its header line and holds no blank line, CR, `#` or
-U+001C..U+001F control.
+Every file etk reads enters through `_read_file`, which opens it once as
+a `_Capture`, a stream that hashes each byte read through it, so every
+digest is that of the bytes parsed; no capture parse holds a whole file.
+`parse_gaze_log` and `parse_input_log` each describe their format (kind,
+header, chunk converter, row parser) in one `_parse_csv` call. A file in
+the canonical form the writers emit is parsed in bulk: it starts with
+its header line and holds no blank line, CR, `#` or U+001C..U+001F control.
 A first pass counts its lines, unhashed, in reads of about 64 KiB; the
 stream is then rewound, and each read of that size, completed to the
 end of its line, is hashed, checked and converted with one
@@ -90,7 +90,8 @@ from .model import (
     key_names,
     validate_session,
 )
-from .textio import _byte_cells, _fmt_cells, _join_rows, _row_blocks, _write_text, fmt_num
+from .textio import (_byte_cells, _fmt_cells, _join_rows, _json_text, _row_blocks, _write_text,
+                     fmt_num)
 
 # CPython's own SHA-256: hashlib's would map OpenSSL's libcrypto, about 3.6 MB of RSS.
 try:
@@ -167,6 +168,16 @@ def _opened(source):
     else:
         with open(source, "rb") as f:  # a pipe cannot be rewound, so it is read whole
             yield _Capture(f if f.seekable() else io.BytesIO(f.read()), source)
+
+
+def _read_file(parser, path) -> tuple:
+    """`parser` of the file at `path`, opened once, and the digest of the bytes it read."""
+    with _opened(path) as capture:
+        try:
+            value = parser(capture)
+        except ParseError as e:
+            raise ParseError(e.kind, e.line, e.byte_offset, f"{path}: {e.message}") from None
+    return value, capture.hash.hexdigest()
 
 
 def _iter_lines(source, kind: str):
@@ -530,45 +541,46 @@ def write_demo_events(timeline: MatchTimeline, path) -> None:
 
 def write_meta_json(meta: PlayerMeta, path) -> None:
     # A str enum, the cohort is written as its value; the screen tuple as a list.
-    _write_text(path, json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(asdict(meta)))
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def read_meta_json(path) -> PlayerMeta:
-    """The `PlayerMeta` of a `meta.json`; a malformed file is a `ParseError`."""
-    return _meta_from_bytes(Path(path).read_bytes(), path)
-
-
-def _json_object(data: bytes, kind: str, path) -> dict:
-    """The JSON object `data` holds, the bytes of the file at `path`; invalid UTF-8,
-    invalid or too deeply nested JSON, or a value that is not an object is a
-    `ParseError` of `kind` at its line and byte."""
+def _json_object(source, kind: str) -> dict:
+    """The JSON object of the file at `source`, its path, bytes or `_Capture`; anything
+    else is a `ParseError` of `kind` at its line and byte."""
+    with _opened(source) as capture:
+        data = capture.read(-1)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(kind, data.count(b"\n", 0, e.start) + 1, e.start,
-                         f"{path}: invalid UTF-8: {e}") from None
+                         f"invalid UTF-8: {e}") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(kind, e.lineno, len(text[:e.pos].encode("utf-8")),
-                         f"{path}: invalid JSON: {e.msg}") from None
+                         f"invalid JSON: {e.msg}") from None
+    except ValueError:  # the one other ValueError: an integer past the conversion limit
+        raise ParseError(kind, 1, 0, "invalid JSON: an integer has more than "
+                                     f"{sys.get_int_max_str_digits()} digits") from None
     except RecursionError:
-        raise ParseError(kind, 1, 0, f"{path}: invalid JSON: nested too deeply") from None
+        raise ParseError(kind, 1, 0, "invalid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
-        raise ParseError(kind, 1, 0, f"{path}: expected a JSON object")
+        raise ParseError(kind, 1, 0, "expected a JSON object")
     return raw
 
 
-def _meta_from_bytes(data: bytes, path) -> PlayerMeta:
-    """`read_meta_json` of `data`, the bytes of the file at `path`."""
-    raw = _json_object(data, "meta", path)
+def read_meta_json(source) -> PlayerMeta:
+    """The `PlayerMeta` of a `meta.json`, its path, bytes or `_Capture`. No JSON object,
+    or a mistyped field, is a `ParseError`; a missing key or an unknown cohort is an
+    `AssemblyError`."""
+    raw = _json_object(source, "meta")
 
     def mistyped(name: str, want: str) -> ParseError:
-        return ParseError("meta", 1, 0, f"{path}: {name!r} must be {want}, got {raw[name]!r}")
+        return ParseError("meta", 1, 0, f"{name!r} must be {want}, got {raw[name]!r}")
 
     screen = raw.get("screen", DEFAULT_SCREEN)
     if not (isinstance(screen, (list, tuple)) and len(screen) == 2
@@ -586,9 +598,9 @@ def _meta_from_bytes(data: bytes, path) -> PlayerMeta:
         return PlayerMeta(player_id=raw["player_id"], cohort=Cohort(raw["cohort"]), n=raw["n"],
                           screen=(screen[0], screen[1]), gaze_rate_hz=float(rate))
     except KeyError as e:
-        raise AssemblyError([], f"bad {path}: missing key {e.args[0]!r}") from None
+        raise AssemblyError([], f"missing key {e.args[0]!r}") from None
     except ValueError as e:
-        raise AssemblyError([], f"bad {path}: {e}") from None
+        raise AssemblyError([], str(e)) from None
 
 
 def write_session_dir(session: Session, directory) -> Path:
@@ -604,14 +616,6 @@ def write_session_dir(session: Session, directory) -> Path:
     return d
 
 
-def _parse_file(parser, source, path):
-    """`parser(source)`, whose `ParseError` names `path` as `read_meta_json`'s do."""
-    try:
-        return parser(source)
-    except ParseError as e:
-        raise ParseError(e.kind, e.line, e.byte_offset, f"{path}: {e.message}") from None
-
-
 def read_session_head(directory) -> tuple[PlayerMeta, str]:
     """`read_meta_json` of a session directory that holds every required file,
     and the digest of the meta.json bytes it read."""
@@ -620,8 +624,10 @@ def read_session_head(directory) -> tuple[PlayerMeta, str]:
                if not (d / name).is_file()]
     if missing:
         raise AssemblyError([], f"session directory {d} is missing {', '.join(missing)}")
-    data = (d / META_FILE).read_bytes()
-    return _meta_from_bytes(data, d / META_FILE), _sha256(data).hexdigest()
+    try:
+        return _read_file(read_meta_json, d / META_FILE)
+    except AssemblyError as e:
+        raise AssemblyError([], f"bad {d / META_FILE}: {e.message}") from None
 
 
 def read_session_captures(directory, meta: PlayerMeta,
@@ -629,17 +635,14 @@ def read_session_captures(directory, meta: PlayerMeta,
     """The validated Session of a directory (hrm.txt optional) given its `read_session_head`,
     and the digest of each file read, by name.
 
-    Each capture is opened once and parsed from a `_Capture`, a chunk or
-    a line at a time, so its digest is that of the bytes parsed and no
-    whole file is held. An `AssemblyError` names the directory.
+    Each capture is read by `_read_file`, a chunk or a line at a time.
+    An `AssemblyError` names the directory.
     """
     d = Path(directory)
     digests = {META_FILE: meta_digest}
 
     def parse(parser, name: str):
-        with _opened(d / name) as capture:
-            value = _parse_file(parser, capture, d / name)
-        digests[name] = capture.hash.hexdigest()
+        value, digests[name] = _read_file(parser, d / name)
         return value
 
     gaze = parse(parse_gaze_log, GAZE_FILE)

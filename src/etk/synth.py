@@ -104,6 +104,8 @@ class CohortProfile:
                 raise InvalidProfile(f"{name} {v} outside [0, 1]")
         if not (30.0 <= self.bpm_base <= 220.0):
             raise InvalidProfile(f"bpm_base {self.bpm_base} outside [30, 220]")
+        if len(dwell) != (k := default_zone_model().k):
+            raise InvalidProfile(f"zone_dwell has {len(dwell)} entries, zone model has {k}")
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _PROFILE_FIELDS} | {
@@ -179,12 +181,12 @@ def default_profiles() -> tuple[CohortProfile, CohortProfile]:
     return professional, amateur
 
 
-def load_profiles(data: bytes, path) -> dict[Cohort, CohortProfile]:
-    """Cohort profiles from `data`, the bytes of the JSON file at `path`:
-    {"professional": {...}, "amateur": {...}}. Bytes that hold no JSON object
-    are a `ParseError` located as `meta.json`'s are; an object that is not a
+def load_profiles(source) -> dict[Cohort, CohortProfile]:
+    """Cohort profiles from the JSON file at `source`, its path, bytes or `_Capture`:
+    {"professional": {...}, "amateur": {...}}. A file that holds no JSON object
+    is a `ParseError` located as `meta.json`'s are; an object that is not a
     profile is an `InvalidProfile`."""
-    raw = _json_object(data, "profile", path)
+    raw = _json_object(source, "profile")
     if not raw:
         raise InvalidProfile("profile JSON must be a non-empty object keyed by cohort")
     out: dict[Cohort, CohortProfile] = {}
@@ -288,9 +290,6 @@ def _generate_gaze(rng_zone: Rng, rng_noise: Rng, rng_missing: Rng,
     chain = draws[last_redraw]
 
     centers = default_zone_model().centers_array()
-    if len(profile.zone_dwell) != len(centers):
-        raise InvalidProfile(
-            f"zone_dwell has {len(profile.zone_dwell)} entries, zone model has {len(centers)}")
     w, h = DEFAULT_SCREEN
     x = centers[chain, 0] + profile.gaze_noise_px * rng_noise.normal_block(n)
     y = centers[chain, 1] + profile.gaze_noise_px * rng_noise.normal_block(n)

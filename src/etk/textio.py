@@ -17,6 +17,7 @@ with the table.
 """
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -31,6 +32,11 @@ def fmt_num(v: float) -> str:
     if v.is_integer() and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
+
+
+def _json_text(value) -> str:
+    """`value` as every JSON file etk writes holds it: indented, keys sorted."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def _fmt_column(column: np.ndarray) -> list[str]:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pickle
+import re
 import shutil
 import signal
 import subprocess
@@ -24,6 +25,7 @@ from etk.cli import main
 from etk.ingest import write_session_dir
 from etk.model import (Cohort, EventKind, GameEvent, GazeSeries, InputSeries, MatchTimeline,
                        PlayerMeta, Round, Session)
+from etk.synth import default_profiles
 from etk.zones import WindowSeries, heatmap_grid
 
 ANALYZE_ARTIFACTS = {
@@ -190,7 +192,10 @@ class TestSynthCommand:
         (b'{\n"professional": \xff}\n', "line 2 (byte 18)", "invalid UTF-8"),
         (b"[" * 100_000, "line 1 (byte 0)", "invalid JSON: nested too deeply"),
         (b'{\n"professional": {,}\n}\n', "line 2 (byte 19)", "invalid JSON: Expecting"),
-    ], ids=["invalid-utf8", "nested-too-deeply", "syntax-error"])
+        (json.dumps({"professional": default_profiles()[0].to_dict() | {"bpm_base": 0}})
+         .replace('"bpm_base": 0', '"bpm_base": ' + "9" * 5000).encode(),
+         "line 1 (byte 0)", "invalid JSON: an integer has more than 4300 digits"),
+    ], ids=["invalid-utf8", "nested-too-deeply", "syntax-error", "over-long-integer"])
     def test_undecodable_profile_exits_2_with_its_location(self, tmp_path, data, location,
                                                            fault):
         profile = tmp_path / "profile.json"
@@ -203,6 +208,21 @@ class TestSynthCommand:
         assert proc.stderr.startswith(f"error: profile: {location}: {profile}: {fault}")
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_refused_profile_leaves_the_earlier_corpus(self, tmp_path, capsys):
+        """A profile is checked whole when it is loaded, before `--out` is touched."""
+        out, args = tmp_path / "out", ["--count", "2", "--rounds", "2", "--round-s", "20"]
+        assert main(["synth", "--out", str(out), *args]) == 0
+        before = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                  if p.is_file()}
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps(
+            {"professional": default_profiles()[0].to_dict() | {"zone_dwell": [0.5, 0.5]}}))
+        assert main(["synth", "--out", str(out), *args, "--profile", str(profile)]) == 2
+        assert capsys.readouterr().err == \
+            "error: invalid profile: zone_dwell has 2 entries, zone model has 9\n"
+        assert {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+                if p.is_file()} == before
 
     def test_missing_profile_exits_1_naming_it(self, tmp_path, capsys):
         profile = tmp_path / "nope.json"
@@ -335,8 +355,10 @@ class TestSynthCommand:
         from etk.synth import default_profiles
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"amateur": default_profiles()[1].to_dict()}))
+        zones = tmp_path / "zones.csv"
+        zones.write_text("k,label,x,y\n1,Left,480,540\n2,Right,1440,540\n")
         code = ("import sys\n"
-                "corpus, profile, out, hasher = sys.argv[1:]\n"
+                "corpus, profile, zones, out, hasher = sys.argv[1:]\n"
                 "if hasher == 'hashlib':\n"
                 "    sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
                 "import hashlib\n"
@@ -345,16 +367,19 @@ class TestSynthCommand:
                 "assert (ingest._sha256 is hashlib.sha256) == (hasher == 'hashlib')\n"
                 "assert main(['ingest', corpus, '--out', out + '/i']) == 0\n"
                 "assert main(['analyze', corpus, '--out', out + '/a', '--jobs', '2']) == 0\n"
+                "assert main(['analyze', corpus, '--out', out + '/z', '--zones', zones]) == 0\n"
                 "assert main(['synth', '--out', out + '/p', '--count', '1', '--rounds', '2',\n"
                 "             '--round-s', '20', '--profile', profile]) == 0\n")
         for hasher in ("built-in", "hashlib"):
             proc = subprocess.run([sys.executable, "-c", code, str(corpus), str(profile),
-                                   str(tmp_path / hasher), hasher], env=_child_env(),
+                                   str(zones), str(tmp_path / hasher), hasher], env=_child_env(),
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
-        for run in ("i", "a", "p"):
+        for run in ("i", "a", "z", "p"):
             assert (tmp_path / "hashlib" / run / "manifest.json").read_bytes() == \
                 (tmp_path / "built-in" / run / "manifest.json").read_bytes()
+        inputs = json.loads((tmp_path / "hashlib" / "z" / "manifest.json").read_text())["inputs"]
+        assert inputs[str(zones)] == hashlib.sha256(zones.read_bytes()).hexdigest()
 
     def test_each_input_is_read_once(self, corpus, tmp_path, monkeypatch):
         from etk.synth import default_profiles
@@ -984,6 +1009,18 @@ class TestInputErrors:
         assert main([command, str(root), "--out", str(tmp_path / "run")]) == 3
         assert capsys.readouterr().err == f"error: bad {path}: missing key {key!r}\n"
         assert not (tmp_path / "run").exists()
+
+    def test_over_long_meta_integer_exits_2_naming_file(self, corpus, tmp_path):
+        """An integer past Python's 4300-digit conversion limit is a located parse error."""
+        broken = tmp_path / "longint"
+        shutil.copytree(corpus / "pro01", broken)
+        path = broken / "meta.json"
+        path.write_text(re.sub(r'"n": \d+', '"n": ' + "9" * 5000, path.read_text()))
+        proc = subprocess.run([sys.executable, "-m", "etk.cli", "ingest", str(broken)],
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (f"error: meta: line 1 (byte 0): {path}: "
+                               "invalid JSON: an integer has more than 4300 digits\n")
 
     def test_meta_json_not_an_object_exits_2(self, corpus, tmp_path, capsys):
         broken = tmp_path / "notobj"

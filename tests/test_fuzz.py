@@ -8,10 +8,11 @@ valid files with bytes inserted, deleted or replaced, so the fuzz gets
 past the headers. Zone models are also built from rows that repeat
 labels and centers, which byte mutations seldom reach.
 The CLI fuzz damages one or two files of a small corpus, one way being
-to put a well-formed extreme number (such as 2**63, 10**400, 5e-324 or
-nan) in place of a numeric token, and may give `analyze` an extreme
-numeric flag; it checks that `main` returns one of the documented exit
-codes instead of raising.
+to put a well-formed extreme number (such as 2**63, 10**400, an integer
+of more than the 4300 digits `int` converts, 5e-324 or nan) in place of
+a numeric token, and may give `analyze` an extreme numeric flag; it
+checks that `main` returns one of the documented exit codes instead of
+raising.
 """
 import json
 import re
@@ -30,6 +31,7 @@ from etk.ingest import (
     parse_hrm_log,
     parse_input_log,
     read_meta_json,
+    read_session_head,
 )
 from etk.synth import _PROFILE_FIELDS, default_profiles, load_profiles
 from etk.zones import read_zone_model_csv
@@ -133,20 +135,30 @@ def profile_json(draw):
     return json.dumps(raw).encode()
 
 
+@st.composite
+def long_integer(draw, valid: bytes):
+    """`valid` with one of its numbers replaced by an integer of more than the
+    4300 digits `int` converts, which `json.dumps` cannot write."""
+    token = draw(st.sampled_from(list(re.finditer(rb"\d+(?:\.\d+)?", valid))))
+    return valid[:token.start()] + b"9" * 4301 + valid[token.end():]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=256) | mutated(PROFILE) | profile_json())
+@given(st.binary(max_size=256) | mutated(PROFILE) | profile_json() | long_integer(PROFILE))
 def test_profile_bytes_load_or_raise(raw):
     try:
-        load_profiles(raw, "p.json")
+        load_profiles(raw)
     except (ParseError, InvalidProfile):
         pass
 
 
 def test_deeply_nested_meta_json_is_a_parse_error(tmp_path):
+    for name in ("gaze.csv", "input.csv", "demo.events"):
+        (tmp_path / name).touch()
     path = tmp_path / "meta.json"
     path.write_bytes(b"[" * 100_000)
     with pytest.raises(ParseError, match="nested too deeply") as exc:
-        read_meta_json(path)
+        read_session_head(tmp_path)
     assert str(path) in str(exc.value)
 
 
@@ -184,7 +196,8 @@ def small_corpus(tmp_path_factory) -> Path:
 
 
 FILES = ["meta.json", "gaze.csv", "input.csv", "hrm.txt", "demo.events"]
-EXTREMES = [str(2**63), str(-2**63), "1" + "0" * 400, "1e308", "5e-324", "-0.0", "nan", "inf"]
+EXTREMES = [str(2**63), str(-2**63), "1" + "0" * 400, "9" * 4301, "1e308", "5e-324", "-0.0",
+            "nan", "inf"]
 JSON_SPELLING = {"nan": "NaN", "inf": "Infinity"}   # what `json` reads as these floats
 # A number standing alone: a round index, a time, a cell, a JSON value; not
 # the digits of "pro01" or "MOUSE1".

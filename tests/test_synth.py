@@ -1,11 +1,13 @@
 """Synthetic session generator: determinism, structure, and target rates."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from etk.errors import InvalidProfile, ParseError
+from etk.ingest import _read_file
 from etk.model import Cohort, EventKind, KEY_ALPHABET, PlayerMeta, validate_session
 from etk.preprocess import missing_stats
 from etk.rng import Rng
@@ -167,14 +169,14 @@ class TestProfiles:
     def test_json_round_trip(self):
         pro, am = default_profiles()
         data = json.dumps({"professional": pro.to_dict(), "amateur": am.to_dict()}).encode()
-        loaded = load_profiles(data, "profiles.json")
+        loaded = load_profiles(data)
         assert loaded[Cohort.PROFESSIONAL] == pro
         assert loaded[Cohort.AMATEUR] == am
 
     def test_unknown_cohort_rejected(self):
         data = json.dumps({"cyborg": default_profiles()[0].to_dict()}).encode()
         with pytest.raises(InvalidProfile, match="cyborg"):
-            load_profiles(data, "profiles.json")
+            load_profiles(data)
 
     @pytest.mark.parametrize("raw, match", [
         ({}, "non-empty object"),
@@ -183,12 +185,20 @@ class TestProfiles:
     ], ids=["empty", "non-object-entry", "overflowing-field"])
     def test_object_that_is_no_profile_rejected(self, raw, match):
         with pytest.raises(InvalidProfile, match=match):
-            load_profiles(json.dumps(raw).encode(), "profiles.json")
+            load_profiles(json.dumps(raw).encode())
 
-    def test_bytes_that_hold_no_object_are_a_parse_error(self):
-        with pytest.raises(ParseError, match="profiles.json: expected a JSON object") as exc:
-            load_profiles(b"[1]", "profiles.json")
+    def test_bytes_that_hold_no_object_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "profiles.json"
+        path.write_bytes(b"[1]")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: expected a JSON object")) as exc:
+            _read_file(load_profiles, path)
         assert exc.value.kind == "profile"
+
+    def test_zone_dwell_must_match_the_zone_model(self):
+        """Checked when the profile is built, so a refused `--profile` touches no file."""
+        raw = default_profiles()[0].to_dict() | {"zone_dwell": [0.5, 0.5]}
+        with pytest.raises(InvalidProfile, match="zone_dwell has 2 entries, zone model has 9"):
+            CohortProfile.from_dict(raw)
 
 
 class TestScenario:
